@@ -2,12 +2,83 @@
 
 Everything here is deliberately naive and independent of the production code
 paths it checks: bit-by-bit Morton coding, recursive mesh construction, and
-exact per-leaf deviations computed from retained initial data.
+exact per-leaf deviations computed from retained initial data. The one
+exception is :func:`reference_coarsen`, the original Jacobi-sweep engine,
+which shares the bound checks with production and serves as the
+differential reference for the level-pass engine.
 """
 
 from __future__ import annotations
 
 import numpy as np
+
+from amrc.codec import CoarsenResult, _quantize
+from amrc.criteria import (
+    ABSOLUTE,
+    batch_check_absolute,
+    batch_check_relative,
+    family_means,
+    resolve_bounds_batch,
+)
+from amrc.mesh import ForestMesh, _collapse, _family_starts, build_initial_mesh, map_data
+
+
+def reference_coarsen(variables, shape, spec, value_kind, max_iterations=None):
+    """Jacobi-sweep coarsening over explicit Morton leaf arrays.
+
+    Each iteration gathers every complete same-level leaf family, checks them
+    all against the bounds, and commits every accepted collapse at once, so
+    a new parent only becomes eligible in the next iteration. Iteration
+    stops when nothing is accepted. Input validation is left to the caller.
+    """
+    arrays = [np.asarray(v) for v in variables]
+    mesh0 = build_initial_mesh(shape)
+    codes = mesh0.codes.copy()
+    levels = mesh0.levels.copy()
+    dummy = mesh0.dummy.copy()
+    work = [map_data(shape, arr, mesh0) for arr in arrays]
+    trackers = [np.zeros(mesh0.n_leaves) for _ in arrays]
+    check = batch_check_absolute if spec.kind == ABSOLUTE else batch_check_relative
+    dim = shape.dim
+    fam = 1 << dim
+
+    iterations = 0
+    while max_iterations is None or iterations < max_iterations:
+        starts = _family_starts(codes, levels, dim)
+        if starts.size == 0:
+            break
+        members = starts[:, None] + np.arange(fam)
+        dmask = dummy[members]
+        bounds = resolve_bounds_batch(
+            codes[starts] >> np.uint64(dim), levels[starts] - 1, spec, shape)
+        ok = np.ones(starts.size, dtype=bool)
+        cands, newtrs = [], []
+        for vals_leaf, trk_leaf in zip(work, trackers):
+            vals = vals_leaf[members]
+            trs = trk_leaf[members]
+            means, _ = family_means(vals, dmask)
+            cand = _quantize(means, value_kind)
+            acc, ntr = check(vals, trs, dmask, cand, bounds)
+            prior = np.where(dmask, 0.0, trs).max(axis=1) > 0.0
+            ntr = np.where(prior, ntr + 4.0 * np.spacing(ntr), ntr)
+            if spec.kind == ABSOLUTE:
+                acc = ntr <= bounds
+            ok &= acc
+            cands.append(cand)
+            newtrs.append(ntr)
+        acc = starts[ok]
+        if acc.size == 0:
+            break
+        new_codes, new_levels, new_dummy, keep = _collapse(codes, levels, dummy, acc, dim)
+        for v in range(len(work)):
+            work[v][acc] = cands[v][ok]
+            trackers[v][acc] = newtrs[v][ok]
+            work[v] = work[v][keep]
+            trackers[v] = trackers[v][keep]
+        codes, levels, dummy = new_codes, new_levels, new_dummy
+        iterations += 1
+
+    return CoarsenResult(ForestMesh(shape, codes, levels, dummy), work, trackers, iterations)
 
 
 def naive_encode(coords, level: int, dim: int) -> int:
