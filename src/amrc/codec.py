@@ -1,26 +1,40 @@
-"""Compression driver: iterate coarsening to a fixpoint, then package.
+"""Compression driver: coarsen the tree bottom-up, one level at a time, then package.
 
-One coarsening iteration gathers every complete same-level leaf family,
-interpolates each candidate parent value, and checks it against the most
-restrictive bound touching the parent. All accepted collapses commit at once
-(a Jacobi-style sweep), so newly formed parents only become eligible in the
-next iteration. Iteration stops when nothing is accepted.
+Coarsening works on grid-index arrays, one per tree level. At each level
+the grid, padded by one dummy cell on each odd axis, is reshaped into
+families of 2^dim siblings. Every complete family (all members still leaves)
+gets a candidate parent value, the mean of its data members, which is
+checked against the most restrictive bound of any error domain the parent
+meets. Accepted parents become the leaves of the next level up; the leaves
+of rejected or incomplete families stay in the final mesh. The pass stops
+at the first level that accepts nothing.
 
-The initial data is discarded after mapping onto the mesh; only per-leaf
-inaccuracy trackers persist, and they guarantee the end-to-end point-wise
-bound of the decompressed output.
+This reproduces a Jacobi-style sweep over the whole leaf set (check every
+complete family, commit all accepted collapses at once, repeat until
+nothing is accepted) exactly; ``tests/oracle.py`` keeps that sweep as the
+reference. No all-dummy family exists at the start, and a rejected family
+never changes, so re-checking it rejects it again. Sweep iteration ``i``
+can therefore only accept families whose parents sit at level ``l0 - i``,
+which is what the level pass checks at its ``i``-th level.
+``CompressStats.iterations`` counts the levels that accepted something, and
+``max_iterations`` caps that count. Only the surviving leaves are
+Morton-encoded, once, to put them in curve order.
+
+The initial data is discarded level by level; only per-leaf inaccuracy
+trackers persist, and they guarantee the end-to-end point-wise bound of the
+decompressed output.
 
 Candidate values are rounded into the storage type (f32, or nearest-even for
 integer kinds) *before* the compliance check, so the tracker bounds the
 deviation of the value that is actually stored.
 """
-
 from __future__ import annotations
 
 from dataclasses import dataclass
 
 import numpy as np
 
+from . import morton
 from .criteria import (
     ABSOLUTE,
     Criterion,
@@ -28,18 +42,13 @@ from .criteria import (
     batch_check_absolute,
     batch_check_relative,
     family_means,
-    resolve_bounds_batch,
 )
 from .errors import ConfigError, CorruptArtifactError, DataError, ShapeError
 from .mesh import (
     ForestMesh,
     GridShape,
-    _collapse,
-    _family_starts,
-    build_initial_mesh,
     deserialize_refinement,
     expand_to_uniform,
-    map_data,
     serialize_refinement,
 )
 
@@ -131,6 +140,46 @@ def packed_bound(eps_unpacked: float, scale_factor: float) -> float:
     return eps_unpacked / scale_factor
 
 
+def _families(grid: np.ndarray, fill) -> np.ndarray:
+    """``(n_parents, 2^dim)`` copy of one level's grid, one row per family.
+
+    Each odd axis is first padded by one ``fill`` cell. Rows follow the
+    parent grid in row-major order; within a row, child ``k = x | y<<1 | z<<2``
+    with x the last numpy axis, which is Morton child order.
+    """
+    dim = grid.ndim
+    pad = [(0, e % 2) for e in grid.shape]
+    if any(p for _, p in pad):
+        grid = np.pad(grid, pad, constant_values=fill)
+    split = grid.reshape([n for e in grid.shape for n in (e // 2, 2)])
+    order = list(range(0, 2 * dim, 2)) + list(range(1, 2 * dim, 2))
+    return np.ascontiguousarray(split.transpose(order)).reshape(-1, 1 << dim)
+
+
+def _child_codes(mask: np.ndarray, parents: tuple[int, ...]) -> np.ndarray:
+    """Morton codes of the children selected by a ``(n_parents, 2^dim)`` mask."""
+    dim = len(parents)
+    rows = np.flatnonzero(mask.any(axis=1))
+    coords = np.unravel_index(rows, parents)
+    pcodes = morton.interleave(
+        tuple(coords[dim - 1 - a].astype(np.uint64) for a in range(dim)), dim)
+    sel, k = np.nonzero(mask[rows])
+    return (pcodes[sel] << np.uint64(dim)) | k.astype(np.uint64)
+
+
+def _parent_bounds(spec: ErrorSpec, parents: tuple[int, ...], size: int) -> np.ndarray:
+    """Most restrictive bound per parent of ``size`` cells per axis.
+
+    Parent ``p`` meets a domain box iff ``p*size < hi`` and
+    ``p*size + size > lo`` on every axis, a box slice of the parent grid.
+    """
+    bounds = np.full(parents, spec.default.bound)
+    for dom in spec.domains:
+        box = tuple(slice(max(lo // size, 0), max(-(-hi // size), 0)) for lo, hi in dom.box)
+        bounds[box] = np.minimum(bounds[box], dom.criterion.bound)
+    return bounds
+
+
 def coarsen_forest(
     variables,
     shape: GridShape,
@@ -142,69 +191,100 @@ def coarsen_forest(
 
     A family collapses only if the check passes for *every* variable; trackers
     are maintained per variable. Pass a single-element list for solo
-    compression.
+    compression. ``max_iterations`` caps the number of accepting levels.
     """
     if value_kind not in VALUE_KIND_DTYPES:
         raise ConfigError(f"unknown value kind {value_kind!r}")
-    arrays = [np.asarray(v) for v in variables]
+    arrays = [np.asarray(v).reshape(-1) for v in variables]
     if not arrays:
         raise ConfigError("no variables given")
     for arr in arrays:
         if arr.dtype.kind == "f" and not np.isfinite(arr).all():
             raise DataError("input contains non-finite values")
+        if arr.size != shape.npoints:
+            raise ShapeError(f"expected {shape.npoints} values, got {arr.size}")
 
-    mesh0 = build_initial_mesh(shape)
-    codes = mesh0.codes.copy()
-    levels = mesh0.levels.copy()
-    dummy = mesh0.dummy.copy()
-    work = [map_data(shape, arr, mesh0) for arr in arrays]
-    trackers = [np.zeros(mesh0.n_leaves) for _ in arrays]
     check = batch_check_absolute if spec.kind == ABSOLUTE else batch_check_relative
-    dim = shape.dim
-    fam = 1 << dim
+    l0, dim = shape.initial_level, shape.dim
+    # the current level's grid: leaf flags, values and trackers per variable
+    level = l0
+    leaf = np.ones(shape.extents, dtype=bool)
+    vals = [arr.astype(np.float64, copy=False).reshape(shape.extents) for arr in arrays]
+    trks = [np.zeros(shape.extents) for _ in arrays]
+    out = []  # (codes, level, dummy, values per variable, trackers per variable)
 
     iterations = 0
-    while max_iterations is None or iterations < max_iterations:
-        starts = _family_starts(codes, levels, dim)
-        if starts.size == 0:
-            break
-        members = starts[:, None] + np.arange(fam)
-        dmask = dummy[members]
-        bounds = resolve_bounds_batch(
-            codes[starts] >> np.uint64(dim), levels[starts] - 1, spec, shape)
-        ok = np.ones(starts.size, dtype=bool)
+    while level > 0:
+        parents = tuple((e + 1) // 2 for e in leaf.shape)
+        fleaf = _families(leaf, True)  # pad cells are dummy leaves
+        fdummy = _families(np.zeros(leaf.shape, dtype=bool), True)
+        fvals = [_families(v, np.nan) for v in vals]
+        ftrks = [_families(t, 0.0) for t in trks]
+        ok = np.zeros(len(fleaf), dtype=bool)
         cands, newtrs = [], []
-        for vals_leaf, trk_leaf in zip(work, trackers):
-            vals = vals_leaf[members]
-            trs = trk_leaf[members]
-            means, _ = family_means(vals, dmask)
-            cand = _quantize(means, value_kind)
-            acc, ntr = check(vals, trs, dmask, cand, bounds)
-            # Directed rounding: once prior inaccuracy enters the sum, pad the
-            # stored tracker by a few ulps so it upper-bounds the deviation in
-            # float arithmetic too, not only in exact arithmetic. First-round
-            # trackers stay bit-exact (no prior term, single rounded op).
-            prior = np.where(dmask, 0.0, trs).max(axis=1) > 0.0
-            ntr = np.where(prior, ntr + 4.0 * np.spacing(ntr), ntr)
-            if spec.kind == ABSOLUTE:
-                acc = ntr <= bounds  # the stored tracker itself meets the bound
-            ok &= acc
-            cands.append(cand)
-            newtrs.append(ntr)
-        acc = starts[ok]
-        if acc.size == 0:
+        if max_iterations is None or iterations < max_iterations:
+            complete = fleaf.all(axis=1)
+            if complete.all():  # a view, not a copy, on the finest level
+                complete = slice(None)
+            dmask = fdummy[complete]
+            bounds = _parent_bounds(spec, parents, 1 << (l0 - level + 1)).reshape(-1)[complete]
+            acc_all = np.ones(len(dmask), dtype=bool)
+            for fv, ft in zip(fvals, ftrks):
+                vals_c = fv[complete]
+                trs = ft[complete]
+                means, _ = family_means(vals_c, dmask)
+                cand = _quantize(means, value_kind)
+                acc, ntr = check(vals_c, trs, dmask, cand, bounds)
+                # Directed rounding: once prior inaccuracy enters the sum, pad the
+                # stored tracker by a few ulps so it upper-bounds the deviation in
+                # float arithmetic too, not only in exact arithmetic. First-level
+                # trackers stay bit-exact (no prior term, single rounded op).
+                prior = np.where(dmask, 0.0, trs).max(axis=1) > 0.0
+                ntr = np.where(prior, ntr + 4.0 * np.spacing(ntr), ntr)
+                if spec.kind == ABSOLUTE:
+                    acc = ntr <= bounds  # the stored tracker itself meets the bound
+                acc_all &= acc
+                cands.append(cand)
+                newtrs.append(ntr)
+            ok[complete] = acc_all
+        # leaves and pad dummies of this level that no accepted parent absorbed
+        emit = fleaf & ~ok[:, None]
+        out.append((_child_codes(emit, parents), level, fdummy[emit],
+                    [fv[emit] for fv in fvals], [ft[emit] for ft in ftrks]))
+        if not ok.any():
             break
-        new_codes, new_levels, new_dummy, keep = _collapse(codes, levels, dummy, acc, dim)
-        for v in range(len(work)):
-            work[v][acc] = cands[v][ok]
-            trackers[v][acc] = newtrs[v][ok]
-            work[v] = work[v][keep]
-            trackers[v] = trackers[v][keep]
-        codes, levels, dummy = new_codes, new_levels, new_dummy
         iterations += 1
+        level -= 1
+        leaf = ok.reshape(parents)
+        vals, trks = [], []
+        for cand, ntr in zip(cands, newtrs):
+            v = np.full(len(ok), np.nan)
+            t = np.zeros(len(ok))
+            v[complete], t[complete] = cand, ntr
+            vals.append(v.reshape(parents))
+            trks.append(t.reshape(parents))
+    else:  # every family up to the root collapsed
+        out.append((np.zeros(1, dtype=np.uint64), 0, np.zeros(1, dtype=bool),
+                    [v.reshape(-1) for v in vals], [t.reshape(-1) for t in trks]))
 
-    mesh = ForestMesh(shape, codes, levels, dummy)
-    return CoarsenResult(mesh, work, trackers, iterations)
+    # every level above the stopping one is refined, so its pad cells stay dummy leaves
+    grid = tuple((e + 1) // 2 for e in leaf.shape)
+    for lev in range(level - 1, 0, -1):
+        parents = tuple((e + 1) // 2 for e in grid)
+        pads = _families(np.zeros(grid, dtype=bool), True)
+        n = int(pads.sum())
+        out.append((_child_codes(pads, parents), lev, np.ones(n, dtype=bool),
+                    [np.full(n, np.nan)] * len(arrays), [np.zeros(n)] * len(arrays)))
+        grid = parents
+
+    codes, levs, dummy, vals, trks = zip(*out)
+    keys = np.concatenate([c << np.uint64(dim * (l0 - lev)) for c, lev in zip(codes, levs)])
+    order = np.argsort(keys)
+    levels = np.concatenate([np.full(len(c), lev, dtype=np.uint8) for c, lev in zip(codes, levs)])
+    mesh = ForestMesh(shape, np.concatenate(codes)[order], levels[order],
+                      np.concatenate(dummy)[order])
+    return CoarsenResult(mesh, [np.concatenate(v)[order] for v in zip(*vals)],
+                         [np.concatenate(t)[order] for t in zip(*trks)], iterations)
 
 
 def _package(res: CoarsenResult, index: int, value_kind: str,

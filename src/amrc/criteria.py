@@ -168,8 +168,16 @@ def family_means(vals: np.ndarray, dmask: np.ndarray):
     """
     counts = (~dmask).sum(axis=1)
     all_dummy = counts == 0
-    sums = np.where(dmask, 0.0, vals).sum(axis=1)
+    members = np.where(dmask, 0.0, vals)
+    with np.errstate(over="ignore", invalid="ignore"):
+        sums = members.sum(axis=1)
     means = sums / np.maximum(counts, 1)
+    big = ~np.isfinite(sums)
+    if big.any():
+        # Sums near the f64 maximum overflow; average those rows pre-scaled by
+        # 2^-dim, which is exact, so every other row stays bit-identical.
+        scale = 1.0 / vals.shape[1]
+        means[big] = (members[big] * scale).sum(axis=1) / counts[big] / scale
     vmin = np.where(dmask, np.inf, vals).min(axis=1)
     vmax = np.where(dmask, -np.inf, vals).max(axis=1)
     means = np.where(vmin == vmax, vmax, means)
@@ -202,7 +210,11 @@ def batch_check_relative(vals, trackers, dmask, cand, bounds):
 
 def resolve_bounds_batch(codes: np.ndarray, levels: np.ndarray,
                          spec: ErrorSpec, shape: GridShape) -> np.ndarray:
-    """Vectorized :func:`resolve_bound` over parent elements; returns bounds only."""
+    """Vectorized :func:`resolve_bound` over parent elements; returns bounds only.
+
+    The codec resolves bounds as box slices of its per-level parent grid
+    instead; this Morton-code form serves callers that hold explicit codes.
+    """
     bounds = np.full(len(codes), spec.default.bound)
     if not spec.domains:
         return bounds

@@ -85,6 +85,25 @@ class TestCompressBasics:
             compress(np.zeros(15), GridShape((4, 4)), abs_config(1.0))
 
 
+class TestExtremeMagnitudes:
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    def test_family_means_near_f64_max(self):
+        # sums of these members overflow f64; the means must not, and scaling
+        # by a power of two must commute with the whole coarsening
+        top = np.finfo(np.float64).max
+        field = np.where(np.indices((4, 4)).sum(axis=0) % 2 == 0, 0.8, 0.9).reshape(-1)
+        shape = GridShape((4, 4))
+        var = compress(field * top, shape, abs_config(1e308))
+        assert var.stats.leaf_count == 1 and var.stats.iterations == 2
+        assert np.abs(decompress(var) - field * top).max() <= 1e308
+        scale = 2.0 ** -10
+        big = coarsen_forest([field * top], shape, ErrorSpec(Criterion("abs", 1e308)), "f64")
+        small = coarsen_forest([field * top * scale], shape,
+                               ErrorSpec(Criterion("abs", 1e308 * scale)), "f64")
+        assert np.array_equal(big.values[0] * scale, small.values[0])
+        assert np.array_equal(big.trackers[0] * scale, small.trackers[0])
+
+
 class TestBoundCompliance:
     @pytest.mark.parametrize("gen,extents", [
         (smooth, (33, 47)), (layered, (12, 20)), (noise, (16, 16)),
