@@ -1,4 +1,4 @@
-"""Compression driver: coarsen the tree bottom-up, one level at a time, then package.
+"""Compression driver: coarsen bottom-up, one tree level at a time, then package.
 
 Coarsening works on grid-index arrays, one per tree level. At each level
 the grid, padded by one dummy cell on each odd axis, is reshaped into
@@ -28,6 +28,7 @@ Candidate values are rounded into the storage type (f32, or nearest-even for
 integer kinds) *before* the compliance check, so the tracker bounds the
 deviation of the value that is actually stored.
 """
+
 from __future__ import annotations
 
 from dataclasses import dataclass

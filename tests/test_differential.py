@@ -69,9 +69,9 @@ def make_case(extents, config, rng):
 def assert_same(got, want):
     assert got.mesh == want.mesh
     assert got.iterations == want.iterations
+    assert len(got.values) == len(want.values) == len(got.trackers)
     for a, b in zip(got.values + got.trackers, want.values + want.trackers):
         assert a.dtype == b.dtype and a.tobytes() == b.tobytes()
-    assert len(got.values) == len(want.values)
 
 
 @pytest.mark.parametrize("index", range(len(CONFIGS)))
