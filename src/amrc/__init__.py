@@ -31,7 +31,6 @@ from .mesh import (
     ForestMesh,
     GridShape,
     build_initial_mesh,
-    coarsen_marked,
     complete_family_starts,
     deserialize_refinement,
     expand_to_uniform,
@@ -67,7 +66,6 @@ __all__ = [
     "UnsupportedFeatureError",
     "build_initial_mesh",
     "coarsen_forest",
-    "coarsen_marked",
     "complete_family_starts",
     "compress",
     "compress_many",

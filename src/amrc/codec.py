@@ -17,8 +17,10 @@ never changes, so re-checking it rejects it again. Sweep iteration ``i``
 can therefore only accept families whose parents sit at level ``l0 - i``,
 which is what the level pass checks at its ``i``-th level.
 ``CompressStats.iterations`` counts the levels that accepted something, and
-``max_iterations`` caps that count. Only the surviving leaves are
-Morton-encoded, once, to put them in curve order.
+``max_iterations`` caps that count. Of the coarsening, this module decides
+only which families meet their bounds: the level grids, their families and
+the Morton encoding of the surviving leaves into curve order live in
+:mod:`amrc.mesh`.
 
 The initial data is discarded level by level; only per-leaf inaccuracy
 trackers persist, and they guarantee the end-to-end point-wise bound of the
@@ -35,7 +37,6 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from . import morton
 from .criteria import (
     ABSOLUTE,
     Criterion,
@@ -48,6 +49,8 @@ from .errors import ConfigError, CorruptArtifactError, DataError, ShapeError
 from .mesh import (
     ForestMesh,
     GridShape,
+    _assemble,
+    _families,
     deserialize_refinement,
     expand_to_uniform,
     serialize_refinement,
@@ -141,33 +144,6 @@ def packed_bound(eps_unpacked: float, scale_factor: float) -> float:
     return eps_unpacked / scale_factor
 
 
-def _families(grid: np.ndarray, fill) -> np.ndarray:
-    """``(n_parents, 2^dim)`` copy of one level's grid, one row per family.
-
-    Each odd axis is first padded by one ``fill`` cell. Rows follow the
-    parent grid in row-major order; within a row, child ``k = x | y<<1 | z<<2``
-    with x the last numpy axis, which is Morton child order.
-    """
-    dim = grid.ndim
-    pad = [(0, e % 2) for e in grid.shape]
-    if any(p for _, p in pad):
-        grid = np.pad(grid, pad, constant_values=fill)
-    split = grid.reshape([n for e in grid.shape for n in (e // 2, 2)])
-    order = list(range(0, 2 * dim, 2)) + list(range(1, 2 * dim, 2))
-    return np.ascontiguousarray(split.transpose(order)).reshape(-1, 1 << dim)
-
-
-def _child_codes(mask: np.ndarray, parents: tuple[int, ...]) -> np.ndarray:
-    """Morton codes of the children selected by a ``(n_parents, 2^dim)`` mask."""
-    dim = len(parents)
-    rows = np.flatnonzero(mask.any(axis=1))
-    coords = np.unravel_index(rows, parents)
-    pcodes = morton.interleave(
-        tuple(coords[dim - 1 - a].astype(np.uint64) for a in range(dim)), dim)
-    sel, k = np.nonzero(mask[rows])
-    return (pcodes[sel] << np.uint64(dim)) | k.astype(np.uint64)
-
-
 def _parent_bounds(spec: ErrorSpec, parents: tuple[int, ...], size: int) -> np.ndarray:
     """Most restrictive bound per parent of ``size`` cells per axis.
 
@@ -206,13 +182,14 @@ def coarsen_forest(
             raise ShapeError(f"expected {shape.npoints} values, got {arr.size}")
 
     check = batch_check_absolute if spec.kind == ABSOLUTE else batch_check_relative
-    l0, dim = shape.initial_level, shape.dim
+    l0 = shape.initial_level
     # the current level's grid: leaf flags, values and trackers per variable
     level = l0
     leaf = np.ones(shape.extents, dtype=bool)
     vals = [arr.astype(np.float64, copy=False).reshape(shape.extents) for arr in arrays]
     trks = [np.zeros(shape.extents) for _ in arrays]
-    out = []  # (codes, level, dummy, values per variable, trackers per variable)
+    parts = []  # (leaves left behind, their values then trackers) per level
+    root = None
 
     iterations = 0
     while level > 0:
@@ -250,8 +227,7 @@ def coarsen_forest(
             ok[complete] = acc_all
         # leaves and pad dummies of this level that no accepted parent absorbed
         emit = fleaf & ~ok[:, None]
-        out.append((_child_codes(emit, parents), level, fdummy[emit],
-                    [fv[emit] for fv in fvals], [ft[emit] for ft in ftrks]))
+        parts.append((emit, [f[emit] for f in fvals + ftrks]))
         if not ok.any():
             break
         iterations += 1
@@ -265,27 +241,11 @@ def coarsen_forest(
             vals.append(v.reshape(parents))
             trks.append(t.reshape(parents))
     else:  # every family up to the root collapsed
-        out.append((np.zeros(1, dtype=np.uint64), 0, np.zeros(1, dtype=bool),
-                    [v.reshape(-1) for v in vals], [t.reshape(-1) for t in trks]))
+        root = [a.reshape(-1) for a in vals + trks]
 
-    # every level above the stopping one is refined, so its pad cells stay dummy leaves
-    grid = tuple((e + 1) // 2 for e in leaf.shape)
-    for lev in range(level - 1, 0, -1):
-        parents = tuple((e + 1) // 2 for e in grid)
-        pads = _families(np.zeros(grid, dtype=bool), True)
-        n = int(pads.sum())
-        out.append((_child_codes(pads, parents), lev, np.ones(n, dtype=bool),
-                    [np.full(n, np.nan)] * len(arrays), [np.zeros(n)] * len(arrays)))
-        grid = parents
-
-    codes, levs, dummy, vals, trks = zip(*out)
-    keys = np.concatenate([c << np.uint64(dim * (l0 - lev)) for c, lev in zip(codes, levs)])
-    order = np.argsort(keys)
-    levels = np.concatenate([np.full(len(c), lev, dtype=np.uint8) for c, lev in zip(codes, levs)])
-    mesh = ForestMesh(shape, np.concatenate(codes)[order], levels[order],
-                      np.concatenate(dummy)[order])
-    return CoarsenResult(mesh, [np.concatenate(v)[order] for v in zip(*vals)],
-                         [np.concatenate(t)[order] for t in zip(*trks)], iterations)
+    n = len(arrays)
+    mesh, columns = _assemble(shape, parts, [np.nan] * n + [0.0] * n, root)
+    return CoarsenResult(mesh, columns[:n], columns[n:], iterations)
 
 
 def _package(res: CoarsenResult, index: int, value_kind: str,

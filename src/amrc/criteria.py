@@ -89,21 +89,6 @@ class ErrorSpec:
         return self.default.kind
 
 
-def interpolate_family(values) -> float | None:
-    """Arithmetic mean of the non-dummy family members (dummies already excluded).
-
-    Returns None when the family had no data-carrying member, which signals
-    that the parent is itself a dummy. A family of identical values yields
-    that value bit-exactly.
-    """
-    vals = [float(v) for v in values]
-    if not vals:
-        return None
-    if min(vals) == max(vals):
-        return vals[0]
-    return sum(vals) / len(vals)
-
-
 def check_absolute(values, trackers, candidate: float, bound: float):
     """Absolute-criterion compliance check for one family.
 
@@ -185,20 +170,27 @@ def family_means(vals: np.ndarray, dmask: np.ndarray):
 
 
 def batch_check_absolute(vals, trackers, dmask, cand, bounds):
-    """Vectorized :func:`check_absolute`; all-dummy families accept with tracker 0."""
-    dev = np.abs(cand[:, None] - vals) + trackers
+    """Vectorized :func:`check_absolute`; all-dummy families accept with tracker 0.
+
+    A deviation that overflows to inf rejects its family.
+    """
+    with np.errstate(over="ignore"):
+        dev = np.abs(cand[:, None] - vals) + trackers
     new = np.where(dmask, -np.inf, dev).max(axis=1)
     new = np.where(np.isneginf(new), 0.0, new)
     return new <= bounds, new
 
 
 def batch_check_relative(vals, trackers, dmask, cand, bounds):
-    """Vectorized :func:`check_relative`; all-dummy families accept with tracker 0."""
-    absdev = np.abs(cand[:, None] - vals) + trackers
-    den = np.minimum(
-        np.abs(vals - trackers), np.minimum(np.abs(vals), np.abs(vals + trackers))
-    )
-    with np.errstate(divide="ignore", invalid="ignore"):
+    """Vectorized :func:`check_relative`; all-dummy families accept with tracker 0.
+
+    A deviation that overflows to inf rejects its family.
+    """
+    with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
+        absdev = np.abs(cand[:, None] - vals) + trackers
+        den = np.minimum(
+            np.abs(vals - trackers), np.minimum(np.abs(vals), np.abs(vals + trackers))
+        )
         contrib = absdev / den
     contrib = np.where(den == 0.0, np.where(absdev == 0.0, 0.0, np.inf), contrib)
     worst = np.where(dmask, -np.inf, contrib).max(axis=1)

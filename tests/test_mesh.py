@@ -7,7 +7,6 @@ from amrc import (
     GridShape,
     ShapeError,
     build_initial_mesh,
-    coarsen_marked,
     complete_family_starts,
     deserialize_refinement,
     expand_to_uniform,
@@ -16,7 +15,7 @@ from amrc import (
 )
 from amrc.mesh import _dummy_flags
 from conftest import random_mesh
-from oracle import dfs_leaf_order, expected_initial_leaves, naive_encode
+from oracle import coarsen_marked, dfs_leaf_order, expected_initial_leaves, naive_encode
 
 
 def make_mesh(shape, leaves):
@@ -224,6 +223,16 @@ class TestRefinementBits:
     def test_refining_past_initial_level_rejected(self):
         with pytest.raises(CorruptArtifactError):
             deserialize_refinement(bytes([0x01, 0x0F]), GridShape((2, 2)))
+
+    def test_non_canonical_stream_rejected(self):
+        # the third level refines a level-1 leaf; the 10-leaf mesh it would
+        # decode to encodes canonically as 01 03
+        shape = GridShape((4, 4))
+        with pytest.raises(CorruptArtifactError):
+            deserialize_refinement(bytes([0x01, 0x01, 0x10]), shape)
+        mesh = deserialize_refinement(bytes([0x01, 0x03]), shape)
+        assert mesh.n_leaves == 10
+        assert serialize_refinement(mesh) == bytes([0x01, 0x03])
 
     def test_nonzero_padding_rejected(self):
         with pytest.raises(CorruptArtifactError):
