@@ -39,6 +39,32 @@ class TestCriterionTypes:
             ErrorDomain(((4, 4), (0, 4)), Criterion("abs", 1.0))
 
 
+def family_mean(members):
+    """Mean of one family given as a 4-slot row; NaN slots are dummies."""
+    row = np.array([list(members) + [np.nan] * (4 - len(members))])
+    means, all_dummy = family_means(row, np.isnan(row))
+    return None if all_dummy[0] else float(means[0])
+
+
+class TestInterpolateFamily:
+    def test_mean(self):
+        assert family_mean([1, 2, 3, 4]) == 2.5
+
+    def test_ignores_missing_members(self):
+        # two dummies dropped: mean of the two data values only
+        assert family_mean([2.0, 4.0]) == 3.0
+
+    def test_singleton(self):
+        assert family_mean([7.0]) == 7.0
+
+    def test_all_dummy_signals_no_value(self):
+        assert family_mean([]) is None
+
+    def test_identical_values_exact(self):
+        v = 0.1 + 2e-17  # not representable "nicely"; mean must still be bit-equal
+        assert family_mean([v, v, v]) == v
+
+
 class TestCheckAbsolute:
     def test_accept_with_tracker(self):
         accept, tracker = check_absolute([1, 1, 1, 2], [0, 0, 0, 0], 1.25, 1.0)
@@ -129,14 +155,10 @@ class TestBatchMatchesScalar:
                 assert a == acc[i] and t == ntr[i]
 
     def test_family_means_exact_on_constant(self):
-        # rows: a constant family with a dummy, a plain mean, dummies ignored,
-        # a single data member, and a constant that no division reproduces
-        v = 0.1 + 2e-17
-        vals = np.array([[0.1, 0.1, 0.1, np.nan], [1.0, 2.0, 3.0, 4.0],
-                         [2.0, np.nan, 4.0, np.nan], [np.nan, np.nan, 7.0, np.nan],
-                         [v, v, v, np.nan]])
-        means, all_dummy = family_means(vals, np.isnan(vals))
-        assert means.tolist() == [0.1, 2.5, 3.0, 7.0, v] and not all_dummy.any()
+        v = np.array([[0.1, 0.1, 0.1, np.nan]])
+        dmask = np.array([[False, False, False, True]])
+        means, all_dummy = family_means(v, dmask)
+        assert means[0] == 0.1 and not all_dummy[0]
 
     def test_all_dummy_family(self):
         v = np.full((1, 4), np.nan)
