@@ -171,13 +171,10 @@ def cmd_compress(args) -> int:
 
 def cmd_decompress(args) -> int:
     variables, header = read_artifact(Path(args.input).read_bytes())
+    if len(variables) > 1 and not 0 <= args.split_axis <= header.shape.dim:
+        raise ConfigError(f"--split-axis {args.split_axis} out of range")
     arrays = [decompress(v).reshape(v.shape.extents) for v in variables]
-    if len(arrays) == 1:
-        out = arrays[0]
-    else:
-        if not 0 <= args.split_axis <= arrays[0].ndim:
-            raise ConfigError(f"--split-axis {args.split_axis} out of range")
-        out = stack_axis(arrays, args.split_axis)
+    out = arrays[0] if len(arrays) == 1 else stack_axis(arrays, args.split_axis)
     np.ascontiguousarray(out).tofile(args.output)
     return 0
 

@@ -50,9 +50,9 @@ from .mesh import (
     ForestMesh,
     GridShape,
     _assemble,
+    _expand_into,
     _families,
     deserialize_refinement,
-    expand_to_uniform,
     serialize_refinement,
 )
 
@@ -302,18 +302,24 @@ def decompress(var: CompressedVariable) -> np.ndarray:
     """Reconstruct the full row-major array by constant interpolation.
 
     Values are reported in stored (packed) space; unpacking via the affine
-    record is the caller's transform.
+    record is the caller's transform. The output, in the storage dtype, is
+    allocated before any per-level work, so a grid too large to allocate
+    raises :class:`CorruptArtifactError` before anything else is built.
     """
     mesh = deserialize_refinement(var.mesh_bits, var.shape)
-    nondummy = ~mesh.dummy
-    n_data = int(nondummy.sum())
+    n_data = int((~mesh.dummy).sum())
     if len(var.payload) != n_data:
         raise CorruptArtifactError(
             f"payload holds {len(var.payload)} values, mesh has {n_data} data leaves")
-    leaf_values = np.full(mesh.n_leaves, np.nan)
-    leaf_values[nondummy] = var.payload.astype(np.float64)
-    flat = expand_to_uniform(mesh, leaf_values)
-    return flat.astype(VALUE_KIND_DTYPES[var.value_kind])
+    dtype = np.dtype(VALUE_KIND_DTYPES[var.value_kind])
+    try:
+        out = np.empty(var.shape.extents, dtype)
+    except (MemoryError, ValueError):  # ValueError: the size overflows the address width
+        n = var.shape.npoints
+        raise CorruptArtifactError(
+            f"grid of {n} points ({n * dtype.itemsize} bytes) cannot be allocated") from None
+    _expand_into(out, mesh, var.payload.astype(dtype, copy=False))
+    return out.reshape(-1)
 
 
 def split_axis(values: np.ndarray, axis: int) -> list[np.ndarray]:

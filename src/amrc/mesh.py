@@ -23,7 +23,10 @@ This module owns the tree geometry. The grid at level ``l`` has
 cuts a level grid into sibling families in Morton child order, with the pad
 cell of each odd axis as a dummy leaf, and :func:`_assemble` turns the leaves
 a bottom-up level pass leaves behind into a mesh in curve order. The initial
-mesh and its data mapping are that pass with nothing accepted.
+mesh and its data mapping are that pass with nothing accepted. Expansion to
+the uniform grid is the level pass in reverse: top-down from the root, each
+level's grid is upsampled into the next and that level's leaves are written
+in place, so no cell is ever Morton-encoded.
 """
 
 from __future__ import annotations
@@ -142,13 +145,21 @@ def _aligned(codes: np.ndarray, levels: np.ndarray, dim: int, l0: int) -> np.nda
 
 
 def _dummy_flags(codes: np.ndarray, levels: np.ndarray, shape: GridShape) -> np.ndarray:
-    """A leaf is dummy iff its covered cell box lies fully outside the grid."""
-    l0 = shape.initial_level
-    coords = morton.deinterleave(codes.astype(np.uint64), shape.dim)
-    shift = (l0 - levels.astype(np.int64)).astype(np.uint64)
+    """A leaf is dummy iff its covered cell box lies fully outside the grid.
+
+    That is, one of its coordinates reaches the extent of its level's grid.
+    Spreading an axis's bits into a code keeps their order, so each axis is
+    compared on its own bits of the code, without deinterleaving.
+    """
+    l0, dim = shape.initial_level, shape.dim
+    pad = (0,) * (dim - 1)  # spread a value to the code positions of Morton axis 0
+    mask = morton.interleave(((1 << l0) - 1,) + pad, dim)
+    codes, levels = codes.astype(np.uint64, copy=False), levels.astype(np.intp)
     dummy = np.zeros(len(codes), dtype=bool)
     for axis, ext in enumerate(shape.morton_extents):
-        dummy |= (coords[axis] << shift) >= ext
+        limits = np.array([morton.interleave((-(-ext >> (l0 - l)),) + pad, dim) << axis
+                           for l in range(l0 + 1)], dtype=np.uint64)
+        dummy |= (codes & np.uint64(mask << axis)) >= limits[levels]
     return dummy
 
 
@@ -238,13 +249,6 @@ def build_initial_mesh(shape: GridShape) -> ForestMesh:
     return _initial_leaves(shape, [])[0]
 
 
-def _cell_codes(shape: GridShape) -> np.ndarray:
-    """Morton codes of all grid cells, in row-major enumeration order."""
-    idx = np.indices(shape.extents).reshape(shape.dim, -1)
-    coords = tuple(idx[shape.dim - 1 - k].astype(np.uint64) for k in range(shape.dim))
-    return morton.interleave(coords, shape.dim)
-
-
 def map_data(shape: GridShape, values, mesh: ForestMesh | None = None) -> np.ndarray:
     """Reorder a row-major linear array into per-leaf values on the initial mesh.
 
@@ -258,16 +262,55 @@ def map_data(shape: GridShape, values, mesh: ForestMesh | None = None) -> np.nda
     return _initial_leaves(shape, [arr.astype(np.float64)])[1][0]
 
 
+def _upsample(grid: np.ndarray, out: np.ndarray) -> None:
+    """Fill ``out`` with ``grid`` repeated twice along every axis, cropped to ``out``."""
+    dim = grid.ndim
+    for k in range(1 << dim):
+        dst = out[tuple(slice((k >> a) & 1, None, 2) for a in range(dim))]
+        dst[...] = grid[tuple(slice(0, n) for n in dst.shape)]
+
+
+def _expand_into(out: np.ndarray, mesh: ForestMesh, data_values: np.ndarray) -> None:
+    """Write the data leaves' values into ``out``, the grid at the initial level.
+
+    ``data_values`` holds one value per non-dummy leaf, in curve order. The
+    pass runs top-down from the ``(1,)*dim`` grid of level 0: each level's
+    grid is the one above upsampled by 2 per axis and cropped to the level's
+    extents, then that level's leaves are written at their coordinates. The
+    initial level upsamples into ``out`` itself, the only grid of its size.
+    """
+    l0, dim = mesh.initial_level, mesh.dim
+    data = ~mesh.dummy
+    levels = mesh.levels[data]
+    order = np.argsort(levels, kind="stable")
+    ends = np.cumsum(np.bincount(levels, minlength=l0 + 1))
+    coords = morton.deinterleave(mesh.codes[data][order], dim)[::-1]
+    values = data_values[order]
+    grid, start = None, 0
+    for level, end in enumerate(ends[: l0 + 1]):
+        extents = tuple(-(-e >> (l0 - level)) for e in out.shape)
+        nxt = out if level == l0 else np.empty(extents, out.dtype)
+        if grid is not None:
+            _upsample(grid, nxt)
+        grid = nxt
+        grid[tuple(c[start:end] for c in coords)] = values[start:end]
+        start = end
+
+
 def expand_to_uniform(mesh: ForestMesh, leaf_values) -> np.ndarray:
     """Fan per-leaf values out to the full grid by constant interpolation.
 
-    Returns a float64 row-major linear array; dummy regions are dropped.
+    ``leaf_values`` holds one value per leaf, dummy leaves included; their
+    values are never read. The expansion is the level pass in reverse: a
+    top-down pass that upsamples each level's grid into the next and writes
+    that level's leaves in place. Returns a float64 row-major linear array.
     """
     vals = np.asarray(leaf_values, dtype=np.float64)
     if vals.shape != (mesh.n_leaves,):
         raise ShapeError(f"expected {mesh.n_leaves} leaf values, got shape {vals.shape}")
-    pos = np.searchsorted(mesh.aligned_codes(), _cell_codes(mesh.shape), side="right") - 1
-    return vals[pos]
+    out = np.empty(mesh.shape.extents)
+    _expand_into(out, mesh, vals[~mesh.dummy])
+    return out.reshape(-1)
 
 
 def complete_family_starts(mesh: ForestMesh) -> np.ndarray:

@@ -7,12 +7,15 @@ exception is :func:`reference_coarsen`, the original Jacobi-sweep engine,
 which shares the bound checks with production and serves as the
 differential reference for the level-pass engine. Its family collapse,
 :func:`coarsen_marked`, also builds the random meshes of the mesh tests.
+:func:`reference_expand`, the original per-cell expansion, is the
+differential reference for the top-down expansion of decompression.
 """
 
 from __future__ import annotations
 
 import numpy as np
 
+from amrc import morton
 from amrc.codec import CoarsenResult, _quantize
 from amrc.criteria import (
     ABSOLUTE,
@@ -211,3 +214,18 @@ def exact_leaf_deviations(mesh, leaf_values, original: np.ndarray) -> np.ndarray
         )]
         out[i] = np.abs(leaf_values[i] - region).max()
     return out
+
+
+def reference_expand(mesh: ForestMesh, leaf_values) -> np.ndarray:
+    """Per-cell expansion: look up every grid cell's leaf by its Morton code.
+
+    Interleaves the code of each cell in row-major order and finds the leaf
+    covering it with ``searchsorted`` over the aligned leaf codes. Returns
+    ``leaf_values`` gathered per cell, in their own dtype.
+    """
+    shape = mesh.shape
+    idx = np.indices(shape.extents).reshape(shape.dim, -1)
+    cells = morton.interleave(
+        tuple(idx[shape.dim - 1 - k].astype(np.uint64) for k in range(shape.dim)), shape.dim)
+    pos = np.searchsorted(mesh.aligned_codes(), cells, side="right") - 1
+    return np.asarray(leaf_values)[pos]

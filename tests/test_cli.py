@@ -4,9 +4,11 @@ import sys
 import numpy as np
 import pytest
 
+from amrc import cli
 from amrc.cli import main, read_sidecar
 from amrc.errors import DataError
 from amrc.fields import layered, smooth
+from conftest import huge_root_artifact
 
 
 def write_inputs(tmp_path, array, dims, value_kind, extra_meta=""):
@@ -179,6 +181,28 @@ class TestInfoAndErrors:
         rc = main(["decompress", "--input", str(out), "--output", str(tmp_path / "b")])
         assert rc == 4
         assert "offset" in capsys.readouterr().err
+
+    def test_unallocatable_grid_exit_4(self, tmp_path, capsys):
+        src = tmp_path / "a.amrc"
+        src.write_bytes(huge_root_artifact(24))
+        out = tmp_path / "b.raw"
+        assert main(["decompress", "--input", str(src), "--output", str(out)]) == 4
+        err = capsys.readouterr().err
+        assert "cannot be allocated" in err and "Traceback" not in err
+        assert not out.exists()
+
+    def test_split_axis_checked_before_decoding(self, tmp_path, capsys, monkeypatch):
+        field = layered((3, 8, 8), seed=1)
+        raw, meta = write_inputs(tmp_path, field, (3, 8, 8), "f64")
+        src = tmp_path / "a.amrc"
+        main(["compress", "--input", str(raw), "--meta", str(meta),
+              "--abs", "1", "--split-axis", "0", "--output", str(src)])
+        decoded = []
+        monkeypatch.setattr(cli, "decompress", decoded.append)
+        rc = main(["decompress", "--input", str(src), "--output", str(tmp_path / "b"),
+                   "--split-axis", "3"])
+        assert rc == 3 and decoded == []
+        assert "--split-axis 3 out of range" in capsys.readouterr().err
 
     def test_usage_error_exit_2(self, tmp_path):
         with pytest.raises(SystemExit) as exc:

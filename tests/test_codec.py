@@ -17,10 +17,12 @@ from amrc import (
     decompress,
     deserialize_refinement,
     packed_bound,
+    read_artifact,
     split_axis,
     stack_axis,
 )
 from amrc.fields import layered, noise, smooth
+from conftest import huge_root_artifact
 from oracle import exact_leaf_deviations
 
 
@@ -365,3 +367,9 @@ class TestDecompress:
             field = rng.normal(size=extents).reshape(-1)
             var = compress(field, GridShape(extents), abs_config(0.5))
             assert decompress(var).shape == field.shape
+
+    @pytest.mark.parametrize("level", [24, 31])  # 1 PiB; beyond the address width
+    def test_unallocatable_grid_is_corrupt(self, level):
+        (var,), _ = read_artifact(huge_root_artifact(level))
+        with pytest.raises(CorruptArtifactError, match=f"{4 ** level} points"):
+            decompress(var)

@@ -1,11 +1,13 @@
-"""Level-pass engine against the Jacobi-sweep reference, field by field.
+"""Level passes against the reference implementations they replaced.
 
 ``coarsen_forest`` must reproduce :func:`oracle.reference_coarsen` exactly:
 the same mesh, bit-identical values and trackers, and the same iteration
-count. The sweep covers every 2D shape up to 9x9 and every 3D shape up to
-5x5x5, plus a few long and degenerate shapes. Each shape gets several
-configurations, rotated through bound kinds, dtypes, domains, modes and
-iteration caps.
+count. ``decompress`` and ``expand_to_uniform`` must reproduce
+:func:`oracle.reference_expand` byte for byte. The sweeps cover every 2D
+shape up to 9x9 and every 3D shape up to 5x5x5, plus a few long and
+degenerate shapes. For coarsening, each shape gets several configurations,
+rotated through bound kinds, dtypes, domains, modes and iteration caps; for
+expansion, random meshes carry payloads of every value kind.
 """
 
 import itertools
@@ -13,9 +15,22 @@ import itertools
 import numpy as np
 import pytest
 
-from amrc import Criterion, ErrorDomain, ErrorSpec, GridShape, coarsen_forest
+from amrc import (
+    CompressedVariable,
+    Criterion,
+    ErrorDomain,
+    ErrorSpec,
+    GridShape,
+    coarsen_forest,
+    decompress,
+    deserialize_refinement,
+    expand_to_uniform,
+    serialize_refinement,
+)
+from amrc.codec import VALUE_KIND_DTYPES
 from amrc.fields import smooth
-from oracle import reference_coarsen
+from conftest import random_mesh
+from oracle import reference_coarsen, reference_expand
 
 SHAPES = (list(itertools.product(range(1, 10), repeat=2))
           + list(itertools.product(range(1, 6), repeat=3))
@@ -95,3 +110,43 @@ def test_iteration_cap_counts_accepting_levels(cap):
     got = coarsen_forest([field], shape, spec, "f64", max_iterations=cap)
     assert_same(got, reference_coarsen([field], shape, spec, "f64", max_iterations=cap))
     assert got.iterations == (5 if cap is None else cap)
+
+
+def random_payload(rng, n, dtype):
+    """``n`` values spread over ``dtype``'s range, led by a few edge values."""
+    dt = np.dtype(dtype)
+    if dt.kind == "f":
+        fi = np.finfo(dt)
+        edges = [-0.0, fi.max, -fi.max, fi.smallest_subnormal]
+        vals = rng.normal(scale=1e3, size=n).astype(dt)
+    else:
+        ii = np.iinfo(dt)
+        edges = [ii.min, ii.max, 0, -1]
+        vals = rng.integers(ii.min, ii.max, size=n, endpoint=True).astype(dt)
+    k = min(n, len(edges))
+    vals[:k] = np.array(edges[:k], dtype=dt)
+    return vals
+
+
+@pytest.mark.parametrize("value_kind", sorted(VALUE_KIND_DTYPES))
+def test_expansion_matches_reference(value_kind):
+    rng = np.random.default_rng(sorted(VALUE_KIND_DTYPES).index(value_kind))
+    dtype = VALUE_KIND_DTYPES[value_kind]
+    for extents in SHAPES:
+        shape = GridShape(extents)
+        mesh = random_mesh(shape, rng, rounds=int(rng.integers(0, 6)))
+        bits = serialize_refinement(mesh)
+        assert deserialize_refinement(bits, shape) == mesh
+        data = ~mesh.dummy
+        payload = random_payload(rng, int(data.sum()), dtype)
+        leaf = np.zeros(mesh.n_leaves, dtype=dtype)
+        leaf[data] = payload
+        var = CompressedVariable(shape, value_kind, bits, payload, Criterion("abs", 0.0))
+        got, want = decompress(var), reference_expand(mesh, leaf)
+        assert got.dtype == want.dtype and got.tobytes() == want.tobytes()
+        # dummy leaves hold 0.0 here and NaN below; neither may reach the grid
+        want = reference_expand(mesh, leaf.astype(np.float64)).tobytes()
+        assert expand_to_uniform(mesh, leaf).tobytes() == want
+        vals = leaf.astype(np.float64)
+        vals[~data] = np.nan
+        assert expand_to_uniform(mesh, vals).tobytes() == want
