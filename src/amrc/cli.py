@@ -89,8 +89,11 @@ def read_sidecar(path) -> SidecarMeta:
         dims = tuple(int(d) for d in fields["dims"].split(","))
     except ValueError as exc:
         raise DataError(f"{path}: bad dims {fields['dims']!r}") from exc
-    scale = float(fields["scale_factor"]) if "scale_factor" in fields else None
-    offset = float(fields.get("offset", 0.0))
+    try:
+        scale = float(fields["scale_factor"]) if "scale_factor" in fields else None
+        offset = float(fields.get("offset", 0.0))
+    except ValueError as exc:
+        raise DataError(f"{path}: bad packing record: {exc}") from exc
     if scale is None and "offset" in fields:
         raise DataError(f"{path}: offset given without scale_factor")
     return SidecarMeta(dims, fields["value_kind"], scale, offset)
@@ -204,9 +207,9 @@ def cmd_info(args) -> int:
 
 
 def cmd_sweep(args) -> int:
-    dims = tuple(int(d) for d in args.dims.split(","))
+    dims = args.dims
     shape = GridShape(dims)
-    errors = [float(e) for e in args.errors.split(",")]
+    errors = args.errors
     field = GENERATORS[args.generator](dims, seed=args.seed)
     flat = field.reshape(-1)
     kind = ABSOLUTE if args.criterion == "abs" else RELATIVE
@@ -232,6 +235,17 @@ def cmd_sweep(args) -> int:
             observed = float((dev[nonzero] / np.abs(flat[nonzero])).max())
         print(f"{bound!r},{len(blob)},{flat.nbytes / len(blob):.6g},{observed!r}")
     return 0
+
+
+def _comma_list(convert):
+    """argparse ``type=`` for a comma-separated list; bad text is a usage error."""
+    def parse(text: str):
+        try:
+            return tuple(convert(item) for item in text.split(","))
+        except ValueError:
+            raise argparse.ArgumentTypeError(
+                f"expected comma-separated {convert.__name__} values, got {text!r}") from None
+    return parse
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -268,8 +282,10 @@ def _build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("sweep", help="error-vs-size sweep on a synthetic field (CSV)")
     p.add_argument("--generator", choices=sorted(GENERATORS), required=True)
-    p.add_argument("--dims", required=True, help="comma-separated extents")
-    p.add_argument("--errors", required=True, help="comma-separated error bounds")
+    p.add_argument("--dims", required=True, type=_comma_list(int),
+                   help="comma-separated extents")
+    p.add_argument("--errors", required=True, type=_comma_list(float),
+                   help="comma-separated error bounds")
     p.add_argument("--criterion", choices=["abs", "rel"], required=True)
     p.add_argument("--split-axis", type=int, default=None)
     p.add_argument("--seed", type=int, default=0)

@@ -1,13 +1,21 @@
 """Compression driver: coarsen bottom-up, one tree level at a time, then package.
 
-Coarsening works on grid-index arrays, one per tree level. At each level
-the grid, padded by one dummy cell on each odd axis, is reshaped into
-families of 2^dim siblings. Every complete family (all members still leaves)
-gets a candidate parent value, the mean of its data members, which is
-checked against the most restrictive bound of any error domain the parent
-meets. Accepted parents become the leaves of the next level up; the leaves
-of rejected or incomplete families stay in the final mesh. The pass stops
-at the first level that accepts nothing.
+Coarsening works on grid-index arrays, one per tree level. At each level a
+family of 2^dim siblings is read through strided child views of the grid,
+``grid[o0::2, o1::2]`` per Morton child, not copied out. On an odd axis the
+last parent's second child is a pad cell, a dummy leaf; cutting each odd
+axis into full parents and that last one splits the parent grid into
+blocks in which each child is present or a dummy throughout. Every complete
+family (all members still leaves) gets a candidate parent value, the mean of
+its data members, which is checked against the most restrictive bound of
+any error domain the parent meets. The sums, extremes and deviations are
+reduced elementwise across the child views, in the order that makes them
+bit-identical to :func:`~amrc.criteria.family_means` and the
+``batch_check_*`` functions of :mod:`amrc.criteria`, which
+``tests/oracle.py`` keeps as the reference. Accepted parents become the
+leaves of the next level up; the leaves of rejected or incomplete families
+stay in the final mesh. The pass stops at the first level that accepts
+nothing.
 
 This reproduces a Jacobi-style sweep over the whole leaf set (check every
 complete family, commit all accepted collapses at once, repeat until
@@ -18,7 +26,7 @@ can therefore only accept families whose parents sit at level ``l0 - i``,
 which is what the level pass checks at its ``i``-th level.
 ``CompressStats.iterations`` counts the levels that accepted something, and
 ``max_iterations`` caps that count. Of the coarsening, this module decides
-only which families meet their bounds: the level grids, their families and
+only which families meet their bounds: the cells of a family's members and
 the Morton encoding of the surviving leaves into curve order live in
 :mod:`amrc.mesh`.
 
@@ -33,25 +41,20 @@ deviation of the value that is actually stored.
 
 from __future__ import annotations
 
+import itertools
 from dataclasses import dataclass
+from functools import reduce
 
 import numpy as np
 
-from .criteria import (
-    ABSOLUTE,
-    Criterion,
-    ErrorSpec,
-    batch_check_absolute,
-    batch_check_relative,
-    family_means,
-)
+from .criteria import ABSOLUTE, Criterion, ErrorSpec
 from .errors import ConfigError, CorruptArtifactError, DataError, ShapeError
 from .mesh import (
     ForestMesh,
     GridShape,
     _assemble,
+    _children,
     _expand_into,
-    _families,
     deserialize_refinement,
     serialize_refinement,
 )
@@ -157,6 +160,137 @@ def _parent_bounds(spec: ErrorSpec, parents: tuple[int, ...], size: int) -> np.n
     return bounds
 
 
+def _row_sum(terms):
+    """Sum of one family's members, in numpy's order for a contiguous row.
+
+    ``x.sum(axis=1)`` of a contiguous ``(n, 4)`` row adds left to right and of
+    an ``(n, 8)`` row pairwise; a dummy member enters as ``0.0``. Writing the
+    order out keeps every mean bit-identical to :func:`family_means`. numpy
+    also adds the row onto ``+0.0``, which only turns a sum of negative zeros
+    into ``+0.0``; such a family is constant and takes its value from its
+    maximum instead, so that addition is left out.
+    """
+    if len(terms) == 4:
+        return ((terms[0] + terms[1]) + terms[2]) + terms[3]
+    return (((terms[0] + terms[1]) + (terms[2] + terms[3]))
+            + ((terms[4] + terms[5]) + (terms[6] + terms[7])))
+
+
+def _check_families(vals, trks, bounds, kind: str, value_kind: str):
+    """Candidate, tracker and accept flag of every family of one block.
+
+    ``vals`` holds the family members in Morton child order, one array per
+    child (strided views of the level grid, all of the block's shape), with
+    ``None`` for a child that is a dummy throughout the block. ``trks`` holds
+    the trackers the same way, or is the scalar ``0.0`` on the initial level.
+    Computes :func:`family_means`, :func:`_quantize` and ``batch_check_*``
+    with the directed rounding of later levels, elementwise across the
+    children: the same values bit for bit, without a copy of the members.
+    """
+    real = [k for k, v in enumerate(vals) if v is not None]
+    members = [vals[k] for k in real]
+    zero_trackers = np.isscalar(trks)
+    with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
+        terms = [0.0 if v is None else v for v in vals]
+        sums = _row_sum(terms)
+        means = sums / len(real)
+        big = ~np.isfinite(sums)
+        if big.any():
+            # as in family_means: average the overflowing rows pre-scaled by 2^-dim
+            scale = 1.0 / len(vals)
+            rows = np.stack([np.broadcast_to(t, sums.shape)[big] for t in terms], axis=1)
+            means[big] = (rows * scale).sum(axis=1) / len(real) / scale
+        # left folds, as numpy's max runs over a row: a constant family of
+        # zeros of both signs takes the same zero from vmax as in family_means
+        vmin = reduce(np.minimum, members)
+        vmax = reduce(np.maximum, members)
+        cand = _quantize(np.where(vmin == vmax, vmax, means), value_kind)
+        if zero_trackers and kind == ABSOLUTE:
+            # rounding is monotone, so the extreme deviations sit at vmin and vmax
+            ntr = np.maximum(np.abs(cand - vmin), np.abs(cand - vmax))
+            return ntr <= bounds, cand, ntr
+        dev = [np.abs(cand - v) for v in members]
+        if not zero_trackers:
+            dev = [d + trks[k] for d, k in zip(dev, real)]
+        ntr = reduce(np.maximum, dev)
+        if kind != ABSOLUTE:
+            # batch_check_relative reads a zero denominator as 0 or inf; d / den
+            # gives inf there too except for 0 / 0, a member met exactly, which
+            # is NaN: fmax skips it, and a family of such members gets worst
+            # NaN, which the accept test below passes like the 0 it stands for
+            worst = reduce(np.fmax, [
+                d / (np.abs(vals[k]) if zero_trackers else np.minimum(
+                    np.abs(vals[k] - trks[k]),
+                    np.minimum(np.abs(vals[k]), np.abs(vals[k] + trks[k]))))
+                for d, k in zip(dev, real)])
+        if not zero_trackers:
+            # Directed rounding: once prior inaccuracy enters the sum, pad the
+            # stored tracker by a few ulps so it upper-bounds the deviation in
+            # float arithmetic too, not only in exact arithmetic. First-level
+            # trackers stay bit-exact (no prior term, single rounded op).
+            prior = reduce(np.maximum, [trks[k] for k in real]) > 0.0
+            ntr = np.where(prior, ntr + 4.0 * np.spacing(ntr), ntr)
+        if kind == ABSOLUTE:  # the bound holds on the stored tracker itself
+            return ntr <= bounds, cand, ntr
+        return ~(worst > bounds), cand, ntr
+
+
+def _blocks(extents: tuple[int, ...]):
+    """Parent-grid blocks of a level grid, each with its children's slices.
+
+    A parent's children sit at ``2p`` and ``2p + 1`` on every axis; on an odd
+    axis the last parent's second child is the pad cell, a dummy. Splitting
+    each axis into full parents and that last one cuts the parent grid into
+    blocks in which every child is either present throughout or a dummy
+    throughout. Yields ``(parent slices, child slices)`` with the children in
+    Morton child order and ``None`` for a dummy child.
+    """
+    dim = len(extents)
+    axes = []
+    for e in extents:
+        h = e // 2
+        options = [(slice(0, h), (slice(0, 2 * h, 2), slice(1, 2 * h, 2)))] if h else []
+        if e % 2:
+            options.append((slice(h, h + 1), (slice(e - 1, e), None)))
+        axes.append(options)
+    for combo in itertools.product(*axes):
+        children = []
+        for k in range(1 << dim):
+            sl = tuple(c[1][(k >> (dim - 1 - j)) & 1] for j, c in enumerate(combo))
+            children.append(None if None in sl else sl)
+        yield tuple(c[0] for c in combo), children
+
+
+def _check_level(vals, trks, leaf, bounds, kind: str, value_kind: str):
+    """Check every family of one level grid for every variable.
+
+    ``vals`` and ``trks`` hold one level grid per variable (``trks`` entries
+    may be the scalar ``0.0``), ``leaf`` flags the leaf cells (``None``: all
+    are leaves) and ``bounds`` holds each parent's bound. Returns the
+    parent-grid accept flags (set where the family is complete and every
+    variable accepts) and each variable's candidate and tracker grids. The
+    candidate and tracker of a family that is not accepted are arbitrary.
+    """
+    extents = vals[0].shape
+    parents = tuple((e + 1) // 2 for e in extents)
+    ok = np.ones(parents, dtype=bool)
+    cands = [np.empty(parents) for _ in vals]
+    ntrs = [np.empty(parents) for _ in vals]
+    for pslices, children in _blocks(extents):
+        acc = ok[pslices]  # a view: clearing it clears ok
+        if leaf is not None:
+            for sl in children:
+                if sl is not None:
+                    acc &= leaf[sl]
+        for v, t, cand, ntr in zip(vals, trks, cands, ntrs):
+            members = [None if sl is None else v[sl] for sl in children]
+            trackers = t if np.isscalar(t) else [None if sl is None else t[sl] for sl in children]
+            a, cand[pslices], ntr[pslices] = _check_families(
+                members, trackers, bounds[pslices], kind, value_kind)
+            acc &= a
+    return ok, cands, ntrs
+
+
 def coarsen_forest(
     variables,
     shape: GridShape,
@@ -181,67 +315,46 @@ def coarsen_forest(
         if arr.size != shape.npoints:
             raise ShapeError(f"expected {shape.npoints} values, got {arr.size}")
 
-    check = batch_check_absolute if spec.kind == ABSOLUTE else batch_check_relative
     l0 = shape.initial_level
-    # the current level's grid: leaf flags, values and trackers per variable
+    # The current level's grid: leaf flags (None: all cells are leaves), and
+    # values and trackers per variable. Cells that are not leaves hold the
+    # candidates of rejected families; no check reads them into a result.
     level = l0
-    leaf = np.ones(shape.extents, dtype=bool)
+    leaf = None
     vals = [arr.astype(np.float64, copy=False).reshape(shape.extents) for arr in arrays]
-    trks = [np.zeros(shape.extents) for _ in arrays]
-    parts = []  # (leaves left behind, their values then trackers) per level
+    trks = [0.0 for _ in arrays]
+    parts = []  # (rows, mask, columns) of the leaves left behind per level
     root = None
 
     iterations = 0
     while level > 0:
-        parents = tuple((e + 1) // 2 for e in leaf.shape)
-        fleaf = _families(leaf, True)  # pad cells are dummy leaves
-        fdummy = _families(np.zeros(leaf.shape, dtype=bool), True)
-        fvals = [_families(v, np.nan) for v in vals]
-        ftrks = [_families(t, 0.0) for t in trks]
-        ok = np.zeros(len(fleaf), dtype=bool)
-        cands, newtrs = [], []
+        extents = vals[0].shape
+        parents = tuple((e + 1) // 2 for e in extents)
         if max_iterations is None or iterations < max_iterations:
-            complete = fleaf.all(axis=1)
-            if complete.all():  # a view, not a copy, on the finest level
-                complete = slice(None)
-            dmask = fdummy[complete]
-            bounds = _parent_bounds(spec, parents, 1 << (l0 - level + 1)).reshape(-1)[complete]
-            acc_all = np.ones(len(dmask), dtype=bool)
-            for fv, ft in zip(fvals, ftrks):
-                vals_c = fv[complete]
-                trs = ft[complete]
-                means, _ = family_means(vals_c, dmask)
-                cand = _quantize(means, value_kind)
-                acc, ntr = check(vals_c, trs, dmask, cand, bounds)
-                # Directed rounding: once prior inaccuracy enters the sum, pad the
-                # stored tracker by a few ulps so it upper-bounds the deviation in
-                # float arithmetic too, not only in exact arithmetic. First-level
-                # trackers stay bit-exact (no prior term, single rounded op).
-                prior = np.where(dmask, 0.0, trs).max(axis=1) > 0.0
-                ntr = np.where(prior, ntr + 4.0 * np.spacing(ntr), ntr)
-                if spec.kind == ABSOLUTE:
-                    acc = ntr <= bounds  # the stored tracker itself meets the bound
-                acc_all &= acc
-                cands.append(cand)
-                newtrs.append(ntr)
-            ok[complete] = acc_all
-        # leaves and pad dummies of this level that no accepted parent absorbed
-        emit = fleaf & ~ok[:, None]
-        parts.append((emit, [f[emit] for f in fvals + ftrks]))
+            bounds = _parent_bounds(spec, parents, 1 << (l0 - level + 1))
+            ok, cands, ntrs = _check_level(vals, trks, leaf, bounds, spec.kind, value_kind)
+        else:
+            ok = np.zeros(parents, dtype=bool)
+        # leaves and pad dummies of the families that no accepted parent absorbed
+        rows = np.flatnonzero(~ok)
+        flat, pad = _children(extents, rows)
+        if leaf is None:
+            emit = np.ones(pad.shape, dtype=bool)
+        else:
+            emit = pad | leaf.reshape(-1)[flat]
+            keep = emit.any(axis=1)  # a family of refined cells leaves nothing here
+            rows, flat, pad, emit = rows[keep], flat[keep], pad[keep], emit[keep]
+        columns = [np.where(pad, np.nan, v.reshape(-1)[flat])[emit] for v in vals]
+        columns += [np.zeros(int(emit.sum())) if np.isscalar(t)
+                    else np.where(pad, 0.0, t.reshape(-1)[flat])[emit] for t in trks]
+        parts.append((rows, emit, columns))
         if not ok.any():
             break
         iterations += 1
         level -= 1
-        leaf = ok.reshape(parents)
-        vals, trks = [], []
-        for cand, ntr in zip(cands, newtrs):
-            v = np.full(len(ok), np.nan)
-            t = np.zeros(len(ok))
-            v[complete], t[complete] = cand, ntr
-            vals.append(v.reshape(parents))
-            trks.append(t.reshape(parents))
+        leaf, vals, trks = ok, cands, ntrs
     else:  # every family up to the root collapsed
-        root = [a.reshape(-1) for a in vals + trks]
+        root = [np.ravel(a) for a in vals + trks]
 
     n = len(arrays)
     mesh, columns = _assemble(shape, parts, [np.nan] * n + [0.0] * n, root)

@@ -20,8 +20,10 @@ which is valid as long as every bound is <= 1 (100%); the parent's stored
 tracker is again the absolute form ``max_i(|c - v_i| + t_i)``. A zero
 denominator with a nonzero numerator rejects the collapse.
 
-Scalar functions define the contract; ``batch_*`` variants evaluate many
-families at once and are what the codec uses.
+Scalar functions define the contract; :func:`family_means` and the
+``batch_check_*`` variants evaluate many families at once. They are the
+reference the codec's level kernel reproduces bit for bit on strided views
+of the level grid.
 """
 
 from __future__ import annotations
@@ -138,7 +140,7 @@ def resolve_bound(element: morton.MortonIndex, spec: ErrorSpec, shape: GridShape
     return Criterion(spec.kind, bound)
 
 
-# --- batched forms used by the compression driver ---------------------------
+# --- batched forms, the reference of the codec's level kernel ----------------
 #
 # ``vals``/``trackers`` are (n_families, 2^dim) float64 matrices gathered from
 # the leaf arrays; ``dmask`` marks dummy members (their values are NaN and

@@ -19,14 +19,19 @@ order. It has no operations that return new meshes; meshes come from the
 level grids or from the bit-fields.
 
 This module owns the tree geometry. The grid at level ``l`` has
-``ceil(e / 2^(initial_level - l))`` cells per extent ``e``; :func:`_families`
-cuts a level grid into sibling families in Morton child order, with the pad
-cell of each odd axis as a dummy leaf, and :func:`_assemble` turns the leaves
-a bottom-up level pass leaves behind into a mesh in curve order. The initial
-mesh and its data mapping are that pass with nothing accepted. Expansion to
-the uniform grid is the level pass in reverse: top-down from the root, each
-level's grid is upsampled into the next and that level's leaves are written
-in place, so no cell is ever Morton-encoded.
+``ceil(e / 2^(initial_level - l))`` cells per extent ``e``. Parent ``p``
+of a level grid has its children at ``2p`` and ``2p + 1`` on every axis, in
+Morton child order; on an odd axis the last parent's second child is a pad
+cell outside the grid, a dummy leaf. :func:`_children` gives the cells and
+pad flags of chosen families, and :func:`_assemble` turns the leaves a
+bottom-up level pass leaves behind, given per level as the families that
+keep some (their parent indices and a child mask), into a mesh in curve
+order. The initial mesh and its data mapping are that pass with nothing
+accepted. :func:`_families`, the same families as a padded
+``(n_parents, 2^dim)`` copy, serves the reference checks in the tests.
+Expansion to the uniform grid is the level pass in reverse: top-down from
+the root, each level's grid is upsampled into the next and that level's
+leaves are written in place, so no cell is ever Morton-encoded.
 """
 
 from __future__ import annotations
@@ -179,14 +184,49 @@ def _families(grid: np.ndarray, fill) -> np.ndarray:
     return np.ascontiguousarray(split.transpose(order)).reshape(-1, 1 << dim)
 
 
-def _child_codes(mask: np.ndarray, parents: tuple[int, ...]) -> np.ndarray:
-    """Morton codes of the children selected by a ``(n_parents, 2^dim)`` mask."""
+def _children(grid: tuple[int, ...], rows: np.ndarray):
+    """Cells of the families at ``rows`` of a level grid, and which are pads.
+
+    ``rows`` are flat row-major indices into the parent grid. Returns two
+    ``(len(rows), 2^dim)`` arrays in Morton child order: each child's flat
+    index into ``grid``, and a flag that is set where the child is the pad
+    cell of an odd axis, i.e. a dummy leaf. A pad child's index points at
+    some cell of the grid; what it holds is not the pad's.
+    """
+    dim = len(grid)
+    coords = np.unravel_index(rows, tuple((e + 1) // 2 for e in grid))
+    k = np.arange(1 << dim)
+    base = np.zeros(len(rows), dtype=np.intp)
+    offset = np.zeros(1 << dim, dtype=np.intp)
+    pad = np.zeros((len(rows), 1 << dim), dtype=bool)
+    for j, e in enumerate(grid):
+        bit = (k >> (dim - 1 - j)) & 1
+        base = base * e + 2 * coords[j]
+        offset = offset * e + bit
+        if e % 2:
+            pad |= (coords[j] == e // 2)[:, None] & (bit == 1)
+    flat = base[:, None] + offset
+    if pad.any():
+        np.minimum(flat, int(np.prod(grid)) - 1, out=flat)
+    return flat, pad
+
+
+def _pad_rows(grid: tuple[int, ...]) -> np.ndarray:
+    """Flat indices of the parents that hold a pad cell: the last row of each odd axis."""
+    border = np.zeros(tuple((e + 1) // 2 for e in grid), dtype=bool)
+    for j, e in enumerate(grid):
+        if e % 2:
+            border[(slice(None),) * j + (-1,)] = True
+    return np.flatnonzero(border)
+
+
+def _child_codes(rows: np.ndarray, mask: np.ndarray, parents: tuple[int, ...]) -> np.ndarray:
+    """Morton codes of the children that ``mask`` selects in the families at ``rows``."""
     dim = len(parents)
-    rows = np.flatnonzero(mask.any(axis=1))
     coords = np.unravel_index(rows, parents)
     pcodes = morton.interleave(
         tuple(coords[dim - 1 - a].astype(np.uint64) for a in range(dim)), dim)
-    sel, k = np.nonzero(mask[rows])
+    sel, k = np.nonzero(mask)
     return (pcodes[sel] << np.uint64(dim)) | k.astype(np.uint64)
 
 
@@ -195,9 +235,11 @@ def _assemble(shape: GridShape, parts, fills, root=None):
 
     A bottom-up pass visits the level grids from the initial level upward and
     leaves behind, at each level, the leaves that no accepted parent absorbed.
-    ``parts`` holds one ``(emit, columns)`` per visited level, finest first:
-    ``emit`` masks the level's :func:`_families` rows for those leaves, and
-    each column holds one value per leaf, in mask order. ``root`` holds the
+    ``parts`` holds one ``(rows, mask, columns)`` per visited level, finest
+    first: ``rows`` are the flat parent-grid indices of the families that
+    leave something behind, the ``(len(rows), 2^dim)`` ``mask`` selects
+    those leaves in Morton child order (see :func:`_children`), and each
+    column holds one value per leaf, in mask order. ``root`` holds the
     root's columns when the pass absorbed everything up to the root (always
     so for a 1x1 grid). Otherwise every level above the last part is refined
     and only its pad cells are leaves there: dummy leaves whose columns hold
@@ -209,15 +251,16 @@ def _assemble(shape: GridShape, parts, fills, root=None):
     codes, levels, dummy, cols = [], [], [], []
     for i, level in enumerate(range(l0, 0, -1)):
         grid = tuple(-(-e >> i) for e in shape.extents)
-        pad = _families(np.zeros(grid, dtype=bool), True)
         if i < len(parts):
-            emit, columns = parts[i]
+            rows, mask, columns = parts[i]
+            pad = _children(grid, rows)[1]
         else:
-            emit = pad
+            rows = _pad_rows(grid)
+            mask = pad = _children(grid, rows)[1]
             columns = [np.full(int(pad.sum()), f) for f in fills]
-        codes.append(_child_codes(emit, tuple((e + 1) // 2 for e in grid)))
+        codes.append(_child_codes(rows, mask, tuple((e + 1) // 2 for e in grid)))
         levels.append(np.full(len(codes[-1]), level, dtype=np.uint8))
-        dummy.append(pad[emit])
+        dummy.append(pad[mask])
         cols.append(columns)
     if root is not None:
         codes.append(np.zeros(1, dtype=np.uint64))
@@ -235,9 +278,12 @@ def _initial_leaves(shape: GridShape, arrays):
     """The level pass with nothing accepted: one leaf per cell, columns from ``arrays``."""
     if shape.initial_level == 0:  # a 1x1 grid: the root is the only leaf
         return _assemble(shape, [], [], root=[a.reshape(-1) for a in arrays])
-    emit = _families(np.ones(shape.extents, dtype=bool), True)
-    columns = [_families(a.reshape(shape.extents), np.nan).reshape(-1) for a in arrays]
-    return _assemble(shape, [(emit, columns)], [np.nan] * len(arrays))
+    grid = shape.extents
+    rows = np.arange(np.prod([(e + 1) // 2 for e in grid]))
+    flat, pad = _children(grid, rows)
+    columns = [np.where(pad, np.nan, a.reshape(-1)[flat]).reshape(-1) for a in arrays]
+    return _assemble(shape, [(rows, np.ones(flat.shape, dtype=bool), columns)],
+                     [np.nan] * len(arrays))
 
 
 def build_initial_mesh(shape: GridShape) -> ForestMesh:

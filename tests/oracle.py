@@ -3,9 +3,11 @@
 Everything here is deliberately naive and independent of the production code
 paths it checks: bit-by-bit Morton coding, recursive mesh construction, and
 exact per-leaf deviations computed from retained initial data. The one
-exception is :func:`reference_coarsen`, the original Jacobi-sweep engine,
-which shares the bound checks with production and serves as the
-differential reference for the level-pass engine. Its family collapse,
+exception is :func:`reference_coarsen`, the original Jacobi-sweep engine.
+It checks families with the batched criteria of :mod:`amrc.criteria`
+(:func:`reference_check`), which the level kernel of the codec reproduces
+on strided views without calling them, and serves as the differential
+reference for the level-pass engine. Its family collapse,
 :func:`coarsen_marked`, also builds the random meshes of the mesh tests.
 :func:`reference_expand`, the original per-cell expansion, is the
 differential reference for the top-down expansion of decompression.
@@ -76,6 +78,24 @@ def coarsen_marked(mesh: ForestMesh, marks) -> ForestMesh:
     return ForestMesh(mesh.shape, codes, levels, dummy)
 
 
+def reference_check(vals, trs, dmask, bounds, kind, value_kind):
+    """Accept flags, candidates and trackers of ``(n, 2^dim)`` family rows.
+
+    The family check of both coarsening engines, composed from the batched
+    criteria: mean, quantization, bound check, and the directed rounding
+    that pads a tracker with prior inaccuracy by a few ulps.
+    """
+    check = batch_check_absolute if kind == ABSOLUTE else batch_check_relative
+    means, _ = family_means(vals, dmask)
+    cand = _quantize(means, value_kind)
+    acc, ntr = check(vals, trs, dmask, cand, bounds)
+    prior = np.where(dmask, 0.0, trs).max(axis=1) > 0.0
+    ntr = np.where(prior, ntr + 4.0 * np.spacing(ntr), ntr)
+    if kind == ABSOLUTE:
+        acc = ntr <= bounds
+    return acc, cand, ntr
+
+
 def reference_coarsen(variables, shape, spec, value_kind, max_iterations=None):
     """Jacobi-sweep coarsening over explicit Morton leaf arrays.
 
@@ -91,7 +111,6 @@ def reference_coarsen(variables, shape, spec, value_kind, max_iterations=None):
     dummy = mesh0.dummy.copy()
     work = [map_data(shape, arr, mesh0) for arr in arrays]
     trackers = [np.zeros(mesh0.n_leaves) for _ in arrays]
-    check = batch_check_absolute if spec.kind == ABSOLUTE else batch_check_relative
     dim = shape.dim
     fam = 1 << dim
 
@@ -107,15 +126,8 @@ def reference_coarsen(variables, shape, spec, value_kind, max_iterations=None):
         ok = np.ones(starts.size, dtype=bool)
         cands, newtrs = [], []
         for vals_leaf, trk_leaf in zip(work, trackers):
-            vals = vals_leaf[members]
-            trs = trk_leaf[members]
-            means, _ = family_means(vals, dmask)
-            cand = _quantize(means, value_kind)
-            acc, ntr = check(vals, trs, dmask, cand, bounds)
-            prior = np.where(dmask, 0.0, trs).max(axis=1) > 0.0
-            ntr = np.where(prior, ntr + 4.0 * np.spacing(ntr), ntr)
-            if spec.kind == ABSOLUTE:
-                acc = ntr <= bounds
+            acc, cand, ntr = reference_check(
+                vals_leaf[members], trk_leaf[members], dmask, bounds, spec.kind, value_kind)
             ok &= acc
             cands.append(cand)
             newtrs.append(ntr)

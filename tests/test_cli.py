@@ -130,6 +130,15 @@ class TestCompressDecompress:
                    "--rel", "0.01", "--output", str(tmp_path / "a.amrc")])
         assert rc == 3
 
+    @pytest.mark.parametrize("record", ["scale_factor=abc\n", "scale_factor=0.5\noffset=abc\n"])
+    def test_non_numeric_packing_is_data_error(self, tmp_path, capsys, record):
+        data = np.ones((4, 4), dtype=np.int16)
+        raw, meta = write_inputs(tmp_path, data, (4, 4), "i16", extra_meta=record)
+        rc = main(["compress", "--input", str(raw), "--meta", str(meta),
+                   "--abs", "1", "--output", str(tmp_path / "a.amrc")])
+        assert rc == 3
+        assert "bad packing record" in capsys.readouterr().err
+
     def test_size_mismatch_is_data_error(self, tmp_path, capsys):
         data = np.ones(10, dtype=np.float32)
         raw, meta = write_inputs(tmp_path, data, (4, 4), "f32")
@@ -242,6 +251,16 @@ class TestSweep:
         for line in lines[1:]:
             cols = line.split(",")
             assert float(cols[3]) <= float(cols[0])
+
+    @pytest.mark.parametrize("option, bad", [("--dims", "8,x"), ("--errors", "0.1,abc")])
+    def test_non_numeric_list_is_usage_error(self, capsys, option, bad):
+        args = {"--dims": "8,8", "--errors": "0.1"}
+        args[option] = bad
+        with pytest.raises(SystemExit) as exc:
+            main(["sweep", "--generator", "smooth", "--criterion", "abs",
+                  "--dims", args["--dims"], "--errors", args["--errors"]])
+        assert exc.value.code == 2
+        assert f"argument {option}" in capsys.readouterr().err
 
     def test_layered_split_smaller_than_3d(self, capsys):
         args = ["sweep", "--generator", "layered", "--dims", "8,16,16",

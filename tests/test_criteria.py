@@ -1,3 +1,4 @@
+import itertools
 import math
 
 import numpy as np
@@ -13,7 +14,10 @@ from amrc.criteria import (
     resolve_bound,
     resolve_bounds_batch,
 )
+from amrc.codec import _check_level, _row_sum
+from amrc.mesh import _families
 from amrc.morton import MortonIndex
+from oracle import reference_check
 
 
 class TestCriterionTypes:
@@ -221,3 +225,96 @@ class TestResolveBound:
         got = resolve_bounds_batch(codes, levels.astype(np.uint8), spec, self.shape)
         for c, l, b in zip(codes, levels, got):
             assert resolve_bound(MortonIndex(int(c), int(l)), spec, self.shape).bound == b
+
+
+def adversarial_rows(width, rng):
+    """Family rows that stress the order and the edge cases of the reductions.
+
+    Cancellation, every or many sign patterns of zeros, subnormals, members
+    near the float64 maximum, and random rows over many magnitudes; each
+    fixed pattern appears under every rotation of its members.
+    """
+    big = np.finfo(np.float64).max
+    tiny = np.finfo(np.float64).smallest_subnormal
+    patterns = [
+        [1e16, 1.0, -1e16, 1.0], [1.0, 1e16, 1.0, -1e16], [1e308, 1e308, -1e308, 1.0],
+        [tiny, -tiny, 3 * tiny, 0.0], [tiny, tiny, tiny, 2 * tiny], [tiny, -0.0, tiny, tiny],
+        [big, big, big, -big], [big, big, big, big], [-big, -big, -big, -big],
+        [0.9 * big, 0.9 * big, 0.9 * big, -0.9 * big], [big, 0.5 * big, 0.25 * big, 1.0],
+        [0.1, 0.1, 0.1, 0.1 + 2e-17], [7.0, 7.0, 7.0, 7.0],
+    ]
+    rows = [np.roll(np.resize(p, width), r) for p in patterns for r in range(width)]
+    signs = rng.random((64, width)) < 0.5 if width == 8 else (
+        (np.arange(16)[:, None] >> np.arange(4)) & 1).astype(bool)
+    rows += list(np.where(signs, -0.0, 0.0))
+    rows += list(rng.normal(size=(64, width)) * 10.0 ** rng.integers(-300, 300, size=(64, width)))
+    return np.array(rows)
+
+
+def level_grid(rows, parents):
+    """The level grid whose :func:`_families` rows are ``rows``; inverse of it on
+    even extents."""
+    dim = len(parents)
+    split = rows.reshape(parents + (2,) * dim)
+    order = [a for j in range(dim) for a in (j, dim + j)]
+    return split.transpose(order).reshape([2 * p for p in parents])
+
+
+class TestLevelKernelMatchesBatch:
+    """The codec's level kernel reduces across strided child views of a level
+    grid. It must give the candidates, trackers and accept flags that
+    ``family_means`` and ``batch_check_*`` give on ``_families`` copies, bit
+    for bit, or the artifacts change."""
+
+    @pytest.mark.parametrize("width", [4, 8])
+    def test_row_sum_is_numpy_order(self, rng, width):
+        rows = np.ascontiguousarray(np.concatenate(
+            [adversarial_rows(width, rng),
+             rng.normal(size=(5000, width)) * 10.0 ** rng.integers(-20, 20, size=(5000, width))]))
+        with np.errstate(over="ignore", invalid="ignore"):
+            want = rows.sum(axis=1)
+            # numpy adds onto +0.0, which turns a sum of negative zeros positive
+            got = 0.0 + _row_sum([rows[:, k] for k in range(width)])
+        assert got.tobytes() == want.tobytes(), (
+            f"numpy no longer sums a contiguous (n, {width}) row in the order "
+            "codec._row_sum writes out; the kernel's means, and so the artifacts, "
+            "would no longer match family_means")
+
+    @pytest.mark.parametrize("dim", [2, 3])
+    @pytest.mark.parametrize("kind", ["abs", "rel"])
+    @pytest.mark.parametrize("value_kind", ["f64", "f32"])
+    def test_kernel_matches_batch_checks(self, rng, dim, kind, value_kind):
+        width = 1 << dim
+        rows = adversarial_rows(width, rng)
+        if value_kind == "f32":  # f32 data stays in the f32 range
+            with np.errstate(over="ignore"):
+                rows = np.nan_to_num(rows.astype(np.float32).astype(np.float64),
+                                     posinf=float(np.finfo(np.float32).max),
+                                     neginf=-float(np.finfo(np.float32).max))
+        side = 1
+        while side ** dim < len(rows):
+            side += 1
+        fill = rng.normal(size=(side ** dim - len(rows), width))
+        rows = np.concatenate([rows, fill])[rng.permutation(side ** dim)]
+        grid = level_grid(rows, (side,) * dim)
+        # trackers of a later level: some zero, the others up to the value's size
+        prior = np.abs(grid) * rng.random(grid.shape) * (rng.random(grid.shape) < 0.7)
+        for crop in itertools.product([0, 1], repeat=dim):  # 1: pad the last parent row
+            vals = grid[tuple(slice(0, 2 * side - c) for c in crop)]
+            dmask = _families(np.zeros(vals.shape, dtype=bool), True)
+            fvals = _families(vals, np.nan)
+            bounds = rng.random(len(fvals)) * np.abs(np.nan_to_num(fvals)).max(axis=1)
+            bounds[::7] = 0.0
+            if kind == "rel":
+                bounds = rng.random(len(fvals))
+            for trks in (0.0, prior[tuple(slice(0, n) for n in vals.shape)]):
+                ftrks = _families(np.broadcast_to(trks, vals.shape), 0.0)
+                with np.errstate(all="ignore"):
+                    want = reference_check(fvals, ftrks, dmask, bounds, kind, value_kind)
+                ok, cands, ntrs = _check_level([vals], [trks], None, bounds.reshape(
+                    [(n + 1) // 2 for n in vals.shape]), kind, value_kind)
+                got = ok.reshape(-1), cands[0].reshape(-1), ntrs[0].reshape(-1)
+                for name, g, w in zip(("accept", "candidate", "tracker"), got, want):
+                    assert g.tobytes() == w.tobytes(), (
+                        f"{name} differs with crop {crop}, "
+                        f"{'zero' if np.isscalar(trks) else 'nonzero'} trackers")

@@ -150,3 +150,29 @@ def test_expansion_matches_reference(value_kind):
         vals = leaf.astype(np.float64)
         vals[~data] = np.nan
         assert expand_to_uniform(mesh, vals).tobytes() == want
+
+
+# Level classes of the level kernel: even extents with three or more
+# accepting levels, and extents that turn odd only at an upper level.
+LEVEL_SHAPES = [(64, 64), (16, 16, 16), (40, 56), (12, 10, 9), (200, 200)]
+
+
+@pytest.mark.parametrize("cap", [0, 1, None])
+@pytest.mark.parametrize("extents", LEVEL_SHAPES)
+def test_matches_reference_level_classes(extents, cap):
+    rng = np.random.default_rng(sum(extents))
+    iterations = []
+    # a gentle ramp with small waves, so families up to half the grid can collapse
+    ramp = 3.0 + 0.5 * sum(i / e for i, e in zip(np.indices(extents), extents))
+    for kind, bound, dtype, n_vars in [("abs", 0.4, np.float32, 1), ("rel", 0.1, np.float64, 2)]:
+        arrays = [(ramp + 0.05 * smooth(extents, seed=int(rng.integers(1 << 30))))
+                  .astype(dtype).reshape(-1) for _ in range(n_vars)]
+        spec = ErrorSpec(Criterion(kind, bound), random_domains(rng, extents, kind, bound))
+        value_kind = "f32" if dtype == np.float32 else "f64"
+        got = coarsen_forest(arrays, GridShape(extents), spec, value_kind, max_iterations=cap)
+        want = reference_coarsen(arrays, GridShape(extents), spec, value_kind,
+                                 max_iterations=cap)
+        assert_same(got, want)
+        iterations.append(got.iterations)
+    # uncapped, the pass reaches the upper (and there odd) levels
+    assert iterations == [cap, cap] if cap is not None else max(iterations) >= 3

@@ -1,0 +1,137 @@
+"""Property tests of compression over drawn shapes, value kinds, bounds and domains.
+
+Hypothesis draws the cases derandomized, so every run checks the same
+examples. A case is a grid shape (degenerate ``1xN`` and ``1x1xN`` shapes,
+even and odd extents), a storage kind, an absolute or relative bound with
+random error domains, and one to three variables; several variables share
+one mesh (``one-for-all``). Each case must keep the point-wise bound through
+the round trip, give trackers that bound the exact leaf deviations of the
+brute-force oracle, and write the artifact it reads back byte for byte.
+"""
+
+import numpy as np
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
+
+from amrc import (
+    ONE_FOR_ALL,
+    ONE_FOR_ONE,
+    CompressionConfig,
+    Criterion,
+    ErrorDomain,
+    ErrorSpec,
+    GridShape,
+    coarsen_forest,
+    compress_many,
+    decompress,
+    read_artifact,
+    write_artifact,
+)
+from amrc.fields import smooth
+from oracle import exact_leaf_deviations
+
+DTYPES = {"f32": np.float32, "f64": np.float64, "i16": np.int16}
+
+
+@st.composite
+def extents_st(draw):
+    form = draw(st.sampled_from(["2d", "3d", "1xN", "Nx1", "1x1xN", "1xNx1"]))
+    n = draw(st.integers(1, 40))
+    small = st.integers(1, 20)
+    tiny = st.integers(1, 9)
+    if form == "2d":
+        return (draw(small), draw(small))
+    if form == "3d":
+        return (draw(tiny), draw(tiny), draw(tiny))
+    return {"1xN": (1, n), "Nx1": (n, 1), "1x1xN": (1, 1, n), "1xNx1": (1, n, 1)}[form]
+
+
+@st.composite
+def cases(draw):
+    extents = draw(extents_st())
+    value_kind = draw(st.sampled_from(sorted(DTYPES)))
+    kind = draw(st.sampled_from(["abs", "rel"]))
+    n_vars = draw(st.integers(1, 3))
+    texture = draw(st.sampled_from(["smooth", "noise", "steps", "zeros"]))
+    seed = draw(st.integers(0, 2**31 - 1))
+    rng = np.random.default_rng(seed)
+    arrays = []
+    for _ in range(n_vars):
+        if texture == "noise":
+            field = rng.normal(size=extents)
+        elif texture == "steps":  # piecewise constant on blocks of 2 or 4 cells
+            block = int(rng.choice([2, 4]))
+            coarse = rng.normal(size=tuple(-(-e // block) for e in extents))
+            field = coarse[tuple(np.indices(extents) // block)]
+        else:
+            field = smooth(extents, seed=int(rng.integers(1 << 30)))
+        if texture == "zeros":  # exact zeros stress the relative bound
+            field = np.where(rng.random(extents) < 0.3, 0.0, field)
+        field = field * draw(st.sampled_from([1.0, 1e-3, 1e3]))
+        if value_kind == "i16":
+            field = np.clip(np.rint(field * 100), -30000, 30000)
+        arrays.append(field.astype(DTYPES[value_kind]))
+    span = max(float(np.ptp(a.astype(np.float64))) for a in arrays)
+    frac = draw(st.sampled_from([0.0, 0.01, 0.1, 0.5]))
+    bound = frac * span if kind == "abs" else frac
+    domains = []
+    for _ in range(draw(st.integers(0, 2))):
+        box = []
+        for e in extents:
+            lo = draw(st.integers(-2, e))
+            box.append((lo, lo + draw(st.integers(1, e + 2))))
+        domains.append(ErrorDomain(tuple(box), Criterion(kind, bound * draw(
+            st.sampled_from([0.0, 0.25, 1.0])))))
+    spec = ErrorSpec(Criterion(kind, bound), tuple(domains))
+    return arrays, GridShape(extents), spec, value_kind
+
+
+def point_bounds(shape: GridShape, spec: ErrorSpec) -> np.ndarray:
+    """Each point's bound: the default, lowered by every domain box covering it."""
+    bounds = np.full(shape.extents, spec.default.bound)
+    for dom in spec.domains:
+        box = tuple(slice(max(lo, 0), max(hi, 0)) for lo, hi in dom.box)
+        bounds[box] = np.minimum(bounds[box], dom.criterion.bound)
+    return bounds
+
+
+PROPERTY_SETTINGS = settings(max_examples=150, derandomize=True, deadline=None,
+                             suppress_health_check=[HealthCheck.too_slow])
+
+
+@PROPERTY_SETTINGS
+@given(cases())
+def test_round_trip_keeps_point_bound(case):
+    arrays, shape, spec, value_kind = case
+    mode = ONE_FOR_ALL if len(arrays) > 1 else ONE_FOR_ONE
+    blob = write_artifact(compress_many(arrays, shape, CompressionConfig(spec, mode=mode)))
+    variables, _ = read_artifact(blob)
+    limit = point_bounds(shape, spec).reshape(-1)
+    for arr, var in zip(arrays, variables):
+        x = arr.reshape(-1).astype(np.float64)
+        out = decompress(var)
+        assert out.dtype == arr.dtype
+        allowed = limit * np.abs(x) if spec.kind == "rel" else limit
+        assert np.all(np.abs(out.astype(np.float64) - x) <= allowed)
+
+
+@PROPERTY_SETTINGS
+@given(cases())
+def test_trackers_bound_exact_deviations(case):
+    arrays, shape, spec, value_kind = case
+    res = coarsen_forest(arrays, shape, spec, value_kind)
+    res.mesh.validate()
+    for arr, values, trackers in zip(arrays, res.values, res.trackers):
+        exact = exact_leaf_deviations(
+            res.mesh, values, arr.astype(np.float64).reshape(shape.extents))
+        assert np.all(trackers >= exact)
+
+
+@PROPERTY_SETTINGS
+@given(cases())
+def test_artifact_rewrites_byte_identical(case):
+    arrays, shape, spec, _ = case
+    mode = ONE_FOR_ALL if len(arrays) > 1 else ONE_FOR_ONE
+    blob = write_artifact(compress_many(arrays, shape, CompressionConfig(spec, mode=mode)))
+    variables, _ = read_artifact(blob)
+    assert write_artifact(variables) == blob
