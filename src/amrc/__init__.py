@@ -37,7 +37,6 @@ from .mesh import (
     map_data,
     serialize_refinement,
 )
-from .morton import MortonIndex, family_of, morton_decode, morton_encode, parent
 
 __version__ = "0.1.0"
 
@@ -60,7 +59,6 @@ __all__ = [
     "ErrorSpec",
     "ForestMesh",
     "GridShape",
-    "MortonIndex",
     "Packing",
     "ShapeError",
     "UnsupportedFeatureError",
@@ -72,12 +70,8 @@ __all__ = [
     "decompress",
     "deserialize_refinement",
     "expand_to_uniform",
-    "family_of",
     "map_data",
-    "morton_decode",
-    "morton_encode",
     "packed_bound",
-    "parent",
     "read_artifact",
     "serialize_refinement",
     "split_axis",

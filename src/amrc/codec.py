@@ -306,6 +306,8 @@ def coarsen_forest(
     """
     if value_kind not in VALUE_KIND_DTYPES:
         raise ConfigError(f"unknown value kind {value_kind!r}")
+    if any(len(dom.box) != shape.dim for dom in spec.domains):
+        raise ConfigError(f"error-domain boxes need {shape.dim} ranges for {shape.dim}D data")
     arrays = [np.asarray(v).reshape(-1) for v in variables]
     if not arrays:
         raise ConfigError("no variables given")

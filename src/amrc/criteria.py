@@ -20,10 +20,11 @@ which is valid as long as every bound is <= 1 (100%); the parent's stored
 tracker is again the absolute form ``max_i(|c - v_i| + t_i)``. A zero
 denominator with a nonzero numerator rejects the collapse.
 
-Scalar functions define the contract; :func:`family_means` and the
-``batch_check_*`` variants evaluate many families at once. They are the
-reference the codec's level kernel reproduces bit for bit on strided views
-of the level grid.
+The scalar per-family checks that define this contract live in
+``tests/oracle.py``. :func:`family_means` and the ``batch_check_*``
+functions here evaluate many families at once; they are the reference the
+codec's level kernel reproduces bit for bit on strided views of the level
+grid.
 """
 
 from __future__ import annotations
@@ -34,8 +35,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import morton
-from .errors import ConfigError, DataError
-from .mesh import GridShape, leaf_box
+from .errors import ConfigError
+from .mesh import GridShape
 
 ABSOLUTE = "abs"
 RELATIVE = "rel"
@@ -91,55 +92,6 @@ class ErrorSpec:
         return self.default.kind
 
 
-def check_absolute(values, trackers, candidate: float, bound: float):
-    """Absolute-criterion compliance check for one family.
-
-    Returns ``(accept, new_tracker)`` where the tracker is the bound on the
-    deviation of ``candidate`` from any initial data point under the family.
-    """
-    new = 0.0
-    for v, t in zip(values, trackers):
-        if not math.isfinite(v):
-            raise DataError(f"non-finite value {v} in family")
-        new = max(new, abs(candidate - v) + t)
-    return new <= bound, new
-
-
-def check_relative(values, trackers, candidate: float, bound: float):
-    """Relative-criterion compliance check for one family.
-
-    Returns ``(accept, new_tracker)``; the stored tracker is the absolute
-    deviation bound, as with the absolute criterion.
-    """
-    worst = 0.0
-    new = 0.0
-    for v, t in zip(values, trackers):
-        if not math.isfinite(v):
-            raise DataError(f"non-finite value {v} in family")
-        num = t + abs(v - candidate)
-        den = min(abs(v - t), abs(v), abs(v + t))
-        if den == 0.0:
-            worst = max(worst, 0.0 if num == 0.0 else math.inf)
-        else:
-            worst = max(worst, num / den)
-        new = max(new, abs(candidate - v) + t)
-    return worst <= bound, new
-
-
-def resolve_bound(element: morton.MortonIndex, spec: ErrorSpec, shape: GridShape) -> Criterion:
-    """Most restrictive criterion applying to an element.
-
-    The minimum of the default bound and the bounds of every domain whose box
-    intersects the element's covered cell box.
-    """
-    box = leaf_box(element.code, element.level, shape)
-    bound = spec.default.bound
-    for dom in spec.domains:
-        if all(lo < dhi and hi > dlo for (lo, hi), (dlo, dhi) in zip(box, dom.box)):
-            bound = min(bound, dom.criterion.bound)
-    return Criterion(spec.kind, bound)
-
-
 # --- batched forms, the reference of the codec's level kernel ----------------
 #
 # ``vals``/``trackers`` are (n_families, 2^dim) float64 matrices gathered from
@@ -172,9 +124,10 @@ def family_means(vals: np.ndarray, dmask: np.ndarray):
 
 
 def batch_check_absolute(vals, trackers, dmask, cand, bounds):
-    """Vectorized :func:`check_absolute`; all-dummy families accept with tracker 0.
+    """Per-row absolute check; all-dummy families accept with tracker 0.
 
-    A deviation that overflows to inf rejects its family.
+    A deviation that overflows to inf rejects its family. The scalar form,
+    ``check_absolute``, is in ``tests/oracle.py``.
     """
     with np.errstate(over="ignore"):
         dev = np.abs(cand[:, None] - vals) + trackers
@@ -184,9 +137,10 @@ def batch_check_absolute(vals, trackers, dmask, cand, bounds):
 
 
 def batch_check_relative(vals, trackers, dmask, cand, bounds):
-    """Vectorized :func:`check_relative`; all-dummy families accept with tracker 0.
+    """Per-row relative check; all-dummy families accept with tracker 0.
 
-    A deviation that overflows to inf rejects its family.
+    A deviation that overflows to inf rejects its family. The scalar form,
+    ``check_relative``, is in ``tests/oracle.py``.
     """
     with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
         absdev = np.abs(cand[:, None] - vals) + trackers
@@ -204,7 +158,7 @@ def batch_check_relative(vals, trackers, dmask, cand, bounds):
 
 def resolve_bounds_batch(codes: np.ndarray, levels: np.ndarray,
                          spec: ErrorSpec, shape: GridShape) -> np.ndarray:
-    """Vectorized :func:`resolve_bound` over parent elements; returns bounds only.
+    """Least of the default bound and the bounds of the domains meeting each element.
 
     The codec resolves bounds as box slices of its per-level parent grid
     instead; this Morton-code form serves callers that hold explicit codes.

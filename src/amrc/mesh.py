@@ -27,8 +27,8 @@ pad flags of chosen families, and :func:`_assemble` turns the leaves a
 bottom-up level pass leaves behind, given per level as the families that
 keep some (their parent indices and a child mask), into a mesh in curve
 order. The initial mesh and its data mapping are that pass with nothing
-accepted. :func:`_families`, the same families as a padded
-``(n_parents, 2^dim)`` copy, serves the reference checks in the tests.
+accepted. The same families as a padded ``(n_parents, 2^dim)`` copy, for
+the reference checks, are built in ``tests/oracle.py``.
 Expansion to the uniform grid is the level pass in reverse: top-down from
 the root, each level's grid is upsampled into the next and that level's
 leaves are written in place, so no cell is ever Morton-encoded.
@@ -127,22 +127,6 @@ class ForestMesh:
         lv, cnt = np.unique(self.levels, return_counts=True)
         return {int(a): int(b) for a, b in zip(lv, cnt)}
 
-    def validate(self) -> None:
-        """Check the partition, ordering, and dummy-flag invariants; raise on failure."""
-        l0, dim = self.initial_level, self.dim
-        if self.n_leaves == 0:
-            raise ShapeError("mesh has no leaves")
-        if int(self.levels.max(initial=0)) > l0:
-            raise ShapeError("leaf level exceeds initial level")
-        aligned = self.aligned_codes()
-        if not np.all(aligned[1:] > aligned[:-1]):
-            raise ShapeError("leaves are not strictly ascending in SFC order")
-        measure = sum(1 << (dim * (l0 - int(l))) for l in self.levels)
-        if measure != 1 << (dim * l0):
-            raise ShapeError("leaves do not partition the root domain")
-        if not np.array_equal(self.dummy, _dummy_flags(self.codes, self.levels, self.shape)):
-            raise ShapeError("dummy flags do not match the grid geometry")
-
 
 def _aligned(codes: np.ndarray, levels: np.ndarray, dim: int, l0: int) -> np.ndarray:
     shift = (dim * (l0 - levels.astype(np.int64))).astype(np.uint64)
@@ -166,22 +150,6 @@ def _dummy_flags(codes: np.ndarray, levels: np.ndarray, shape: GridShape) -> np.
                            for l in range(l0 + 1)], dtype=np.uint64)
         dummy |= (codes & np.uint64(mask << axis)) >= limits[levels]
     return dummy
-
-
-def _families(grid: np.ndarray, fill) -> np.ndarray:
-    """``(n_parents, 2^dim)`` copy of one level's grid, one row per family.
-
-    Each odd axis is first padded by one ``fill`` cell. Rows follow the
-    parent grid in row-major order; within a row, child ``k = x | y<<1 | z<<2``
-    with x the last numpy axis, which is Morton child order.
-    """
-    dim = grid.ndim
-    pad = [(0, e % 2) for e in grid.shape]
-    if any(p for _, p in pad):
-        grid = np.pad(grid, pad, constant_values=fill)
-    split = grid.reshape([n for e in grid.shape for n in (e // 2, 2)])
-    order = list(range(0, 2 * dim, 2)) + list(range(1, 2 * dim, 2))
-    return np.ascontiguousarray(split.transpose(order)).reshape(-1, 1 << dim)
 
 
 def _children(grid: tuple[int, ...], rows: np.ndarray):
@@ -439,13 +407,3 @@ def deserialize_refinement(data: bytes, shape: GridShape) -> ForestMesh:
         depth += 1
     levels = flevels.astype(np.uint8)
     return ForestMesh(shape, fcodes, levels, _dummy_flags(fcodes, levels, shape))
-
-
-def leaf_box(code: int, level: int, shape: GridShape) -> tuple[tuple[int, int], ...]:
-    """Covered cell box of an element, in grid index space (numpy axis order).
-
-    Half-open ``(lo, hi)`` per axis, unclipped against the extents.
-    """
-    size = 1 << (shape.initial_level - level)
-    coords = morton.deinterleave(int(code), shape.dim)
-    return tuple((c * size, (c + 1) * size) for c in reversed(coords))

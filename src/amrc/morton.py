@@ -1,25 +1,19 @@
-"""Morton (Z-order) index arithmetic for quadtree/octree elements.
+"""Morton (Z-order) codes of quadtree/octree elements.
 
-An element is identified by ``MortonIndex(code, level)``: ``code`` is the
-bit-interleaved cell coordinate at refinement depth ``level`` (root = level 0).
+An element at refinement depth ``level`` (root = level 0) is identified by
+its level and its code, the bit-interleaved cell coordinate at that level.
 Axis 0 is the least significant interleaved axis: bit ``i`` of the axis-0
 coordinate lands in code bit ``dim*i``, axis 1 in ``dim*i + 1``, axis 2 in
-``dim*i + 2``.
+``dim*i + 2``. The mesh keeps codes and levels as parallel arrays; the
+artifact format never stores a code.
 
-All bit-twiddling helpers accept plain Python ints or ``uint64`` numpy arrays.
+Both helpers accept plain Python ints or ``uint64`` numpy arrays.
 """
 
 from __future__ import annotations
 
-from typing import NamedTuple
-
 # Codes must fit one 64-bit word: dim * level <= 62 (2D) / 60 (3D).
 MAX_LEVEL = {2: 31, 3: 20}
-
-
-class MortonIndex(NamedTuple):
-    code: int
-    level: int
 
 
 def _part1by1(x):
@@ -81,49 +75,3 @@ def deinterleave(code, dim: int):
         return _compact1by2(code), _compact1by2(code >> 1), _compact1by2(code >> 2)
     raise ValueError(f"dim must be 2 or 3, got {dim}")
 
-
-def _check_level(level: int, dim: int) -> None:
-    if dim not in MAX_LEVEL:
-        raise ValueError(f"dim must be 2 or 3, got {dim}")
-    if not 0 <= level <= MAX_LEVEL[dim]:
-        raise ValueError(f"level {level} outside [0, {MAX_LEVEL[dim]}] for dim {dim}")
-
-
-def morton_encode(coords, level: int, dim: int) -> MortonIndex:
-    """Encode per-axis cell indices at ``level`` into a Morton index."""
-    _check_level(level, dim)
-    if len(coords) != dim:
-        raise ValueError(f"expected {dim} coordinates, got {len(coords)}")
-    for c in coords:
-        if not 0 <= c < (1 << level):
-            raise ValueError(f"coordinate {c} out of range [0, 2^{level}) for level {level}")
-    return MortonIndex(int(interleave(tuple(int(c) for c in coords), dim)), level)
-
-
-def morton_decode(index: MortonIndex, dim: int) -> tuple[int, ...]:
-    """Decode a Morton index back into per-axis cell indices."""
-    code, level = index
-    _check_level(level, dim)
-    if not 0 <= code < (1 << (dim * level)):
-        raise ValueError(f"code {code} out of range for level {level}, dim {dim}")
-    return tuple(int(c) for c in deinterleave(int(code), dim))
-
-
-def parent(index: MortonIndex, dim: int) -> MortonIndex:
-    """Parent element, one level up. The root has no parent."""
-    code, level = index
-    if level < 1:
-        raise ValueError("root element has no parent")
-    return MortonIndex(int(code) >> dim, level - 1)
-
-
-def family_of(index: MortonIndex, dim: int) -> list[MortonIndex]:
-    """All 2^dim siblings sharing ``index``'s parent, in ascending code order."""
-    code, level = index
-    _check_level(level, dim)
-    if level < 1:
-        raise ValueError("root element has no family")
-    if not 0 <= code < (1 << (dim * level)):
-        raise ValueError(f"code {code} out of range for level {level}, dim {dim}")
-    base = (int(code) >> dim) << dim
-    return [MortonIndex(base + k, level) for k in range(1 << dim)]

@@ -1,8 +1,10 @@
 """Brute-force reference implementations used only by the tests.
 
 Everything here is deliberately naive and independent of the production code
-paths it checks: bit-by-bit Morton coding, recursive mesh construction, and
-exact per-leaf deviations computed from retained initial data. The one
+paths it checks: the scalar per-family criteria and per-element bound
+resolution that define the contract, bit-by-bit Morton coding, recursive
+mesh construction, a leaf-by-leaf check of the mesh invariants, and exact
+per-leaf deviations computed from retained initial data. The one
 exception is :func:`reference_coarsen`, the original Jacobi-sweep engine.
 It checks families with the batched criteria of :mod:`amrc.criteria`
 (:func:`reference_check`), which the level kernel of the codec reproduces
@@ -15,25 +17,126 @@ differential reference for the top-down expansion of decompression.
 
 from __future__ import annotations
 
+import math
+
 import numpy as np
 
 from amrc import morton
 from amrc.codec import CoarsenResult, _quantize
 from amrc.criteria import (
     ABSOLUTE,
+    Criterion,
+    ErrorSpec,
     batch_check_absolute,
     batch_check_relative,
     family_means,
     resolve_bounds_batch,
 )
-from amrc.errors import ShapeError
+from amrc.errors import DataError, ShapeError
 from amrc.mesh import (
     ForestMesh,
+    GridShape,
     _family_starts,
     build_initial_mesh,
     complete_family_starts,
     map_data,
 )
+
+
+def check_absolute(values, trackers, candidate: float, bound: float):
+    """Absolute-criterion compliance check for one family.
+
+    Returns ``(accept, new_tracker)`` where the tracker is the bound on the
+    deviation of ``candidate`` from any initial data point under the family.
+    """
+    new = 0.0
+    for v, t in zip(values, trackers):
+        if not math.isfinite(v):
+            raise DataError(f"non-finite value {v} in family")
+        new = max(new, abs(candidate - v) + t)
+    return new <= bound, new
+
+
+def check_relative(values, trackers, candidate: float, bound: float):
+    """Relative-criterion compliance check for one family.
+
+    Returns ``(accept, new_tracker)``; the stored tracker is the absolute
+    deviation bound, as with the absolute criterion.
+    """
+    worst = 0.0
+    new = 0.0
+    for v, t in zip(values, trackers):
+        if not math.isfinite(v):
+            raise DataError(f"non-finite value {v} in family")
+        num = t + abs(v - candidate)
+        den = min(abs(v - t), abs(v), abs(v + t))
+        if den == 0.0:
+            worst = max(worst, 0.0 if num == 0.0 else math.inf)
+        else:
+            worst = max(worst, num / den)
+        new = max(new, abs(candidate - v) + t)
+    return worst <= bound, new
+
+
+def _leaf_box(code: int, level: int, shape: GridShape) -> tuple[tuple[int, int], ...]:
+    """Covered cell box of an element, half-open per axis in numpy axis order, unclipped."""
+    size = 1 << (shape.initial_level - level)
+    coords = naive_decode(code, level, shape.dim)
+    return tuple((c * size, (c + 1) * size) for c in reversed(coords))
+
+
+def resolve_bound(code: int, level: int, spec: ErrorSpec, shape: GridShape) -> Criterion:
+    """Most restrictive criterion applying to an element.
+
+    The minimum of the default bound and the bounds of every domain whose box
+    intersects the element's covered cell box.
+    """
+    box = _leaf_box(code, level, shape)
+    bound = spec.default.bound
+    for dom in spec.domains:
+        if all(lo < dhi and hi > dlo for (lo, hi), (dlo, dhi) in zip(box, dom.box)):
+            bound = min(bound, dom.criterion.bound)
+    return Criterion(spec.kind, bound)
+
+
+def families(grid: np.ndarray, fill) -> np.ndarray:
+    """``(n_parents, 2^dim)`` copy of one level's grid, one row per family.
+
+    Each odd axis is first padded by one ``fill`` cell. Rows follow the
+    parent grid in row-major order; within a row, child ``k = x | y<<1 | z<<2``
+    with x the last numpy axis, which is Morton child order.
+    """
+    dim = grid.ndim
+    pad = [(0, e % 2) for e in grid.shape]
+    if any(p for _, p in pad):
+        grid = np.pad(grid, pad, constant_values=fill)
+    split = grid.reshape([n for e in grid.shape for n in (e // 2, 2)])
+    order = list(range(0, 2 * dim, 2)) + list(range(1, 2 * dim, 2))
+    return np.ascontiguousarray(split.transpose(order)).reshape(-1, 1 << dim)
+
+
+def validate_mesh(mesh: ForestMesh) -> None:
+    """Check a mesh's partition, ordering and dummy flags leaf by leaf; raise on failure.
+
+    The leaves must tile the root in curve order, each one starting where the
+    one before ends, and a leaf is dummy iff its cell box lies fully outside
+    the grid.
+    """
+    l0, dim = mesh.initial_level, mesh.dim
+    end = 0
+    for code, level, dummy in zip(mesh.codes.tolist(), mesh.levels.tolist(),
+                                  mesh.dummy.tolist()):
+        if level > l0:
+            raise ShapeError("leaf level exceeds initial level")
+        size = 1 << (dim * (l0 - level))
+        if code * size != end:
+            raise ShapeError("leaves do not tile the root in curve order")
+        end += size
+        box = _leaf_box(code, level, mesh.shape)
+        if dummy != any(lo >= e for (lo, _), e in zip(box, mesh.shape.extents)):
+            raise ShapeError("dummy flags do not match the grid geometry")
+    if end != 1 << (dim * l0):
+        raise ShapeError("leaves do not partition the root domain")
 
 
 def _collapse(codes, levels, dummy, starts, dim):

@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+import amrc
 from amrc import (
     ConfigError,
     CompressionConfig,
@@ -355,6 +356,15 @@ class TestDomains:
         assert dev.max() <= 8.0
 
 
+    @pytest.mark.parametrize("box", [((0, 4), (0, 4)), ((0, 4),) * 4])
+    def test_box_of_wrong_dimension_rejected(self, box):
+        # a 2-range box must not be read as a slab, nor a 4-range one fail on indexing
+        spec = ErrorSpec(Criterion("abs", 1.0), (ErrorDomain(box, Criterion("abs", 0.0)),))
+        field = smooth((8, 8, 8), seed=3).reshape(-1)
+        with pytest.raises(ConfigError, match="3 ranges"):
+            compress(field, GridShape((8, 8, 8)), CompressionConfig(spec))
+
+
 class TestDecompress:
     def test_payload_mesh_mismatch_rejected(self):
         var = compress(np.zeros(16), GridShape((4, 4)), abs_config(0.0))
@@ -373,3 +383,24 @@ class TestDecompress:
         (var,), _ = read_artifact(huge_root_artifact(level))
         with pytest.raises(CorruptArtifactError, match=f"{4 ** level} points"):
             decompress(var)
+
+
+PUBLIC_API = {
+    "ABSOLUTE", "RELATIVE", "ONE_FOR_ONE", "ONE_FOR_ALL",
+    "AmrcError", "ArtifactHeader", "CoarsenResult", "CompressStats", "CompressedVariable",
+    "CompressionConfig", "ConfigError", "CorruptArtifactError", "Criterion", "DataError",
+    "ErrorDomain", "ErrorSpec", "ForestMesh", "GridShape", "Packing", "ShapeError",
+    "UnsupportedFeatureError",
+    "build_initial_mesh", "coarsen_forest", "complete_family_starts", "compress",
+    "compress_many", "decompress", "deserialize_refinement", "expand_to_uniform", "map_data",
+    "packed_bound", "read_artifact", "serialize_refinement", "split_axis", "stack_axis",
+    "write_artifact",
+}
+
+
+def test_public_api_is_pinned():
+    # adding or removing a public name must show up as an edit of this list
+    assert set(amrc.__all__) == PUBLIC_API
+    assert len(amrc.__all__) == len(PUBLIC_API)
+    missing = [name for name in amrc.__all__ if not hasattr(amrc, name)]
+    assert not missing, f"__all__ names that do not resolve: {missing}"

@@ -1,9 +1,17 @@
+import json
+import os
+import pickle
 import struct
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import amrc
 from amrc import (
+    ONE_FOR_ALL,
     CompressedVariable,
     CompressionConfig,
     ConfigError,
@@ -14,14 +22,16 @@ from amrc import (
     Packing,
     UnsupportedFeatureError,
     compress,
+    compress_many,
     decompress,
     read_artifact,
     write_artifact,
 )
 from amrc.codec import VALUE_KIND_DTYPES
 from amrc.container import MAGIC
-from conftest import random_mesh
+from amrc.fields import noise, smooth
 from amrc.mesh import serialize_refinement
+from conftest import random_mesh
 
 
 def var_equal(a, b):
@@ -181,3 +191,56 @@ class TestValidation:
     def test_empty_artifact_rejected(self):
         with pytest.raises(ConfigError):
             write_artifact([])
+
+
+# Runs in a child process that caps its own address space first, so a mutated
+# extent that slips past the checks fails to allocate instead of filling the
+# host's memory. Any exception other than AmrcError escapes as a traceback.
+FUZZ_CHILD = """
+import json, pickle, resource, sys
+resource.setrlimit(resource.RLIMIT_AS, (3 << 30, 3 << 30))
+import numpy as np
+from amrc import AmrcError, decompress, read_artifact
+
+blobs, n_cases, seed = pickle.load(sys.stdin.buffer)
+rng = np.random.default_rng(seed)
+counts = {"decoded": 0, "rejected": 0}
+for i in range(n_cases):
+    blob = bytearray(blobs[i % len(blobs)])
+    for _ in range(int(rng.integers(1, 4))):
+        blob[int(rng.integers(len(blob)))] = int(rng.integers(256))
+    try:
+        for var in read_artifact(bytes(blob))[0]:
+            decompress(var)
+        counts["decoded"] += 1
+    except AmrcError:
+        counts["rejected"] += 1
+print(json.dumps(counts))
+"""
+
+
+def fuzz_corpus():
+    """Three small artifacts: 2D f32, 3D f64 ``one-for-all`` with 3 variables, 1x40 packed i16."""
+    plane = compress(smooth((13, 17), seed=1).astype(np.float32).reshape(-1),
+                     GridShape((13, 17)), CompressionConfig(ErrorSpec(Criterion("abs", 0.05))))
+    volume = compress_many(
+        [smooth((5, 6, 7), seed=s) + 0.1 * noise((5, 6, 7), seed=s) for s in range(3)],
+        GridShape((5, 6, 7)),
+        CompressionConfig(ErrorSpec(Criterion("rel", 0.1)), mode=ONE_FOR_ALL))
+    line = compress(np.repeat(np.arange(-10, 10, dtype=np.int16), 2), GridShape((1, 40)),
+                    CompressionConfig(ErrorSpec(Criterion("abs", 1.0)),
+                                      packing=Packing(0.01, 5.0)))
+    return [write_artifact([plane]), write_artifact(volume), write_artifact([line])]
+
+
+def test_byte_mutations_raise_only_amrc_errors():
+    env = dict(os.environ, OPENBLAS_NUM_THREADS="1", OMP_NUM_THREADS="1",
+               PYTHONPATH=os.pathsep.join([str(Path(amrc.__file__).parents[1]),
+                                           os.environ.get("PYTHONPATH", "")]))
+    proc = subprocess.run(
+        [sys.executable, "-c", FUZZ_CHILD], input=pickle.dumps((fuzz_corpus(), 3000, 20240607)),
+        capture_output=True, env=env, timeout=300)
+    assert proc.returncode == 0, proc.stderr.decode()
+    counts = json.loads(proc.stdout)
+    # both outcomes occur, so the mutations neither all miss nor all break the header
+    assert counts["decoded"] > 0 and counts["rejected"] > 0, counts

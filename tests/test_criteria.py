@@ -8,16 +8,11 @@ from amrc import ConfigError, Criterion, DataError, ErrorDomain, ErrorSpec, Grid
 from amrc.criteria import (
     batch_check_absolute,
     batch_check_relative,
-    check_absolute,
-    check_relative,
     family_means,
-    resolve_bound,
     resolve_bounds_batch,
 )
 from amrc.codec import _check_level, _row_sum
-from amrc.mesh import _families
-from amrc.morton import MortonIndex
-from oracle import reference_check
+from oracle import check_absolute, check_relative, families, reference_check, resolve_bound
 
 
 class TestCriterionTypes:
@@ -181,29 +176,28 @@ class TestResolveBound:
                          tuple(ErrorDomain(b, Criterion(kind, v)) for b, v in domains))
 
     def test_no_domains(self):
-        got = resolve_bound(MortonIndex(0, 2), self.spec(), self.shape)
+        got = resolve_bound(0, 2, self.spec(), self.shape)
         assert got == Criterion("abs", 2.0)
 
     def test_inside_domain_takes_min(self):
         spec = self.spec((((0, 8), (0, 8)), 0.5))
-        got = resolve_bound(MortonIndex(0, 2), spec, self.shape)  # box [0,4)x[0,4)
+        got = resolve_bound(0, 2, spec, self.shape)  # box [0,4)x[0,4)
         assert got.bound == 0.5
 
     def test_straddling_nested_domains(self):
         spec = self.spec((((0, 8), (0, 8)), 1.0), (((2, 6), (2, 6)), 0.25))
-        got = resolve_bound(MortonIndex(0, 1), spec, self.shape)  # box [0,8)^2
+        got = resolve_bound(0, 1, spec, self.shape)  # box [0,8)^2
         assert got.bound == 0.25
 
     def test_disjoint_domain_ignored(self):
         spec = self.spec((((8, 16), (8, 16)), 0.01))
-        got = resolve_bound(MortonIndex(0, 2), spec, self.shape)
+        got = resolve_bound(0, 2, spec, self.shape)
         assert got.bound == 2.0
 
     def test_monotone_under_added_domains(self, rng):
         for _ in range(100):
             level = int(rng.integers(0, 5))
             code = int(rng.integers(0, 4 ** level))
-            element = MortonIndex(code, level)
             boxes = []
             for _ in range(int(rng.integers(0, 4))):
                 lo = rng.integers(0, 15, size=2)
@@ -213,7 +207,7 @@ class TestResolveBound:
             prev = math.inf
             for k in range(len(boxes) + 1):
                 spec = self.spec(*zip(boxes[:k], bounds[:k]), default=2.0)
-                got = resolve_bound(element, spec, self.shape).bound
+                got = resolve_bound(code, level, spec, self.shape).bound
                 assert got <= prev
                 prev = got
 
@@ -224,7 +218,7 @@ class TestResolveBound:
         codes = np.array([rng.integers(0, 4 ** l) for l in levels], dtype=np.uint64)
         got = resolve_bounds_batch(codes, levels.astype(np.uint8), spec, self.shape)
         for c, l, b in zip(codes, levels, got):
-            assert resolve_bound(MortonIndex(int(c), int(l)), spec, self.shape).bound == b
+            assert resolve_bound(int(c), int(l), spec, self.shape).bound == b
 
 
 def adversarial_rows(width, rng):
@@ -252,7 +246,7 @@ def adversarial_rows(width, rng):
 
 
 def level_grid(rows, parents):
-    """The level grid whose :func:`_families` rows are ``rows``; inverse of it on
+    """The level grid whose ``oracle.families`` rows are ``rows``; inverse of it on
     even extents."""
     dim = len(parents)
     split = rows.reshape(parents + (2,) * dim)
@@ -263,7 +257,7 @@ def level_grid(rows, parents):
 class TestLevelKernelMatchesBatch:
     """The codec's level kernel reduces across strided child views of a level
     grid. It must give the candidates, trackers and accept flags that
-    ``family_means`` and ``batch_check_*`` give on ``_families`` copies, bit
+    ``family_means`` and ``batch_check_*`` give on ``families`` copies, bit
     for bit, or the artifacts change."""
 
     @pytest.mark.parametrize("width", [4, 8])
@@ -301,14 +295,14 @@ class TestLevelKernelMatchesBatch:
         prior = np.abs(grid) * rng.random(grid.shape) * (rng.random(grid.shape) < 0.7)
         for crop in itertools.product([0, 1], repeat=dim):  # 1: pad the last parent row
             vals = grid[tuple(slice(0, 2 * side - c) for c in crop)]
-            dmask = _families(np.zeros(vals.shape, dtype=bool), True)
-            fvals = _families(vals, np.nan)
+            dmask = families(np.zeros(vals.shape, dtype=bool), True)
+            fvals = families(vals, np.nan)
             bounds = rng.random(len(fvals)) * np.abs(np.nan_to_num(fvals)).max(axis=1)
             bounds[::7] = 0.0
             if kind == "rel":
                 bounds = rng.random(len(fvals))
             for trks in (0.0, prior[tuple(slice(0, n) for n in vals.shape)]):
-                ftrks = _families(np.broadcast_to(trks, vals.shape), 0.0)
+                ftrks = families(np.broadcast_to(trks, vals.shape), 0.0)
                 with np.errstate(all="ignore"):
                     want = reference_check(fvals, ftrks, dmask, bounds, kind, value_kind)
                 ok, cands, ntrs = _check_level([vals], [trks], None, bounds.reshape(

@@ -15,7 +15,13 @@ from amrc import (
 )
 from amrc.mesh import _dummy_flags
 from conftest import random_mesh
-from oracle import coarsen_marked, dfs_leaf_order, expected_initial_leaves, naive_encode
+from oracle import (
+    coarsen_marked,
+    dfs_leaf_order,
+    expected_initial_leaves,
+    naive_encode,
+    validate_mesh,
+)
 
 
 def make_mesh(shape, leaves):
@@ -70,7 +76,7 @@ class TestBuildInitialMesh:
         assert int(mesh.dummy.sum()) == 7
         # all 7 dummies are size-2 blocks (level 2): four on top, three on the right
         assert np.all(mesh.levels[mesh.dummy] == 2)
-        mesh.validate()
+        validate_mesh(mesh)
 
     def test_power_of_two_has_no_dummies(self):
         mesh = build_initial_mesh(GridShape((4, 4)))
@@ -85,7 +91,7 @@ class TestBuildInitialMesh:
         assert np.all(mesh.levels[~mesh.dummy] == 3)
         dummy_area = sum(4 ** (3 - int(l)) for l in mesh.levels[mesh.dummy])
         assert dummy_area == 64 - 15
-        mesh.validate()
+        validate_mesh(mesh)
 
     @pytest.mark.parametrize("extents", [(5, 3), (6, 6), (7, 5, 3), (1, 1), (2, 9), (3, 3, 3)])
     def test_matches_recursive_reference(self, extents):
@@ -144,7 +150,7 @@ class TestCoarsenMarked:
         out = coarsen_marked(mesh, [0])
         assert out.n_leaves == 13
         assert out.level_histogram() == {1: 1, 2: 12}
-        out.validate()
+        validate_mesh(out)
 
     def test_dummy_parent_rule(self):
         # refine a dummy region by hand, then coarsen it back
@@ -156,7 +162,7 @@ class TestCoarsenMarked:
         leaves = [(int(c), int(l)) for i, (c, l) in enumerate(zip(base.codes, base.levels))
                   if i != d] + kids
         mesh = make_mesh(shape, leaves)
-        mesh.validate()
+        validate_mesh(mesh)
         start = next(i for i in range(mesh.n_leaves)
                      if int(mesh.codes[i]) == kids[0][0] and int(mesh.levels[i]) == level + 1)
         out = coarsen_marked(mesh, [start])
@@ -172,7 +178,7 @@ class TestCoarsenMarked:
     def test_partition_held_after_random_rounds(self, rng):
         for extents in [(6, 6), (5, 3), (7, 5, 3), (16, 16)]:
             mesh = random_mesh(GridShape(extents), rng, rounds=5)
-            mesh.validate()
+            validate_mesh(mesh)
 
 
 class TestRefinementBits:
@@ -291,3 +297,18 @@ class TestOrdering:
             assert np.all(mesh.levels[s:s + 4] == lv)
             assert mesh.codes[s] % 4 == 0
             assert np.array_equal(mesh.codes[s:s + 4] - mesh.codes[s], np.arange(4))
+
+    def test_validate_mesh_rejects_broken_meshes(self):
+        mesh = build_initial_mesh(GridShape((6, 6)))
+        validate_mesh(mesh)
+        codes, levels, dummy = mesh.codes, mesh.levels, mesh.dummy
+        broken = [
+            (codes[1:], levels[1:], dummy[1:]),  # a hole
+            (codes[::-1], levels[::-1], dummy[::-1]),  # out of curve order
+            (np.append(codes, codes[:1]), np.append(levels, levels[:1]),
+             np.append(dummy, dummy[:1])),  # the first leaf twice
+            (codes, levels, ~dummy),  # wrong dummy flags
+        ]
+        for arrays in broken:
+            with pytest.raises(ShapeError):
+                validate_mesh(ForestMesh(mesh.shape, *(a.copy() for a in arrays)))

@@ -7,6 +7,8 @@ random error domains, and one to three variables; several variables share
 one mesh (``one-for-all``). Each case must keep the point-wise bound through
 the round trip, give trackers that bound the exact leaf deviations of the
 brute-force oracle, and write the artifact it reads back byte for byte.
+Drawn 3D fields split into 2D slices along a drawn axis must do the same
+once their slices are stacked back.
 """
 
 import numpy as np
@@ -25,12 +27,16 @@ from amrc import (
     compress_many,
     decompress,
     read_artifact,
+    split_axis,
+    stack_axis,
     write_artifact,
 )
 from amrc.fields import smooth
-from oracle import exact_leaf_deviations
+from oracle import exact_leaf_deviations, validate_mesh
 
-DTYPES = {"f32": np.float32, "f64": np.float64, "i16": np.int16}
+DTYPES = {"f32": np.float32, "f64": np.float64, "i16": np.int16, "i32": np.int32}
+# integer kinds hold the field scaled up, rounded and clipped to these limits
+INT_SCALE = {"i16": (100, 30000), "i32": (10**6, 2 * 10**9)}
 
 
 @st.composite
@@ -47,33 +53,41 @@ def extents_st(draw):
 
 
 @st.composite
+def fields(draw, extents, value_kind):
+    """One field of a drawn texture and magnitude, stored as ``value_kind``."""
+    texture = draw(st.sampled_from(["smooth", "noise", "steps", "zeros"]))
+    rng = np.random.default_rng(draw(st.integers(0, 2**31 - 1)))
+    if texture == "noise":
+        field = rng.normal(size=extents)
+    elif texture == "steps":  # piecewise constant on blocks of 2 or 4 cells
+        block = int(rng.choice([2, 4]))
+        coarse = rng.normal(size=tuple(-(-e // block) for e in extents))
+        field = coarse[tuple(np.indices(extents) // block)]
+    else:
+        field = smooth(extents, seed=int(rng.integers(1 << 30)))
+    if texture == "zeros":  # exact zeros stress the relative bound
+        field = np.where(rng.random(extents) < 0.3, 0.0, field)
+    field = field * draw(st.sampled_from([1.0, 1e-3, 1e3]))
+    if value_kind in INT_SCALE:
+        scale, limit = INT_SCALE[value_kind]
+        field = np.clip(np.rint(field * scale), -limit, limit)
+    return field.astype(DTYPES[value_kind])
+
+
+def draw_bound(draw, kind, arrays):
+    """An absolute bound as a fraction of the arrays' span, or a relative one."""
+    span = max(float(np.ptp(a.astype(np.float64))) for a in arrays)
+    frac = draw(st.sampled_from([0.0, 0.01, 0.1, 0.5]))
+    return frac * span if kind == "abs" else frac
+
+
+@st.composite
 def cases(draw):
     extents = draw(extents_st())
     value_kind = draw(st.sampled_from(sorted(DTYPES)))
     kind = draw(st.sampled_from(["abs", "rel"]))
-    n_vars = draw(st.integers(1, 3))
-    texture = draw(st.sampled_from(["smooth", "noise", "steps", "zeros"]))
-    seed = draw(st.integers(0, 2**31 - 1))
-    rng = np.random.default_rng(seed)
-    arrays = []
-    for _ in range(n_vars):
-        if texture == "noise":
-            field = rng.normal(size=extents)
-        elif texture == "steps":  # piecewise constant on blocks of 2 or 4 cells
-            block = int(rng.choice([2, 4]))
-            coarse = rng.normal(size=tuple(-(-e // block) for e in extents))
-            field = coarse[tuple(np.indices(extents) // block)]
-        else:
-            field = smooth(extents, seed=int(rng.integers(1 << 30)))
-        if texture == "zeros":  # exact zeros stress the relative bound
-            field = np.where(rng.random(extents) < 0.3, 0.0, field)
-        field = field * draw(st.sampled_from([1.0, 1e-3, 1e3]))
-        if value_kind == "i16":
-            field = np.clip(np.rint(field * 100), -30000, 30000)
-        arrays.append(field.astype(DTYPES[value_kind]))
-    span = max(float(np.ptp(a.astype(np.float64))) for a in arrays)
-    frac = draw(st.sampled_from([0.0, 0.01, 0.1, 0.5]))
-    bound = frac * span if kind == "abs" else frac
+    arrays = [draw(fields(extents, value_kind)) for _ in range(draw(st.integers(1, 3)))]
+    bound = draw_bound(draw, kind, arrays)
     domains = []
     for _ in range(draw(st.integers(0, 2))):
         box = []
@@ -84,6 +98,19 @@ def cases(draw):
             st.sampled_from([0.0, 0.25, 1.0])))))
     spec = ErrorSpec(Criterion(kind, bound), tuple(domains))
     return arrays, GridShape(extents), spec, value_kind
+
+
+@st.composite
+def split_cases(draw):
+    """A 3D field, the axis to split it along, and the config of its slices."""
+    extents = tuple(draw(st.integers(1, 9)) for _ in range(3))
+    axis = draw(st.integers(0, 2))
+    value_kind = draw(st.sampled_from(sorted(DTYPES)))
+    kind = draw(st.sampled_from(["abs", "rel"]))
+    field = draw(fields(extents, value_kind))
+    spec = ErrorSpec(Criterion(kind, draw_bound(draw, kind, [field])))
+    mode = draw(st.sampled_from([ONE_FOR_ONE, ONE_FOR_ALL]))
+    return field, axis, CompressionConfig(spec, mode=mode, split_axis=axis)
 
 
 def point_bounds(shape: GridShape, spec: ErrorSpec) -> np.ndarray:
@@ -120,7 +147,7 @@ def test_round_trip_keeps_point_bound(case):
 def test_trackers_bound_exact_deviations(case):
     arrays, shape, spec, value_kind = case
     res = coarsen_forest(arrays, shape, spec, value_kind)
-    res.mesh.validate()
+    validate_mesh(res.mesh)
     for arr, values, trackers in zip(arrays, res.values, res.trackers):
         exact = exact_leaf_deviations(
             res.mesh, values, arr.astype(np.float64).reshape(shape.extents))
@@ -135,3 +162,20 @@ def test_artifact_rewrites_byte_identical(case):
     blob = write_artifact(compress_many(arrays, shape, CompressionConfig(spec, mode=mode)))
     variables, _ = read_artifact(blob)
     assert write_artifact(variables) == blob
+
+
+@PROPERTY_SETTINGS
+@given(split_cases())
+def test_split_axis_round_trip(case):
+    field, axis, config = case
+    slices = split_axis(field, axis)
+    shape = GridShape(slices[0].shape)
+    blob = write_artifact(compress_many(slices, shape, config))
+    variables, _ = read_artifact(blob)
+    assert write_artifact(variables) == blob
+    out = stack_axis([decompress(var).reshape(shape.extents) for var in variables], axis)
+    assert out.dtype == field.dtype and out.shape == field.shape
+    x = field.astype(np.float64)
+    spec = config.spec
+    allowed = spec.default.bound * np.abs(x) if spec.kind == "rel" else spec.default.bound
+    assert np.all(np.abs(out.astype(np.float64) - x) <= allowed)
