@@ -28,6 +28,7 @@ from .codec import (
     VALUE_KIND_DTYPES,
     CompressionConfig,
     Packing,
+    _decompress_mesh,
     compress,
     compress_many,
     decompress,
@@ -172,11 +173,26 @@ def cmd_compress(args) -> int:
     return 0
 
 
+def _decoded(variables):
+    """Yield each variable of an artifact with its decoded mesh.
+
+    The variables of an artifact share one shape, so a bit-field equal to
+    the one before, as every bit-field of a ``one-for-all`` artifact is, is
+    decoded once.
+    """
+    bits = mesh = None
+    for v in variables:
+        if v.mesh_bits != bits:
+            bits, mesh = v.mesh_bits, deserialize_refinement(v.mesh_bits, v.shape)
+        yield v, mesh
+
+
 def cmd_decompress(args) -> int:
     variables, header = read_artifact(Path(args.input).read_bytes())
     if len(variables) > 1 and not 0 <= args.split_axis <= header.shape.dim:
         raise ConfigError(f"--split-axis {args.split_axis} out of range")
-    arrays = [decompress(v).reshape(v.shape.extents) for v in variables]
+    arrays = [_decompress_mesh(v, mesh).reshape(v.shape.extents)
+              for v, mesh in _decoded(variables)]
     out = arrays[0] if len(arrays) == 1 else stack_axis(arrays, args.split_axis)
     np.ascontiguousarray(out).tofile(args.output)
     return 0
@@ -197,8 +213,7 @@ def cmd_info(args) -> int:
         print(f"packing: scale={header.packing.scale!r} offset={header.packing.offset!r}")
     print(f"post_pass: {header.post_pass}")
     print(f"variables: {header.n_variables}")
-    for i, v in enumerate(variables):
-        mesh = deserialize_refinement(v.mesh_bits, v.shape)
+    for i, (v, mesh) in enumerate(_decoded(variables)):
         hist = mesh.level_histogram()
         print(f"variable {i}: levels: {hist}  leaves={mesh.n_leaves} "
               f"payload_values={len(v.payload)} payload_bytes={v.payload.nbytes} "

@@ -26,13 +26,15 @@ can therefore only accept families whose parents sit at level ``l0 - i``,
 which is what the level pass checks at its ``i``-th level.
 ``CompressStats.iterations`` counts the levels that accepted something, and
 ``max_iterations`` caps that count. Of the coarsening, this module decides
-only which families meet their bounds: the cells of a family's members and
-the Morton encoding of the surviving leaves into curve order live in
-:mod:`amrc.mesh`.
+only which families meet their bounds. The pass keeps each level's leaf
+flags, candidates and trackers as grids; :mod:`amrc.mesh` walks those grids
+top-down from the root into the refinement bit-field and the leaf order, so
+compression writes the bit-field and the payload straight from the grids
+and never sorts leaves or builds a :class:`ForestMesh`.
 
-The initial data is discarded level by level; only per-leaf inaccuracy
-trackers persist, and they guarantee the end-to-end point-wise bound of the
-decompressed output.
+Levels above the initial one never read the initial data again; per-leaf
+inaccuracy trackers stand in for it, and they guarantee the end-to-end
+point-wise bound of the decompressed output.
 
 Candidate values are rounded into the storage type (f32, or nearest-even for
 integer kinds) *before* the compliance check, so the tracker bounds the
@@ -52,11 +54,10 @@ from .errors import ConfigError, CorruptArtifactError, DataError, ShapeError
 from .mesh import (
     ForestMesh,
     GridShape,
-    _assemble,
-    _children,
     _expand_into,
+    _fill_leaves,
+    _walk,
     deserialize_refinement,
-    serialize_refinement,
 )
 
 ONE_FOR_ONE = "one-for-one"
@@ -89,6 +90,13 @@ class Packing:
 
 @dataclass(frozen=True)
 class CompressionConfig:
+    """Error bounds and packaging of a compression.
+
+    :func:`compress` and :func:`compress_many` ignore ``split_axis``, which is
+    only validated and stored: callers split with :func:`split_axis` and pass
+    the slices to :func:`compress_many`, as the CLI does.
+    """
+
     spec: ErrorSpec
     mode: str = ONE_FOR_ONE
     split_axis: int | None = None
@@ -291,6 +299,43 @@ def _check_level(vals, trks, leaf, bounds, kind: str, value_kind: str):
     return ok, cands, ntrs
 
 
+def _level_pass(arrays, shape: GridShape, spec: ErrorSpec, value_kind: str,
+                max_iterations: int | None):
+    """Coarsen bottom-up, one level grid at a time, until no family is accepted.
+
+    Returns the levels reached, the initial level first, each as ``(leaf,
+    values, trackers)``: the leaf flags (``None``: all cells) and one value
+    and one tracker grid per variable; and the iteration count. The initial
+    level holds the caller's arrays in their own dtype and ``0.0`` trackers.
+    Cells that are not leaves hold rejected candidates, which nothing reads.
+    """
+    if value_kind not in VALUE_KIND_DTYPES:
+        raise ConfigError(f"unknown value kind {value_kind!r}")
+    if any(len(dom.box) != shape.dim for dom in spec.domains):
+        raise ConfigError(f"error-domain boxes need {shape.dim} ranges for {shape.dim}D data")
+    arrays = [np.asarray(v).reshape(-1) for v in arrays]
+    if not arrays:
+        raise ConfigError("no variables given")
+    for arr in arrays:
+        if arr.dtype.kind == "f" and not np.isfinite(arr).all():
+            raise DataError("input contains non-finite values")
+        if arr.size != shape.npoints:
+            raise ShapeError(f"expected {shape.npoints} values, got {arr.size}")
+
+    levels = [(None, [arr.reshape(shape.extents) for arr in arrays], [0.0] * len(arrays))]
+    leaf, trks = None, levels[0][2]
+    vals = [g.astype(np.float64, copy=False) for g in levels[0][1]]
+    while len(levels) <= shape.initial_level and (
+            max_iterations is None or len(levels) <= max_iterations):
+        parents = tuple((e + 1) // 2 for e in vals[0].shape)
+        bounds = _parent_bounds(spec, parents, 1 << len(levels))
+        leaf, vals, trks = _check_level(vals, trks, leaf, bounds, spec.kind, value_kind)
+        if not leaf.any():
+            break
+        levels.append((leaf, vals, trks))
+    return levels, len(levels) - 1
+
+
 def coarsen_forest(
     variables,
     shape: GridShape,
@@ -303,94 +348,40 @@ def coarsen_forest(
     A family collapses only if the check passes for *every* variable; trackers
     are maintained per variable. Pass a single-element list for solo
     compression. ``max_iterations`` caps the number of accepting levels.
+    Dummy leaves hold NaN values and zero trackers.
     """
-    if value_kind not in VALUE_KIND_DTYPES:
-        raise ConfigError(f"unknown value kind {value_kind!r}")
-    if any(len(dom.box) != shape.dim for dom in spec.domains):
-        raise ConfigError(f"error-domain boxes need {shape.dim} ranges for {shape.dim}D data")
-    arrays = [np.asarray(v).reshape(-1) for v in variables]
-    if not arrays:
-        raise ConfigError("no variables given")
-    for arr in arrays:
-        if arr.dtype.kind == "f" and not np.isfinite(arr).all():
-            raise DataError("input contains non-finite values")
-        if arr.size != shape.npoints:
-            raise ShapeError(f"expected {shape.npoints} values, got {arr.size}")
-
-    l0 = shape.initial_level
-    # The current level's grid: leaf flags (None: all cells are leaves), and
-    # values and trackers per variable. Cells that are not leaves hold the
-    # candidates of rejected families; no check reads them into a result.
-    level = l0
-    leaf = None
-    vals = [arr.astype(np.float64, copy=False).reshape(shape.extents) for arr in arrays]
-    trks = [0.0 for _ in arrays]
-    parts = []  # (rows, mask, columns) of the leaves left behind per level
-    root = None
-
-    iterations = 0
-    while level > 0:
-        extents = vals[0].shape
-        parents = tuple((e + 1) // 2 for e in extents)
-        if max_iterations is None or iterations < max_iterations:
-            bounds = _parent_bounds(spec, parents, 1 << (l0 - level + 1))
-            ok, cands, ntrs = _check_level(vals, trks, leaf, bounds, spec.kind, value_kind)
-        else:
-            ok = np.zeros(parents, dtype=bool)
-        # leaves and pad dummies of the families that no accepted parent absorbed
-        rows = np.flatnonzero(~ok)
-        flat, pad = _children(extents, rows)
-        if leaf is None:
-            emit = np.ones(pad.shape, dtype=bool)
-        else:
-            emit = pad | leaf.reshape(-1)[flat]
-            keep = emit.any(axis=1)  # a family of refined cells leaves nothing here
-            rows, flat, pad, emit = rows[keep], flat[keep], pad[keep], emit[keep]
-        columns = [np.where(pad, np.nan, v.reshape(-1)[flat])[emit] for v in vals]
-        columns += [np.zeros(int(emit.sum())) if np.isscalar(t)
-                    else np.where(pad, 0.0, t.reshape(-1)[flat])[emit] for t in trks]
-        parts.append((rows, emit, columns))
-        if not ok.any():
-            break
-        iterations += 1
-        level -= 1
-        leaf, vals, trks = ok, cands, ntrs
-    else:  # every family up to the root collapsed
-        root = [np.ravel(a) for a in vals + trks]
-
-    n = len(arrays)
-    mesh, columns = _assemble(shape, parts, [np.nan] * n + [0.0] * n, root)
-    return CoarsenResult(mesh, columns[:n], columns[n:], iterations)
+    levels, iterations = _level_pass(variables, shape, spec, value_kind, max_iterations)
+    leaves, vals, trks = zip(*levels)
+    bits, key, cells = _walk(shape, leaves)
+    n = len(key)
+    values = [_fill_leaves(np.full(n, np.nan), key, cells, grids) for grids in zip(*vals)]
+    trackers = [_fill_leaves(np.zeros(n), key, cells, grids) for grids in zip(*trks)]
+    return CoarsenResult(deserialize_refinement(bits, shape), values, trackers, iterations)
 
 
-def _package(res: CoarsenResult, index: int, value_kind: str,
-             config: CompressionConfig, mesh_bits: bytes) -> CompressedVariable:
-    nondummy = ~res.mesh.dummy
-    payload = res.values[index][nondummy].astype(VALUE_KIND_DTYPES[value_kind])
-    trk = res.trackers[index]
-    stats = CompressStats(
-        iterations=res.iterations,
-        leaf_count=res.mesh.n_leaves,
-        max_tracker=float(trk[nondummy].max()) if nondummy.any() else 0.0,
-    )
-    return CompressedVariable(
-        shape=res.mesh.shape,
-        value_kind=value_kind,
-        mesh_bits=mesh_bits,
-        payload=payload,
-        criterion=config.spec.default,
-        mode=config.mode,
-        packing=config.packing,
-        stats=stats,
-    )
+def _compress(arrays, shape: GridShape, config: CompressionConfig,
+              value_kind: str) -> list[CompressedVariable]:
+    """Compress variables onto one shared mesh, straight from the level grids."""
+    levels, iterations = _level_pass(arrays, shape, config.spec, value_kind, None)
+    leaves, vals, trks = zip(*levels)
+    bits, key, cells = _walk(shape, leaves)
+    data = key[(key & 1) == 0]  # the keys of the data leaves, in curve order
+    out = []
+    for grids, trackers in zip(zip(*vals), zip(*trks)):
+        payload = _fill_leaves(np.empty(len(data), VALUE_KIND_DTYPES[value_kind]),
+                               data, cells, grids)
+        # trackers are >= 0, and those of the initial level are 0.0
+        peaks = [t.reshape(-1)[c].max() for t, c in zip(trackers[1:], cells[1:]) if len(c)]
+        stats = CompressStats(iterations, len(key), float(np.max([0.0] + peaks)))
+        out.append(CompressedVariable(shape, value_kind, bits, payload, config.spec.default,
+                                      config.mode, config.packing, stats))
+    return out
 
 
 def compress(values, shape: GridShape, config: CompressionConfig) -> CompressedVariable:
     """Compress one linear row-major array under the configured error bounds."""
     arr = np.asarray(values)
-    kind = value_kind_of(arr.dtype)
-    res = coarsen_forest([arr], shape, config.spec, kind)
-    return _package(res, 0, kind, config, serialize_refinement(res.mesh))
+    return _compress([arr], shape, config, value_kind_of(arr.dtype))[0]
 
 
 def compress_many(variables, shape: GridShape, config: CompressionConfig) -> list[CompressedVariable]:
@@ -408,9 +399,7 @@ def compress_many(variables, shape: GridShape, config: CompressionConfig) -> lis
     kind = kinds.pop()
     if config.mode == ONE_FOR_ONE:
         return [compress(a, shape, config) for a in arrays]
-    res = coarsen_forest(arrays, shape, config.spec, kind)
-    bits = serialize_refinement(res.mesh)
-    return [_package(res, i, kind, config, bits) for i in range(len(arrays))]
+    return _compress(arrays, shape, config, kind)
 
 
 def decompress(var: CompressedVariable) -> np.ndarray:
@@ -421,7 +410,11 @@ def decompress(var: CompressedVariable) -> np.ndarray:
     allocated before any per-level work, so a grid too large to allocate
     raises :class:`CorruptArtifactError` before anything else is built.
     """
-    mesh = deserialize_refinement(var.mesh_bits, var.shape)
+    return _decompress_mesh(var, deserialize_refinement(var.mesh_bits, var.shape))
+
+
+def _decompress_mesh(var: CompressedVariable, mesh: ForestMesh) -> np.ndarray:
+    """:func:`decompress` onto ``mesh``, the variable's bit-field decoded already."""
     n_data = int((~mesh.dummy).sum())
     if len(var.payload) != n_data:
         raise CorruptArtifactError(

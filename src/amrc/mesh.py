@@ -23,12 +23,15 @@ This module owns the tree geometry. The grid at level ``l`` has
 of a level grid has its children at ``2p`` and ``2p + 1`` on every axis, in
 Morton child order; on an odd axis the last parent's second child is a pad
 cell outside the grid, a dummy leaf. :func:`_children` gives the cells and
-pad flags of chosen families, and :func:`_assemble` turns the leaves a
-bottom-up level pass leaves behind, given per level as the families that
-keep some (their parent indices and a child mask), into a mesh in curve
-order. The initial mesh and its data mapping are that pass with nothing
-accepted. The same families as a padded ``(n_parents, 2^dim)`` copy, for
-the reference checks, are built in ``tests/oracle.py``.
+pad flags of chosen families. A bottom-up level pass leaves one leaf-flag
+grid per level, and :func:`_walk` turns them into the mesh top-down: from
+the root it refines every element that is not a leaf, taking children in
+Morton child order, so the elements stay in curve order without a sort.
+Its refine flags per depth are the bit-fields, and each level's leaves,
+met in curve order, take their place in the leaf list by a per-level mask
+(:func:`_fill_leaves`). The initial mesh and its data mapping are that walk
+with nothing accepted. The same families as a padded ``(n_parents, 2^dim)``
+copy, for the reference checks, are built in ``tests/oracle.py``.
 Expansion to the uniform grid is the level pass in reverse: top-down from
 the root, each level's grid is upsampled into the next and that level's
 leaves are written in place, so no cell is ever Morton-encoded.
@@ -179,79 +182,63 @@ def _children(grid: tuple[int, ...], rows: np.ndarray):
     return flat, pad
 
 
-def _pad_rows(grid: tuple[int, ...]) -> np.ndarray:
-    """Flat indices of the parents that hold a pad cell: the last row of each odd axis."""
-    border = np.zeros(tuple((e + 1) // 2 for e in grid), dtype=bool)
-    for j, e in enumerate(grid):
-        if e % 2:
-            border[(slice(None),) * j + (-1,)] = True
-    return np.flatnonzero(border)
+def _walk(shape: GridShape, leaves):
+    """Bit-field and leaf order of the mesh that a bottom-up level pass leaves.
 
+    ``leaves`` holds one flag grid per level, the initial level first, marking
+    the cells that are leaves when their parent is refined (``None``: every
+    cell); levels above the last grid hold no leaves but pad cells. The walk
+    starts at the root and refines every element that is not a leaf, taking
+    its children from :func:`_children` in Morton child order, so the element
+    list stays in curve order without sorting. Like
+    :func:`deserialize_refinement` it carries the whole truncated mesh along,
+    and its refine flags per depth are the bit-field.
 
-def _child_codes(rows: np.ndarray, mask: np.ndarray, parents: tuple[int, ...]) -> np.ndarray:
-    """Morton codes of the children that ``mask`` selects in the families at ``rows``."""
-    dim = len(parents)
-    coords = np.unravel_index(rows, parents)
-    pcodes = morton.interleave(
-        tuple(coords[dim - 1 - a].astype(np.uint64) for a in range(dim)), dim)
-    sel, k = np.nonzero(mask)
-    return (pcodes[sel] << np.uint64(dim)) | k.astype(np.uint64)
-
-
-def _assemble(shape: GridShape, parts, fills, root=None):
-    """Mesh and per-leaf columns, in curve order, from the leaves of a level pass.
-
-    A bottom-up pass visits the level grids from the initial level upward and
-    leaves behind, at each level, the leaves that no accepted parent absorbed.
-    ``parts`` holds one ``(rows, mask, columns)`` per visited level, finest
-    first: ``rows`` are the flat parent-grid indices of the families that
-    leave something behind, the ``(len(rows), 2^dim)`` ``mask`` selects
-    those leaves in Morton child order (see :func:`_children`), and each
-    column holds one value per leaf, in mask order. ``root`` holds the
-    root's columns when the pass absorbed everything up to the root (always
-    so for a 1x1 grid). Otherwise every level above the last part is refined
-    and only its pad cells are leaves there: dummy leaves whose columns hold
-    ``fills``. A leaf is dummy iff it is a pad cell of its level's grid.
-
-    Returns the mesh and each column concatenated in the mesh's leaf order.
+    Returns the bit-field, a key per leaf of the mesh in curve order (``2h``
+    for a data leaf ``h`` levels above the initial level, ``2h + 1`` for a
+    dummy), and per level of ``leaves`` the flat cell indices of its data
+    leaves in curve order.
     """
-    l0, dim = shape.initial_level, shape.dim
-    codes, levels, dummy, cols = [], [], [], []
-    for i, level in enumerate(range(l0, 0, -1)):
-        grid = tuple(-(-e >> i) for e in shape.extents)
-        if i < len(parts):
-            rows, mask, columns = parts[i]
-            pad = _children(grid, rows)[1]
+    l0, fam = shape.initial_level, 1 << shape.dim
+    key = np.full(1, 2 * l0, dtype=np.uint8)  # an element not yet classified at h holds 2h
+    cells, pad = np.zeros(1, dtype=np.intp), np.zeros(1, dtype=bool)
+    bits, found = bytearray(), [cells[:0]] * len(leaves)
+    for h in range(l0, -1, -1):
+        if h >= len(leaves):
+            leaf = pad
+        elif leaves[h] is None:
+            leaf = np.ones(len(cells), dtype=bool)
         else:
-            rows = _pad_rows(grid)
-            mask = pad = _children(grid, rows)[1]
-            columns = [np.full(int(pad.sum()), f) for f in fills]
-        codes.append(_child_codes(rows, mask, tuple((e + 1) // 2 for e in grid)))
-        levels.append(np.full(len(codes[-1]), level, dtype=np.uint8))
-        dummy.append(pad[mask])
-        cols.append(columns)
-    if root is not None:
-        codes.append(np.zeros(1, dtype=np.uint64))
-        levels.append(np.zeros(1, dtype=np.uint8))
-        dummy.append(np.zeros(1, dtype=bool))
-        cols.append(root)
-    levels = np.concatenate(levels)
-    codes = np.concatenate(codes)
-    order = np.argsort(_aligned(codes, levels, dim, l0))
-    mesh = ForestMesh(shape, codes[order], levels[order], np.concatenate(dummy)[order])
-    return mesh, [np.concatenate(c)[order] for c in zip(*cols)]
+            leaf = pad | leaves[h].reshape(-1)[cells]
+        data = leaf & ~pad
+        if h < len(leaves):
+            found[h] = cells if data.all() else cells[data]
+        if data.all():  # nothing to mark or refine, mostly the initial level
+            break
+        opened = np.flatnonzero(key == 2 * h)
+        key[opened[pad]] += 1
+        if leaf.all():
+            break
+        refine = np.zeros(len(key), dtype=bool)
+        refine[opened[~leaf]] = True
+        bits += np.packbits(refine, bitorder="little").tobytes()
+        key[refine] -= 2
+        key = np.repeat(key, np.where(refine, fam, 1))
+        grid = tuple(-(-e >> (h - 1)) for e in shape.extents)
+        cells, pad = (a.reshape(-1) for a in _children(grid, cells[~leaf]))
+    return bytes(bits), key, found
 
 
-def _initial_leaves(shape: GridShape, arrays):
-    """The level pass with nothing accepted: one leaf per cell, columns from ``arrays``."""
-    if shape.initial_level == 0:  # a 1x1 grid: the root is the only leaf
-        return _assemble(shape, [], [], root=[a.reshape(-1) for a in arrays])
-    grid = shape.extents
-    rows = np.arange(np.prod([(e + 1) // 2 for e in grid]))
-    flat, pad = _children(grid, rows)
-    columns = [np.where(pad, np.nan, a.reshape(-1)[flat]).reshape(-1) for a in arrays]
-    return _assemble(shape, [(rows, np.ones(flat.shape, dtype=bool), columns)],
-                     [np.nan] * len(arrays))
+def _fill_leaves(out: np.ndarray, key: np.ndarray, cells, grids) -> np.ndarray:
+    """Write per-level grid values into ``out``, one slot per key of :func:`_walk`.
+
+    ``cells`` and ``grids`` run over the levels, the initial level first; a
+    grid may be a scalar. Slots of other keys keep what ``out`` holds.
+    """
+    for h, (c, grid) in enumerate(zip(cells, grids)):
+        if len(c):
+            out[key == 2 * h] = grid if np.isscalar(grid) else grid.reshape(-1)[c]
+    return out
 
 
 def build_initial_mesh(shape: GridShape) -> ForestMesh:
@@ -260,7 +247,7 @@ def build_initial_mesh(shape: GridShape) -> ForestMesh:
     Elements intersecting the grid are refined down to the initial level;
     elements fully outside are kept as coarse dummy leaves.
     """
-    return _initial_leaves(shape, [])[0]
+    return deserialize_refinement(_walk(shape, [None])[0], shape)
 
 
 def map_data(shape: GridShape, values, mesh: ForestMesh | None = None) -> np.ndarray:
@@ -273,7 +260,8 @@ def map_data(shape: GridShape, values, mesh: ForestMesh | None = None) -> np.nda
     arr = np.asarray(values).reshape(-1)
     if arr.size != shape.npoints:
         raise ShapeError(f"expected {shape.npoints} values, got {arr.size}")
-    return _initial_leaves(shape, [arr.astype(np.float64)])[1][0]
+    _, key, cells = _walk(shape, [None])
+    return _fill_leaves(np.full(len(key), np.nan), key, cells, [arr])
 
 
 def _upsample(grid: np.ndarray, out: np.ndarray) -> None:

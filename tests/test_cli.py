@@ -4,7 +4,7 @@ import sys
 import numpy as np
 import pytest
 
-from amrc import cli
+from amrc import cli, codec, decompress, deserialize_refinement, read_artifact
 from amrc.cli import main, read_sidecar
 from amrc.errors import DataError
 from amrc.fields import layered, smooth
@@ -179,6 +179,28 @@ class TestInfoAndErrors:
         text = capsys.readouterr().out
         assert "variables: 3" in text
         assert text.count("variable ") == 3
+
+    def test_shared_mesh_decoded_once(self, tmp_path, capsys, monkeypatch):
+        field = layered((3, 16, 16), seed=2).astype(np.float32)
+        raw, meta = write_inputs(tmp_path, field, (3, 16, 16), "f32")
+        src, back = tmp_path / "a.amrc", tmp_path / "b.raw"
+        main(["compress", "--input", str(raw), "--meta", str(meta), "--abs", "0.5",
+              "--split-axis", "0", "--mode", "one-for-all", "--output", str(src)])
+        variables, _ = read_artifact(src.read_bytes())
+        want = np.stack([decompress(v).reshape(v.shape.extents) for v in variables])
+        calls = []
+
+        def counting(bits, shape):
+            calls.append(bits)
+            return deserialize_refinement(bits, shape)
+
+        monkeypatch.setattr(cli, "deserialize_refinement", counting)
+        monkeypatch.setattr(codec, "deserialize_refinement", counting)
+        assert main(["decompress", "--input", str(src), "--output", str(back)]) == 0
+        assert len(calls) == 1
+        assert back.read_bytes() == want.tobytes()
+        assert main(["info", "--input", str(src)]) == 0
+        assert len(calls) == 2 and capsys.readouterr().out.count("variable ") == 3
 
     def test_truncated_artifact_exit_4(self, tmp_path, capsys):
         data = np.full((8, 8), 2.0, dtype=np.float32)

@@ -16,12 +16,17 @@ import numpy as np
 import pytest
 
 from amrc import (
+    ONE_FOR_ALL,
+    ONE_FOR_ONE,
     CompressedVariable,
+    CompressionConfig,
+    CompressStats,
     Criterion,
     ErrorDomain,
     ErrorSpec,
     GridShape,
     coarsen_forest,
+    compress_many,
     decompress,
     deserialize_refinement,
     expand_to_uniform,
@@ -176,3 +181,49 @@ def test_matches_reference_level_classes(extents, cap):
         iterations.append(got.iterations)
     # uncapped, the pass reaches the upper (and there odd) levels
     assert iterations == [cap, cap] if cap is not None else max(iterations) >= 3
+
+
+def assert_compress_matches_mesh_path(arrays, shape, spec, value_kind, mode):
+    """``compress_many`` against ``coarsen_forest`` and the reference sweep.
+
+    Compression emits its bit-field and payload straight from the level
+    grids. Each variable must hold the serialized mesh of the mesh path, its
+    data leaves' values in the storage dtype, and the mesh path's stats.
+    """
+    got = compress_many(arrays, shape, CompressionConfig(spec, mode=mode))
+    dtype = np.dtype(VALUE_KIND_DTYPES[value_kind])
+    want = []
+    for group in ([[a] for a in arrays] if mode == ONE_FOR_ONE else [arrays]):
+        res = coarsen_forest(group, shape, spec, value_kind)
+        assert_same(res, reference_coarsen(group, shape, spec, value_kind))
+        bits, data = serialize_refinement(res.mesh), ~res.mesh.dummy
+        for values, trackers in zip(res.values, res.trackers):
+            stats = CompressStats(res.iterations, res.mesh.n_leaves, float(trackers[data].max()))
+            want.append((bits, values[data].astype(dtype), stats))
+    assert len(got) == len(want)
+    for var, (bits, payload, stats) in zip(got, want):
+        assert var.mesh_bits == bits
+        assert var.payload.dtype == dtype and var.payload.tobytes() == payload.tobytes()
+        assert var.stats == stats
+
+
+@pytest.mark.parametrize("mode", [ONE_FOR_ONE, ONE_FOR_ALL])
+def test_compress_matches_mesh_path(mode):
+    rng = np.random.default_rng(7)
+    for i, extents in enumerate(SHAPES):
+        # compress has no iteration cap: capped configs run to completion here
+        arrays, shape, spec, kind, _ = make_case(extents, CONFIGS[i % len(CONFIGS)], rng)
+        if kind == "i16" and i % 2:
+            arrays, kind = [a.astype(np.int32) for a in arrays], "i32"
+        assert_compress_matches_mesh_path(arrays, shape, spec, kind, mode)
+
+
+@pytest.mark.parametrize("extents", [(1, 1), (1, 1, 1), (8, 8), (5, 7), (3, 4, 5), (1, 33)])
+def test_compress_collapse_to_root_matches_mesh_path(extents):
+    n = int(np.prod(extents))
+    arrays = [np.full(n, 2.5, np.float32), np.linspace(0.0, 1.0, n, dtype=np.float32)]
+    spec = ErrorSpec(Criterion("abs", 1.0))
+    for mode in (ONE_FOR_ONE, ONE_FOR_ALL):
+        assert_compress_matches_mesh_path(arrays, GridShape(extents), spec, "f32", mode)
+    var = compress_many(arrays, GridShape(extents), CompressionConfig(spec))[1]
+    assert var.mesh_bits == b"" and var.stats.leaf_count == 1
