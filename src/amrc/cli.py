@@ -28,7 +28,7 @@ from .codec import (
     VALUE_KIND_DTYPES,
     CompressionConfig,
     Packing,
-    _decompress_mesh,
+    _decompress,
     compress,
     compress_many,
     decompress,
@@ -46,7 +46,7 @@ from .errors import (
     UnsupportedFeatureError,
 )
 from .fields import GENERATORS
-from .mesh import GridShape, deserialize_refinement
+from .mesh import GridShape, _mesh, _walk
 
 
 @dataclass
@@ -174,25 +174,25 @@ def cmd_compress(args) -> int:
 
 
 def _decoded(variables):
-    """Yield each variable of an artifact with its decoded mesh.
+    """Yield each variable of an artifact with the decode walk of its bit-field.
 
     The variables of an artifact share one shape, so a bit-field equal to
     the one before, as every bit-field of a ``one-for-all`` artifact is, is
-    decoded once.
+    walked once.
     """
-    bits = mesh = None
+    bits = walked = None
     for v in variables:
         if v.mesh_bits != bits:
-            bits, mesh = v.mesh_bits, deserialize_refinement(v.mesh_bits, v.shape)
-        yield v, mesh
+            bits, walked = v.mesh_bits, _walk(v.shape, bits=v.mesh_bits)
+        yield v, walked
 
 
 def cmd_decompress(args) -> int:
     variables, header = read_artifact(Path(args.input).read_bytes())
     if len(variables) > 1 and not 0 <= args.split_axis <= header.shape.dim:
         raise ConfigError(f"--split-axis {args.split_axis} out of range")
-    arrays = [_decompress_mesh(v, mesh).reshape(v.shape.extents)
-              for v, mesh in _decoded(variables)]
+    arrays = [_decompress(v, walked).reshape(v.shape.extents)
+              for v, walked in _decoded(variables)]
     out = arrays[0] if len(arrays) == 1 else stack_axis(arrays, args.split_axis)
     np.ascontiguousarray(out).tofile(args.output)
     return 0
@@ -213,9 +213,9 @@ def cmd_info(args) -> int:
         print(f"packing: scale={header.packing.scale!r} offset={header.packing.offset!r}")
     print(f"post_pass: {header.post_pass}")
     print(f"variables: {header.n_variables}")
-    for i, (v, mesh) in enumerate(_decoded(variables)):
-        hist = mesh.level_histogram()
-        print(f"variable {i}: levels: {hist}  leaves={mesh.n_leaves} "
+    for i, (v, (_, key, _)) in enumerate(_decoded(variables)):
+        mesh = _mesh(v.shape, key)
+        print(f"variable {i}: levels: {mesh.level_histogram()}  leaves={mesh.n_leaves} "
               f"payload_values={len(v.payload)} payload_bytes={v.payload.nbytes} "
               f"bitfield_bytes={len(v.mesh_bits)}")
     return 0

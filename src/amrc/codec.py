@@ -30,7 +30,10 @@ only which families meet their bounds. The pass keeps each level's leaf
 flags, candidates and trackers as grids; :mod:`amrc.mesh` walks those grids
 top-down from the root into the refinement bit-field and the leaf order, so
 compression writes the bit-field and the payload straight from the grids
-and never sorts leaves or builds a :class:`ForestMesh`.
+and never sorts leaves or builds a :class:`ForestMesh`. Decompression runs
+the same walk on the stored bit-field, which gives each level's data-leaf
+cells, and writes the payload into the level grids top-down. Neither side
+of the round trip computes a Morton code.
 
 Levels above the initial one never read the initial data again; per-leaf
 inaccuracy trackers stand in for it, and they guarantee the end-to-end
@@ -51,14 +54,7 @@ import numpy as np
 
 from .criteria import ABSOLUTE, Criterion, ErrorSpec
 from .errors import ConfigError, CorruptArtifactError, DataError, ShapeError
-from .mesh import (
-    ForestMesh,
-    GridShape,
-    _expand_into,
-    _fill_leaves,
-    _walk,
-    deserialize_refinement,
-)
+from .mesh import ForestMesh, GridShape, _fill_grids, _fill_leaves, _mesh, _walk
 
 ONE_FOR_ONE = "one-for-one"
 ONE_FOR_ALL = "one-for-all"
@@ -352,11 +348,11 @@ def coarsen_forest(
     """
     levels, iterations = _level_pass(variables, shape, spec, value_kind, max_iterations)
     leaves, vals, trks = zip(*levels)
-    bits, key, cells = _walk(shape, leaves)
+    _, key, cells = _walk(shape, leaves)
     n = len(key)
     values = [_fill_leaves(np.full(n, np.nan), key, cells, grids) for grids in zip(*vals)]
     trackers = [_fill_leaves(np.zeros(n), key, cells, grids) for grids in zip(*trks)]
-    return CoarsenResult(deserialize_refinement(bits, shape), values, trackers, iterations)
+    return CoarsenResult(_mesh(shape, key), values, trackers, iterations)
 
 
 def _compress(arrays, shape: GridShape, config: CompressionConfig,
@@ -406,19 +402,22 @@ def decompress(var: CompressedVariable) -> np.ndarray:
     """Reconstruct the full row-major array by constant interpolation.
 
     Values are reported in stored (packed) space; unpacking via the affine
-    record is the caller's transform. The output, in the storage dtype, is
-    allocated before any per-level work, so a grid too large to allocate
-    raises :class:`CorruptArtifactError` before anything else is built.
+    record is the caller's transform. The decode walk reads the bit-field
+    into each level's data-leaf cells, and the payload is written into the
+    level grids top-down. The output, in the storage dtype, is allocated
+    before any level grid, so a grid too large to allocate raises
+    :class:`CorruptArtifactError` before the expansion starts.
     """
-    return _decompress_mesh(var, deserialize_refinement(var.mesh_bits, var.shape))
+    return _decompress(var, _walk(var.shape, bits=var.mesh_bits))
 
 
-def _decompress_mesh(var: CompressedVariable, mesh: ForestMesh) -> np.ndarray:
-    """:func:`decompress` onto ``mesh``, the variable's bit-field decoded already."""
-    n_data = int((~mesh.dummy).sum())
-    if len(var.payload) != n_data:
+def _decompress(var: CompressedVariable, walked) -> np.ndarray:
+    """:func:`decompress` from ``walked``, the decode walk of the variable's bit-field."""
+    _, key, cells = walked
+    data = key[(key & 1) == 0]  # the keys of the data leaves, in curve order
+    if len(var.payload) != len(data):
         raise CorruptArtifactError(
-            f"payload holds {len(var.payload)} values, mesh has {n_data} data leaves")
+            f"payload holds {len(var.payload)} values, mesh has {len(data)} data leaves")
     dtype = np.dtype(VALUE_KIND_DTYPES[var.value_kind])
     try:
         out = np.empty(var.shape.extents, dtype)
@@ -426,8 +425,7 @@ def _decompress_mesh(var: CompressedVariable, mesh: ForestMesh) -> np.ndarray:
         n = var.shape.npoints
         raise CorruptArtifactError(
             f"grid of {n} points ({n * dtype.itemsize} bytes) cannot be allocated") from None
-    _expand_into(out, mesh, var.payload.astype(dtype, copy=False))
-    return out.reshape(-1)
+    return _fill_grids(out, data, cells, var.payload.astype(dtype, copy=False)).reshape(-1)
 
 
 def split_axis(values: np.ndarray, axis: int) -> list[np.ndarray]:

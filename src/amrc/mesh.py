@@ -23,18 +23,25 @@ This module owns the tree geometry. The grid at level ``l`` has
 of a level grid has its children at ``2p`` and ``2p + 1`` on every axis, in
 Morton child order; on an odd axis the last parent's second child is a pad
 cell outside the grid, a dummy leaf. :func:`_children` gives the cells and
-pad flags of chosen families. A bottom-up level pass leaves one leaf-flag
-grid per level, and :func:`_walk` turns them into the mesh top-down: from
-the root it refines every element that is not a leaf, taking children in
-Morton child order, so the elements stay in curve order without a sort.
-Its refine flags per depth are the bit-fields, and each level's leaves,
-met in curve order, take their place in the leaf list by a per-level mask
-(:func:`_fill_leaves`). The initial mesh and its data mapping are that walk
+pad flags of chosen families.
+
+One top-down walk, :func:`_walk`, is the only bridge between the bit-fields
+and the level grids, in both directions. From the root it refines every
+element that is not a leaf, taking children in Morton child order, so the
+elements stay in curve order without a sort, and its refine flags per
+depth are the bit-fields. On compression the leaves are the leaf-flag grids
+that the bottom-up level pass leaves, and the walk writes the bit-fields;
+on decoding it reads them. Either way it gives each leaf in curve order a
+key (its height above the initial level, and whether it is a dummy) and
+each level the cells of its data leaves. Compression gathers the payload
+from the level grids by a per-level key mask (:func:`_fill_leaves`);
+decompression is the mirror image (:func:`_fill_grids`): top-down from the
+root, each level's grid is upsampled into the next and that level's leaves
+are written in place. Neither side computes a Morton code. A
+:class:`ForestMesh` is built from the keys alone, since the leaves tile the
+root in curve order. The initial mesh and its data mapping are the walk
 with nothing accepted. The same families as a padded ``(n_parents, 2^dim)``
 copy, for the reference checks, are built in ``tests/oracle.py``.
-Expansion to the uniform grid is the level pass in reverse: top-down from
-the root, each level's grid is upsampled into the next and that level's
-leaves are written in place, so no cell is ever Morton-encoded.
 """
 
 from __future__ import annotations
@@ -81,11 +88,6 @@ class GridShape:
         """Depth at which each data point has its own element: ceil(log2(max extent))."""
         return (max(self.extents) - 1).bit_length()
 
-    @property
-    def morton_extents(self) -> tuple[int, ...]:
-        """Extents reordered so index 0 is Morton axis 0 (= last numpy axis)."""
-        return self.extents[::-1]
-
 
 @dataclass(frozen=True)
 class ForestMesh:
@@ -124,35 +126,28 @@ class ForestMesh:
 
     def aligned_codes(self) -> np.ndarray:
         """Codes left-aligned to the initial level (strictly increasing)."""
-        return _aligned(self.codes, self.levels, self.dim, self.initial_level)
+        shift = (self.dim * (self.initial_level - self.levels.astype(np.int64))).astype(np.uint64)
+        return self.codes.astype(np.uint64) << shift
 
     def level_histogram(self) -> dict[int, int]:
         lv, cnt = np.unique(self.levels, return_counts=True)
         return {int(a): int(b) for a, b in zip(lv, cnt)}
 
 
-def _aligned(codes: np.ndarray, levels: np.ndarray, dim: int, l0: int) -> np.ndarray:
-    shift = (dim * (l0 - levels.astype(np.int64))).astype(np.uint64)
-    return codes.astype(np.uint64) << shift
+def _mesh(shape: GridShape, key: np.ndarray) -> ForestMesh:
+    """The mesh of the leaf keys of :func:`_walk`, in curve order.
 
-
-def _dummy_flags(codes: np.ndarray, levels: np.ndarray, shape: GridShape) -> np.ndarray:
-    """A leaf is dummy iff its covered cell box lies fully outside the grid.
-
-    That is, one of its coordinates reaches the extent of its level's grid.
-    Spreading an axis's bits into a code keeps their order, so each axis is
-    compared on its own bits of the code, without deinterleaving.
+    The leaves tile the root in curve order, so each one starts where the
+    one before ends: its code is the sum of the sizes of the leaves before
+    it, ``2^(dim * (l0 - level))`` cells each at the initial level, shifted
+    down to its own level. That sum is at most ``2^62``.
     """
-    l0, dim = shape.initial_level, shape.dim
-    pad = (0,) * (dim - 1)  # spread a value to the code positions of Morton axis 0
-    mask = morton.interleave(((1 << l0) - 1,) + pad, dim)
-    codes, levels = codes.astype(np.uint64, copy=False), levels.astype(np.intp)
-    dummy = np.zeros(len(codes), dtype=bool)
-    for axis, ext in enumerate(shape.morton_extents):
-        limits = np.array([morton.interleave((-(-ext >> (l0 - l)),) + pad, dim) << axis
-                           for l in range(l0 + 1)], dtype=np.uint64)
-        dummy |= (codes & np.uint64(mask << axis)) >= limits[levels]
-    return dummy
+    height = (key >> 1).astype(np.uint64)
+    shift = np.uint64(shape.dim) * height
+    size = np.uint64(1) << shift
+    codes = (np.cumsum(size) - size) >> shift
+    levels = (shape.initial_level - height).astype(np.uint8)
+    return ForestMesh(shape, codes, levels, (key & 1).astype(bool))
 
 
 def _children(grid: tuple[int, ...], rows: np.ndarray):
@@ -182,37 +177,51 @@ def _children(grid: tuple[int, ...], rows: np.ndarray):
     return flat, pad
 
 
-def _walk(shape: GridShape, leaves):
-    """Bit-field and leaf order of the mesh that a bottom-up level pass leaves.
+def _walk(shape: GridShape, leaves=None, bits: bytes | None = None):
+    """Walk the mesh top-down from the root, from level grids or from a bit-field.
 
-    ``leaves`` holds one flag grid per level, the initial level first, marking
-    the cells that are leaves when their parent is refined (``None``: every
-    cell); levels above the last grid hold no leaves but pad cells. The walk
-    starts at the root and refines every element that is not a leaf, taking
-    its children from :func:`_children` in Morton child order, so the element
-    list stays in curve order without sorting. Like
-    :func:`deserialize_refinement` it carries the whole truncated mesh along,
-    and its refine flags per depth are the bit-field.
+    The walk refines every element that is not a leaf, taking its children
+    from :func:`_children` in Morton child order, so the element list stays
+    in curve order without sorting. Its refine flags per depth, one per
+    element of the mesh truncated there, are the bit-field. Only where the
+    leaves come from depends on the direction:
+
+    - compression passes ``leaves``, one flag grid per level that the
+      bottom-up level pass reached, the initial level first, marking the
+      cells that are leaves when their parent is refined (``None``: every
+      cell); levels above the last grid hold no leaves but pad cells;
+    - decoding passes ``bits`` and reads the flags from it. A pad cell is a
+      dummy leaf and the initial level is final whatever the bits say, and
+      the walk re-encodes what it reads: a stream that differs from its own
+      encoding (truncated, over-long, or refining a leaf, a dummy or past
+      the initial level) raises :class:`CorruptArtifactError`.
 
     Returns the bit-field, a key per leaf of the mesh in curve order (``2h``
     for a data leaf ``h`` levels above the initial level, ``2h + 1`` for a
-    dummy), and per level of ``leaves`` the flat cell indices of its data
-    leaves in curve order.
+    dummy), and per level, the initial level first, the flat cell indices of
+    its data leaves in curve order.
     """
     l0, fam = shape.initial_level, 1 << shape.dim
     key = np.full(1, 2 * l0, dtype=np.uint8)  # an element not yet classified at h holds 2h
     cells, pad = np.zeros(1, dtype=np.intp), np.zeros(1, dtype=bool)
-    bits, found = bytearray(), [cells[:0]] * len(leaves)
+    out, found = bytearray(), [cells[:0]] * (l0 + 1)
     for h in range(l0, -1, -1):
-        if h >= len(leaves):
+        if bits is not None:
+            level = bits[len(out):len(out) + (len(key) + 7) // 8]
+            if h and len(level):
+                flags = np.unpackbits(np.frombuffer(level, dtype=np.uint8),
+                                      count=len(key), bitorder="little")
+                leaf = pad | (flags[key == 2 * h] == 0)
+            else:
+                leaf = np.ones(len(cells), dtype=bool)
+        elif h >= len(leaves):
             leaf = pad
         elif leaves[h] is None:
             leaf = np.ones(len(cells), dtype=bool)
         else:
             leaf = pad | leaves[h].reshape(-1)[cells]
         data = leaf & ~pad
-        if h < len(leaves):
-            found[h] = cells if data.all() else cells[data]
+        found[h] = cells if data.all() else cells[data]
         if data.all():  # nothing to mark or refine, mostly the initial level
             break
         opened = np.flatnonzero(key == 2 * h)
@@ -221,12 +230,18 @@ def _walk(shape: GridShape, leaves):
             break
         refine = np.zeros(len(key), dtype=bool)
         refine[opened[~leaf]] = True
-        bits += np.packbits(refine, bitorder="little").tobytes()
+        out += np.packbits(refine, bitorder="little").tobytes()
         key[refine] -= 2
         key = np.repeat(key, np.where(refine, fam, 1))
         grid = tuple(-(-e >> (h - 1)) for e in shape.extents)
         cells, pad = (a.reshape(-1) for a in _children(grid, cells[~leaf]))
-    return bytes(bits), key, found
+    if bits is not None and out != bits:
+        at = next((i for i, (a, b) in enumerate(zip(out, bits)) if a != b),
+                  min(len(out), len(bits)))
+        raise CorruptArtifactError(
+            "bit-field is truncated or not canonical (over-long, or refines a leaf, "
+            f"a dummy or past initial level {l0})", at)
+    return bytes(out), key, found
 
 
 def _fill_leaves(out: np.ndarray, key: np.ndarray, cells, grids) -> np.ndarray:
@@ -241,13 +256,40 @@ def _fill_leaves(out: np.ndarray, key: np.ndarray, cells, grids) -> np.ndarray:
     return out
 
 
+def _upsample(grid: np.ndarray, out: np.ndarray) -> None:
+    """Fill ``out`` with ``grid`` repeated twice along every axis, cropped to ``out``."""
+    dim = grid.ndim
+    for k in range(1 << dim):
+        dst = out[tuple(slice((k >> a) & 1, None, 2) for a in range(dim))]
+        dst[...] = grid[tuple(slice(0, n) for n in dst.shape)]
+
+
+def _fill_grids(out: np.ndarray, key: np.ndarray, cells, values) -> np.ndarray:
+    """Mirror of :func:`_fill_leaves`: write one value per key into the level grids.
+
+    ``out`` is the grid of the initial level. Top-down from the ``(1,)*dim``
+    grid of the root, each level's grid is the one above upsampled, and the
+    values of the level's keys are written at its ``cells``; the initial
+    level upsamples into ``out`` itself. Values of odd keys are never read.
+    """
+    grid = None
+    for h in range(len(cells) - 1, -1, -1):
+        nxt = out if h == 0 else np.empty(tuple(-(-e >> h) for e in out.shape), out.dtype)
+        if grid is not None:
+            _upsample(grid, nxt)
+        grid = nxt
+        if len(cells[h]):
+            grid.reshape(-1)[cells[h]] = values[key == 2 * h]
+    return out
+
+
 def build_initial_mesh(shape: GridShape) -> ForestMesh:
     """Embed the grid in a single tree, one element per data point.
 
     Elements intersecting the grid are refined down to the initial level;
     elements fully outside are kept as coarse dummy leaves.
     """
-    return deserialize_refinement(_walk(shape, [None])[0], shape)
+    return _mesh(shape, _walk(shape, [None])[1])
 
 
 def map_data(shape: GridShape, values, mesh: ForestMesh | None = None) -> np.ndarray:
@@ -264,55 +306,20 @@ def map_data(shape: GridShape, values, mesh: ForestMesh | None = None) -> np.nda
     return _fill_leaves(np.full(len(key), np.nan), key, cells, [arr])
 
 
-def _upsample(grid: np.ndarray, out: np.ndarray) -> None:
-    """Fill ``out`` with ``grid`` repeated twice along every axis, cropped to ``out``."""
-    dim = grid.ndim
-    for k in range(1 << dim):
-        dst = out[tuple(slice((k >> a) & 1, None, 2) for a in range(dim))]
-        dst[...] = grid[tuple(slice(0, n) for n in dst.shape)]
-
-
-def _expand_into(out: np.ndarray, mesh: ForestMesh, data_values: np.ndarray) -> None:
-    """Write the data leaves' values into ``out``, the grid at the initial level.
-
-    ``data_values`` holds one value per non-dummy leaf, in curve order. The
-    pass runs top-down from the ``(1,)*dim`` grid of level 0: each level's
-    grid is the one above upsampled by 2 per axis and cropped to the level's
-    extents, then that level's leaves are written at their coordinates. The
-    initial level upsamples into ``out`` itself, the only grid of its size.
-    """
-    l0, dim = mesh.initial_level, mesh.dim
-    data = ~mesh.dummy
-    levels = mesh.levels[data]
-    order = np.argsort(levels, kind="stable")
-    ends = np.cumsum(np.bincount(levels, minlength=l0 + 1))
-    coords = morton.deinterleave(mesh.codes[data][order], dim)[::-1]
-    values = data_values[order]
-    grid, start = None, 0
-    for level, end in enumerate(ends[: l0 + 1]):
-        extents = tuple(-(-e >> (l0 - level)) for e in out.shape)
-        nxt = out if level == l0 else np.empty(extents, out.dtype)
-        if grid is not None:
-            _upsample(grid, nxt)
-        grid = nxt
-        grid[tuple(c[start:end] for c in coords)] = values[start:end]
-        start = end
-
-
 def expand_to_uniform(mesh: ForestMesh, leaf_values) -> np.ndarray:
     """Fan per-leaf values out to the full grid by constant interpolation.
 
     ``leaf_values`` holds one value per leaf, dummy leaves included; their
-    values are never read. The expansion is the level pass in reverse: a
-    top-down pass that upsamples each level's grid into the next and writes
+    values are never read. The expansion is decompression's: the decode
+    walk over ``serialize_refinement(mesh)`` finds each level's leaves, and
+    a top-down pass upsamples each level's grid into the next and writes
     that level's leaves in place. Returns a float64 row-major linear array.
     """
     vals = np.asarray(leaf_values, dtype=np.float64)
     if vals.shape != (mesh.n_leaves,):
         raise ShapeError(f"expected {mesh.n_leaves} leaf values, got shape {vals.shape}")
-    out = np.empty(mesh.shape.extents)
-    _expand_into(out, mesh, vals[~mesh.dummy])
-    return out.reshape(-1)
+    _, key, cells = _walk(mesh.shape, bits=serialize_refinement(mesh))
+    return _fill_grids(np.empty(mesh.shape.extents), key, cells, vals).reshape(-1)
 
 
 def complete_family_starts(mesh: ForestMesh) -> np.ndarray:
@@ -356,42 +363,9 @@ def serialize_refinement(mesh: ForestMesh) -> bytes:
 def deserialize_refinement(data: bytes, shape: GridShape) -> ForestMesh:
     """Rebuild a mesh from level-wise refinement bit-fields.
 
-    Inverse of :func:`serialize_refinement` for meshes over ``shape``; dummy
-    flags are recomputed from the grid geometry.
+    Inverse of :func:`serialize_refinement` for meshes over ``shape``. The
+    decode walk of :func:`_walk` reads the refine flags and rejects every
+    stream that is not the one encoding of a mesh; the dummy flags follow
+    from the grid geometry, and the codes from the leaf sizes.
     """
-    l0, dim = shape.initial_level, shape.dim
-    fam = 1 << dim
-    fcodes = np.zeros(1, dtype=np.uint64)
-    flevels = np.zeros(1, dtype=np.int64)
-    offset = depth = 0
-    while offset < len(data):
-        n = len(fcodes)
-        nbytes = (n + 7) // 8
-        if offset + nbytes > len(data):
-            raise CorruptArtifactError(
-                f"bit-field truncated: level needs {nbytes} bytes, "
-                f"{len(data) - offset} remain", offset)
-        bits = np.unpackbits(
-            np.frombuffer(data, dtype=np.uint8, count=nbytes, offset=offset),
-            bitorder="little",
-        )
-        if bits[n:].any():
-            raise CorruptArtifactError("nonzero padding bits in bit-field", offset)
-        refine = bits[:n].astype(bool)
-        if not refine.any():
-            raise CorruptArtifactError("bit-field level refines nothing (over-long stream)", offset)
-        if int(flevels[refine].min()) < depth:
-            raise CorruptArtifactError(
-                f"bit-field refines an element coarser than depth {depth} (non-canonical)", offset)
-        if depth == l0:
-            raise CorruptArtifactError(
-                f"bit-field refines beyond initial level {l0}", offset)
-        counts = np.where(refine, fam, 1)
-        base = np.repeat(np.where(refine, fcodes << np.uint64(dim), fcodes), counts)
-        offsets = np.arange(len(base)) - np.repeat(np.cumsum(counts) - counts, counts)
-        fcodes = base + offsets.astype(np.uint64)
-        flevels = np.repeat(flevels + refine, counts)
-        offset += nbytes
-        depth += 1
-    levels = flevels.astype(np.uint8)
-    return ForestMesh(shape, fcodes, levels, _dummy_flags(fcodes, levels, shape))
+    return _mesh(shape, _walk(shape, bits=data)[1])

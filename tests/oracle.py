@@ -85,6 +85,17 @@ def _leaf_box(code: int, level: int, shape: GridShape) -> tuple[tuple[int, int],
     return tuple((c * size, (c + 1) * size) for c in reversed(coords))
 
 
+def _is_dummy(code: int, level: int, shape: GridShape) -> bool:
+    """An element is dummy iff its cell box lies fully outside the grid on some axis."""
+    return any(lo >= e for (lo, _), e in zip(_leaf_box(code, level, shape), shape.extents))
+
+
+def dummy_flags(codes, levels, shape: GridShape) -> np.ndarray:
+    """Dummy flag of each leaf, from its cell box."""
+    return np.array([_is_dummy(c, l, shape) for c, l in zip(codes.tolist(), levels.tolist())],
+                    dtype=bool)
+
+
 def resolve_bound(code: int, level: int, spec: ErrorSpec, shape: GridShape) -> Criterion:
     """Most restrictive criterion applying to an element.
 
@@ -132,8 +143,7 @@ def validate_mesh(mesh: ForestMesh) -> None:
         if code * size != end:
             raise ShapeError("leaves do not tile the root in curve order")
         end += size
-        box = _leaf_box(code, level, mesh.shape)
-        if dummy != any(lo >= e for (lo, _), e in zip(box, mesh.shape.extents)):
+        if dummy != _is_dummy(code, level, mesh.shape):
             raise ShapeError("dummy flags do not match the grid geometry")
     if end != 1 << (dim * l0):
         raise ShapeError("leaves do not partition the root domain")

@@ -31,9 +31,8 @@ from amrc import (
     write_artifact,
 )
 from amrc.fields import layered, noise, smooth
-from amrc.mesh import _dummy_flags
 from amrc.morton import MAX_LEVEL, deinterleave, interleave
-from oracle import exact_leaf_deviations
+from oracle import dummy_flags, exact_leaf_deviations
 from test_container import random_variable, var_equal
 
 ABS_MULTS = (0.0, 0.01, 0.1, 1.0, 10.0)
@@ -165,7 +164,7 @@ def test_c06_mesh_fixtures():
     keys = codes << (2 * (3 - levels.astype(np.int64))).astype(np.uint64)
     order = np.argsort(keys)
     codes, levels = codes[order], levels[order]
-    mesh = ForestMesh(shape, codes, levels, _dummy_flags(codes, levels, shape))
+    mesh = ForestMesh(shape, codes, levels, dummy_flags(codes, levels, shape))
     bits = serialize_refinement(mesh)
     # byte-padded levels: 1 | 1000 | 00010000  (LSB-first per byte)
     assert bits == bytes([0b1, 0b1, 0b1000])

@@ -1,10 +1,11 @@
+import struct
 import subprocess
 import sys
 
 import numpy as np
 import pytest
 
-from amrc import cli, codec, decompress, deserialize_refinement, read_artifact
+from amrc import cli, codec, decompress, read_artifact
 from amrc.cli import main, read_sidecar
 from amrc.errors import DataError
 from amrc.fields import layered, smooth
@@ -188,14 +189,14 @@ class TestInfoAndErrors:
               "--split-axis", "0", "--mode", "one-for-all", "--output", str(src)])
         variables, _ = read_artifact(src.read_bytes())
         want = np.stack([decompress(v).reshape(v.shape.extents) for v in variables])
-        calls = []
+        calls, walk = [], codec._walk
 
-        def counting(bits, shape):
+        def counting(shape, leaves=None, bits=None):
             calls.append(bits)
-            return deserialize_refinement(bits, shape)
+            return walk(shape, leaves, bits)
 
-        monkeypatch.setattr(cli, "deserialize_refinement", counting)
-        monkeypatch.setattr(codec, "deserialize_refinement", counting)
+        monkeypatch.setattr(cli, "_walk", counting)
+        monkeypatch.setattr(codec, "_walk", counting)
         assert main(["decompress", "--input", str(src), "--output", str(back)]) == 0
         assert len(calls) == 1
         assert back.read_bytes() == want.tobytes()
@@ -213,6 +214,23 @@ class TestInfoAndErrors:
         assert rc == 4
         assert "offset" in capsys.readouterr().err
 
+    def test_refined_dummy_exit_4(self, tmp_path, capsys):
+        data = np.arange(8, dtype=np.float32).reshape(4, 2)
+        raw, meta = write_inputs(tmp_path, data, (4, 2), "f32")
+        src = tmp_path / "a.amrc"
+        main(["compress", "--input", str(raw), "--meta", str(meta),
+              "--abs", "0", "--output", str(src)])
+        # on 4x2 the root's children 1 and 3 are dummies: 01 05 refines the
+        # other two down to the data points, 01 0F refines the dummies too
+        section = struct.pack("<I", 2) + bytes([0x01, 0x05])
+        blob = src.read_bytes()
+        assert blob.count(section) == 1
+        src.write_bytes(blob.replace(section, struct.pack("<I", 2) + bytes([0x01, 0x0F])))
+        rc = main(["decompress", "--input", str(src), "--output", str(tmp_path / "b")])
+        assert rc == 4
+        err = capsys.readouterr().err
+        assert "not canonical" in err and "Traceback" not in err
+
     def test_unallocatable_grid_exit_4(self, tmp_path, capsys):
         src = tmp_path / "a.amrc"
         src.write_bytes(huge_root_artifact(24))
@@ -229,7 +247,7 @@ class TestInfoAndErrors:
         main(["compress", "--input", str(raw), "--meta", str(meta),
               "--abs", "1", "--split-axis", "0", "--output", str(src)])
         decoded = []
-        monkeypatch.setattr(cli, "decompress", decoded.append)
+        monkeypatch.setattr(cli, "_walk", lambda *args, **kwargs: decoded.append(args))
         rc = main(["decompress", "--input", str(src), "--output", str(tmp_path / "b"),
                    "--split-axis", "3"])
         assert rc == 3 and decoded == []

@@ -13,11 +13,11 @@ from amrc import (
     map_data,
     serialize_refinement,
 )
-from amrc.mesh import _dummy_flags
 from conftest import random_mesh
 from oracle import (
     coarsen_marked,
     dfs_leaf_order,
+    dummy_flags,
     expected_initial_leaves,
     naive_encode,
     validate_mesh,
@@ -30,7 +30,7 @@ def make_mesh(shape, leaves):
     keys = codes << (shape.dim * (shape.initial_level - levels.astype(np.int64))).astype(np.uint64)
     order = np.argsort(keys)
     codes, levels = codes[order], levels[order]
-    return ForestMesh(shape, codes, levels, _dummy_flags(codes, levels, shape))
+    return ForestMesh(shape, codes, levels, dummy_flags(codes, levels, shape))
 
 
 def fig9_mesh():
@@ -239,6 +239,14 @@ class TestRefinementBits:
         mesh = deserialize_refinement(bytes([0x01, 0x03]), shape)
         assert mesh.n_leaves == 10
         assert serialize_refinement(mesh) == bytes([0x01, 0x03])
+
+    def test_refined_dummy_rejected(self):
+        # on 4x2 the root's children 1 and 3 lie outside the grid; the
+        # canonical stream 01 05 refines the other two, 01 0F all four
+        shape = GridShape((4, 2))
+        assert serialize_refinement(build_initial_mesh(shape)) == bytes([0x01, 0x05])
+        with pytest.raises(CorruptArtifactError):
+            deserialize_refinement(bytes([0x01, 0x0F]), shape)
 
     def test_nonzero_padding_rejected(self):
         with pytest.raises(CorruptArtifactError):
