@@ -97,6 +97,21 @@ def corpus_rel():
     return blobs
 
 
+def corpus_rel_signed():
+    """Relative bounds on zero-mean fields, whose families have one sign, mixed
+    signs or zero members."""
+    fields = corpus(303, 24)
+    blobs = []
+    for field in [fields[0]] + fields[2::3] + fields[4::3]:  # the smooth and noise fields
+        signed = field - field.mean()
+        for data in (signed, signed.astype(np.float32), np.rint(signed * 1000).astype(np.int16)):
+            for delta in (0.0, 0.01, 0.05, 0.5):
+                cfg = CompressionConfig(ErrorSpec(Criterion("rel", delta)))
+                blobs.append(write_artifact(compress_many(
+                    [data], GridShape(field.shape), cfg)))
+    return blobs
+
+
 def bit_exact_domain():
     field = smooth((32, 32), seed=11) * 10
     spec = ErrorSpec(Criterion("abs", 6.0),
@@ -157,6 +172,9 @@ CASES = {
     "corpus-rel": (
         corpus_rel,
         "0d9073ba034d08a97363668e281bd0de56c4c62eda0b9b75e93b31d6c265d615"),
+    "corpus-rel-signed": (
+        corpus_rel_signed,
+        "c64e66e3068121ed3abdf45b0deb750716f207ca970fdfb8cb141777ab9c025f"),
     "bit-exact-domain": (
         bit_exact_domain,
         "9599da9099701774dac28c6478452918f9cee7d78c3c98a8248b30af066bc691"),
