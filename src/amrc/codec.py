@@ -12,10 +12,15 @@ any error domain the parent meets. The sums, extremes and deviations are
 reduced elementwise across the child views, in the order that makes them
 bit-identical to :func:`~amrc.criteria.family_means` and the
 ``batch_check_*`` functions of :mod:`amrc.criteria`, which
-``tests/oracle.py`` keeps as the reference. Accepted parents become the
-leaves of the next level up; the leaves of rejected or incomplete families
-stay in the final mesh. The pass stops at the first level that accepts
-nothing.
+``tests/oracle.py`` keeps as the reference. The relative check is
+evaluated member by member only where it has to be: two one-sided tests on
+a family's extremes, a certain reject and, for a family of one strict sign,
+a certain accept, decide most families, and they are exact because IEEE
+subtraction, addition and division round monotonically, so no member's
+term can fall outside the range the extremes give. Accepted parents
+become the leaves of the next level up; the leaves of rejected or
+incomplete families stay in the final mesh. The pass stops at the first
+level that accepts nothing.
 
 This reproduces a Jacobi-style sweep over the whole leaf set (check every
 complete family, commit all accepted collapses at once, repeat until
@@ -180,6 +185,62 @@ def _row_sum(terms):
             + ((terms[4] + terms[5]) + (terms[6] + terms[7])))
 
 
+def _worst(members, trks, dev, cand):
+    """Relative error estimate of each family, member by member.
+
+    ``members``, ``dev`` and (unless ``trks`` is the scalar ``0.0``) ``trks``
+    hold one array per data member, ``dev`` its ``|cand - v| + t``.
+    ``batch_check_relative`` reads a zero denominator as 0 or inf; ``d / den``
+    gives inf there too except for 0 / 0, a member met exactly, which is NaN:
+    fmax skips it, and a family of such members gets NaN, which the accept
+    test ``~(worst > bound)`` passes like the 0 it stands for.
+    """
+    if dev is None:
+        dev = [np.abs(cand - v) for v in members]
+    if np.isscalar(trks):
+        dens = [np.abs(v) for v in members]
+    else:
+        dens = [np.minimum(np.abs(v - t), np.minimum(np.abs(v), np.abs(v + t)))
+                for v, t in zip(members, trks)]
+    return reduce(np.fmax, [d / den for d, den in zip(dev, dens)])
+
+
+def _relative_accept(members, trks, dev, cand, vmin, vmax, tmax, ntr, bounds):
+    """Accept flags of the relative criterion, bit for bit those of :func:`_worst`.
+
+    Two one-sided tests decide most families from their extremes. IEEE
+    subtraction, addition and division round monotonically, so for every
+    member ``v`` with tracker ``t <= tmax`` the rounded results keep the order
+    of the exact ones:
+
+    - certain reject, ``ntr / max(|vmin|, |vmax|) > bound``: the member whose
+      ``dev`` is ``ntr`` has a denominator of at most ``|v| <= max(|vmin|,
+      |vmax|)``, so its term is at least as large (inf on a zero
+      denominator), and ``fmax`` returns it or more;
+    - certain accept, ``ntr / lo <= bound`` with ``lo = max(vmin - tmax,
+      -(vmax + tmax)) > 0``: ``lo > 0`` holds only for a family of one strict
+      sign whose every member clears its tracker, and then every
+      denominator is at least ``lo``, every ``dev`` at most ``ntr``, and no
+      term is NaN.
+
+    The rest (zero or NaN ratios, mixed signs, the band between the tests)
+    takes the exact per-member pass of :func:`_worst`, gathered by index; a
+    block in which no family is decided takes it on the whole block.
+    """
+    lo = np.maximum(vmin - tmax, -(vmax + tmax))
+    accept = (lo > 0.0) & (ntr / lo <= bounds)
+    decided = accept | (ntr / np.maximum(np.abs(vmin), np.abs(vmax)) > bounds)
+    if decided.all():
+        return accept
+    # a basic index (the whole block) takes views; an index tuple gathers copies
+    at = np.nonzero(~decided) if decided.any() else ...
+    worst = _worst([v[at] for v in members],
+                   trks if np.isscalar(trks) else [t[at] for t in trks],
+                   None if dev is None else [d[at] for d in dev], cand[at])
+    accept[at] = ~(worst > bounds[at])
+    return accept
+
+
 def _check_families(vals, trks, bounds, kind: str, value_kind: str):
     """Candidate, tracker and accept flag of every family of one block.
 
@@ -190,6 +251,12 @@ def _check_families(vals, trks, bounds, kind: str, value_kind: str):
     Computes :func:`family_means`, :func:`_quantize` and ``batch_check_*``
     with the directed rounding of later levels, elementwise across the
     children: the same values bit for bit, without a copy of the members.
+    The relative check rejects where ``ntr / max(|vmin|, |vmax|) > bound``
+    and, for a family of one strict sign, accepts where ``ntr / lo <= bound``,
+    ``lo`` the least denominator its extremes and largest tracker allow;
+    rounding is monotone, so neither test can disagree with the per-member
+    check, which runs only on the families neither decides
+    (:func:`_relative_accept`).
     """
     real = [k for k, v in enumerate(vals) if v is not None]
     members = [vals[k] for k in real]
@@ -209,34 +276,27 @@ def _check_families(vals, trks, bounds, kind: str, value_kind: str):
         vmin = reduce(np.minimum, members)
         vmax = reduce(np.maximum, members)
         cand = _quantize(np.where(vmin == vmax, vmax, means), value_kind)
-        if zero_trackers and kind == ABSOLUTE:
+        if zero_trackers:
             # rounding is monotone, so the extreme deviations sit at vmin and vmax
             ntr = np.maximum(np.abs(cand - vmin), np.abs(cand - vmax))
-            return ntr <= bounds, cand, ntr
-        dev = [np.abs(cand - v) for v in members]
-        if not zero_trackers:
-            dev = [d + trks[k] for d, k in zip(dev, real)]
+            if kind == ABSOLUTE:
+                return ntr <= bounds, cand, ntr
+            return _relative_accept(members, trks, None, cand, vmin, vmax, 0.0, ntr,
+                                    bounds), cand, ntr
+        trks = [trks[k] for k in real]
+        dev = [np.abs(cand - v) + t for v, t in zip(members, trks)]
         ntr = reduce(np.maximum, dev)
+        tmax = reduce(np.maximum, trks)
         if kind != ABSOLUTE:
-            # batch_check_relative reads a zero denominator as 0 or inf; d / den
-            # gives inf there too except for 0 / 0, a member met exactly, which
-            # is NaN: fmax skips it, and a family of such members gets worst
-            # NaN, which the accept test below passes like the 0 it stands for
-            worst = reduce(np.fmax, [
-                d / (np.abs(vals[k]) if zero_trackers else np.minimum(
-                    np.abs(vals[k] - trks[k]),
-                    np.minimum(np.abs(vals[k]), np.abs(vals[k] + trks[k]))))
-                for d, k in zip(dev, real)])
-        if not zero_trackers:
-            # Directed rounding: once prior inaccuracy enters the sum, pad the
-            # stored tracker by a few ulps so it upper-bounds the deviation in
-            # float arithmetic too, not only in exact arithmetic. First-level
-            # trackers stay bit-exact (no prior term, single rounded op).
-            prior = reduce(np.maximum, [trks[k] for k in real]) > 0.0
-            ntr = np.where(prior, ntr + 4.0 * np.spacing(ntr), ntr)
+            accept = _relative_accept(members, trks, dev, cand, vmin, vmax, tmax, ntr, bounds)
+        # Directed rounding: once prior inaccuracy enters the sum, pad the
+        # stored tracker by a few ulps so it upper-bounds the deviation in
+        # float arithmetic too, not only in exact arithmetic. First-level
+        # trackers stay bit-exact (no prior term, single rounded op).
+        ntr = np.where(tmax > 0.0, ntr + 4.0 * np.spacing(ntr), ntr)
         if kind == ABSOLUTE:  # the bound holds on the stored tracker itself
             return ntr <= bounds, cand, ntr
-        return ~(worst > bounds), cand, ntr
+        return accept, cand, ntr
 
 
 def _blocks(extents: tuple[int, ...]):

@@ -209,6 +209,17 @@ def reference_check(vals, trs, dmask, bounds, kind, value_kind):
     return acc, cand, ntr
 
 
+def reference_worst(vals, trs, dmask, cand):
+    """Relative error estimate of ``(n, 2^dim)`` family rows, the value that
+    ``batch_check_relative`` accepts iff it is at most the bound."""
+    with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
+        absdev = np.abs(cand[:, None] - vals) + trs
+        den = np.minimum(np.abs(vals - trs), np.minimum(np.abs(vals), np.abs(vals + trs)))
+        contrib = np.where(den == 0.0, np.where(absdev == 0.0, 0.0, np.inf), absdev / den)
+    worst = np.where(dmask, -np.inf, contrib).max(axis=1)
+    return np.where(np.isneginf(worst), 0.0, worst)
+
+
 def reference_coarsen(variables, shape, spec, value_kind, max_iterations=None):
     """Jacobi-sweep coarsening over explicit Morton leaf arrays.
 

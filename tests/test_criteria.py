@@ -11,8 +11,16 @@ from amrc.criteria import (
     family_means,
     resolve_bounds_batch,
 )
+from amrc import codec
 from amrc.codec import _check_level, _row_sum
-from oracle import check_absolute, check_relative, families, reference_check, resolve_bound
+from oracle import (
+    check_absolute,
+    check_relative,
+    families,
+    reference_check,
+    reference_worst,
+    resolve_bound,
+)
 
 
 class TestCriterionTypes:
@@ -245,6 +253,39 @@ def adversarial_rows(width, rng):
     return np.array(rows)
 
 
+def shuffle_rows(rows, rng):
+    """``rows`` with the members of each row in a random order."""
+    return np.take_along_axis(rows, rng.random(rows.shape).argsort(axis=1), axis=1)
+
+
+def one_low_rows(n, width, rng):
+    """Positive rows of one member ``a`` and ``width - 1`` members ``b > a``:
+    the largest relative term sits at the smallest member."""
+    a = rng.random((n, 1)) + 0.5
+    b = a * (1.0 + rng.random((n, 1)))
+    return shuffle_rows(np.concatenate([a, np.repeat(b, width - 1, axis=1)], axis=1), rng)
+
+
+def boundary_rows(width, rng):
+    """Family rows at the edges of the relative check's one-sided tests.
+
+    Rows of one sign, either sign, whose largest term sits at their smallest
+    member (which the extremes accept at a bound equal to it) or at their
+    largest member (``b < 3a``, which the extremes reject just below it);
+    rows with zeros of both signs, with a zero member equal to the candidate
+    (a 0/0 term), and of mixed signs.
+    """
+    n = 16
+    a = rng.random((n, 1)) + 0.5
+    b = a * (1.0 + 2.0 * rng.random((n, 1)))
+    one_high = shuffle_rows(np.concatenate([b, np.repeat(a, width - 1, axis=1)], axis=1), rng)
+    one_sign = np.concatenate([one_low_rows(n, width, rng), one_high])
+    zeros = [[0.0, 1.0, -1.0, 0.0], [-0.0, 2.0, -2.0, 0.0], [0.0, 1.0, 1.0, 1.0],
+             [-0.0, -3.0, -3.0, -3.0], [0.0, -0.0, 0.0, 5.0]]
+    zeros = shuffle_rows(np.array([np.resize(z, width) for z in zeros * 4]), rng)
+    return np.concatenate([one_sign, -one_sign, zeros, rng.normal(size=(n, width))])
+
+
 def level_grid(rows, parents):
     """The level grid whose ``oracle.families`` rows are ``rows``; inverse of it on
     even extents."""
@@ -276,19 +317,24 @@ class TestLevelKernelMatchesBatch:
 
     @pytest.mark.parametrize("dim", [2, 3])
     @pytest.mark.parametrize("kind", ["abs", "rel"])
-    @pytest.mark.parametrize("value_kind", ["f64", "f32"])
+    @pytest.mark.parametrize("value_kind", ["f64", "f32", "i16", "i32"])
     def test_kernel_matches_batch_checks(self, rng, dim, kind, value_kind):
         width = 1 << dim
-        rows = adversarial_rows(width, rng)
-        if value_kind == "f32":  # f32 data stays in the f32 range
-            with np.errstate(over="ignore"):
+        rows = np.concatenate([adversarial_rows(width, rng), boundary_rows(width, rng)])
+        with np.errstate(over="ignore"):
+            if value_kind == "f32":  # f32 data stays in the f32 range
                 rows = np.nan_to_num(rows.astype(np.float32).astype(np.float64),
                                      posinf=float(np.finfo(np.float32).max),
                                      neginf=-float(np.finfo(np.float32).max))
+            elif value_kind in ("i16", "i32"):  # integers within the dtype range
+                info = np.iinfo(codec.VALUE_KIND_DTYPES[value_kind])
+                rows = np.clip(np.rint(rows * 100.0), info.min, info.max)
         side = 1
         while side ** dim < len(rows):
             side += 1
         fill = rng.normal(size=(side ** dim - len(rows), width))
+        if value_kind in ("i16", "i32"):
+            fill = np.rint(fill * 100.0)
         rows = np.concatenate([rows, fill])[rng.permutation(side ** dim)]
         grid = level_grid(rows, (side,) * dim)
         # trackers of a later level: some zero, the others up to the value's size
@@ -303,12 +349,50 @@ class TestLevelKernelMatchesBatch:
                 bounds = rng.random(len(fvals))
             for trks in (0.0, prior[tuple(slice(0, n) for n in vals.shape)]):
                 ftrks = families(np.broadcast_to(trks, vals.shape), 0.0)
-                with np.errstate(all="ignore"):
-                    want = reference_check(fvals, ftrks, dmask, bounds, kind, value_kind)
-                ok, cands, ntrs = _check_level([vals], [trks], None, bounds.reshape(
-                    [(n + 1) // 2 for n in vals.shape]), kind, value_kind)
-                got = ok.reshape(-1), cands[0].reshape(-1), ntrs[0].reshape(-1)
-                for name, g, w in zip(("accept", "candidate", "tracker"), got, want):
-                    assert g.tobytes() == w.tobytes(), (
-                        f"{name} differs with crop {crop}, "
-                        f"{'zero' if np.isscalar(trks) else 'nonzero'} trackers")
+                cases = {"random": bounds}
+                if kind == "rel":
+                    # each family at its own estimate and one ulp either side
+                    # (bounds are never negative): the reference accepts every
+                    # family at it, none with a nonzero estimate below it
+                    with np.errstate(all="ignore"):
+                        _, cand, _ = reference_check(fvals, ftrks, dmask, bounds, kind, value_kind)
+                    worst = reference_worst(fvals, ftrks, dmask, cand)
+                    cases.update(below=np.where(worst > 0.0, np.nextafter(worst, -np.inf), 0.0),
+                                 at=worst, above=np.nextafter(worst, np.inf))
+                for case, b in cases.items():
+                    with np.errstate(all="ignore"):
+                        want = reference_check(fvals, ftrks, dmask, b, kind, value_kind)
+                    if case in ("at", "above"):
+                        assert want[0].all()
+                    elif case == "below":
+                        assert not (want[0] & (worst > 0.0)).any()
+                    ok, cands, ntrs = _check_level([vals], [trks], None, b.reshape(
+                        [(n + 1) // 2 for n in vals.shape]), kind, value_kind)
+                    got = ok.reshape(-1), cands[0].reshape(-1), ntrs[0].reshape(-1)
+                    for name, g, w in zip(("accept", "candidate", "tracker"), got, want):
+                        assert g.tobytes() == w.tobytes(), (
+                            f"{name} differs with crop {crop}, {case} bounds, "
+                            f"{'zero' if np.isscalar(trks) else 'nonzero'} trackers")
+
+    @pytest.mark.parametrize("dim", [2, 3])
+    @pytest.mark.parametrize("sign", [1.0, -1.0])
+    def test_extremes_accept_at_the_bound(self, rng, monkeypatch, dim, sign):
+        """A family of one sign whose largest relative term sits at its smallest
+        member is accepted from its extremes alone when the bound equals that
+        term; the per-member pass sees none of them."""
+        width, side = 1 << dim, 4
+        grid = level_grid(sign * one_low_rows(side ** dim, width, rng), (side,) * dim)
+        seen = []
+        per_member = codec._worst
+        monkeypatch.setattr(codec, "_worst",
+                            lambda *args: seen.append(args[3].size) or per_member(*args))
+        dmask = families(np.zeros(grid.shape, dtype=bool), True)
+        for trks in (0.0, np.full(grid.shape, 0.01)):
+            ftrks = families(np.broadcast_to(trks, grid.shape), 0.0)
+            with np.errstate(all="ignore"):
+                _, cand, _ = reference_check(families(grid, np.nan), ftrks, dmask,
+                                             np.zeros(len(ftrks)), "rel", "f64")
+            worst = reference_worst(families(grid, np.nan), ftrks, dmask, cand)
+            ok, _, _ = _check_level([grid], [trks], None, worst.reshape((side,) * dim),
+                                    "rel", "f64")
+            assert ok.all() and seen == []
