@@ -189,7 +189,8 @@ def _worst(members, trks, dev, cand):
     """Relative error estimate of each family, member by member.
 
     ``members``, ``dev`` and (unless ``trks`` is the scalar ``0.0``) ``trks``
-    hold one array per data member, ``dev`` its ``|cand - v| + t``.
+    hold one array per data member, ``dev`` its ``|cand - v| + t`` (computed
+    here when ``None``).
     ``batch_check_relative`` reads a zero denominator as 0 or inf; ``d / den``
     gives inf there too except for 0 / 0, a member met exactly, which is NaN:
     fmax skips it, and a family of such members gets NaN, which the accept

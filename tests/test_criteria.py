@@ -386,13 +386,14 @@ class TestLevelKernelMatchesBatch:
         per_member = codec._worst
         monkeypatch.setattr(codec, "_worst",
                             lambda *args: seen.append(args[3].size) or per_member(*args))
-        dmask = families(np.zeros(grid.shape, dtype=bool), True)
+        fvals = families(grid, np.nan)
+        dmask = np.zeros(fvals.shape, dtype=bool)
         for trks in (0.0, np.full(grid.shape, 0.01)):
             ftrks = families(np.broadcast_to(trks, grid.shape), 0.0)
             with np.errstate(all="ignore"):
-                _, cand, _ = reference_check(families(grid, np.nan), ftrks, dmask,
-                                             np.zeros(len(ftrks)), "rel", "f64")
-            worst = reference_worst(families(grid, np.nan), ftrks, dmask, cand)
+                _, cand, _ = reference_check(fvals, ftrks, dmask, np.zeros(len(fvals)),
+                                             "rel", "f64")
+            worst = reference_worst(fvals, ftrks, dmask, cand)
             ok, _, _ = _check_level([grid], [trks], None, worst.reshape((side,) * dim),
                                     "rel", "f64")
             assert ok.all() and seen == []
