@@ -225,16 +225,14 @@ def _relative_accept(members, trks, dev, cand, vmin, vmax, tmax, ntr, bounds):
       term is NaN.
 
     The rest (zero or NaN ratios, mixed signs, the band between the tests)
-    takes the exact per-member pass of :func:`_worst`, gathered by index; a
-    block in which no family is decided takes it on the whole block.
+    takes the exact per-member pass of :func:`_worst`, gathered by index.
     """
     lo = np.maximum(vmin - tmax, -(vmax + tmax))
     accept = (lo > 0.0) & (ntr / lo <= bounds)
     decided = accept | (ntr / np.maximum(np.abs(vmin), np.abs(vmax)) > bounds)
     if decided.all():
         return accept
-    # a basic index (the whole block) takes views; an index tuple gathers copies
-    at = np.nonzero(~decided) if decided.any() else ...
+    at = np.nonzero(~decided)
     worst = _worst([v[at] for v in members],
                    trks if np.isscalar(trks) else [t[at] for t in trks],
                    None if dev is None else [d[at] for d in dev], cand[at])
