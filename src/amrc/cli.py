@@ -29,24 +29,16 @@ from .codec import (
     CompressionConfig,
     Packing,
     _decompress,
-    compress,
     compress_many,
-    decompress,
     packed_bound,
     split_axis,
     stack_axis,
 )
 from .container import read_artifact, write_artifact
 from .criteria import ABSOLUTE, RELATIVE, Criterion, ErrorDomain, ErrorSpec
-from .errors import (
-    ConfigError,
-    CorruptArtifactError,
-    DataError,
-    ShapeError,
-    UnsupportedFeatureError,
-)
+from .errors import AmrcError, ConfigError, CorruptArtifactError, DataError, UnsupportedFeatureError
 from .fields import GENERATORS
-from .mesh import GridShape, _mesh, _walk
+from .mesh import GridShape, _walk
 
 
 @dataclass
@@ -124,6 +116,12 @@ def _check_domain_in_grid(box, shape: GridShape) -> None:
             raise ConfigError(f"domain box {box} does not intersect the grid {shape.extents}")
 
 
+def _compress(field: np.ndarray, config: CompressionConfig, axis: int | None):
+    """Compress ``field`` as one variable, or as its 2D slices along ``axis``."""
+    arrays = [field] if axis is None else split_axis(field, axis)
+    return compress_many(arrays, GridShape(arrays[0].shape), config)
+
+
 def cmd_compress(args) -> int:
     meta = read_sidecar(args.meta)
     shape = GridShape(meta.dims)
@@ -153,15 +151,8 @@ def cmd_compress(args) -> int:
         raise ConfigError("error domains cannot be combined with --split-axis")
 
     spec = ErrorSpec(Criterion(kind, bound), tuple(domains))
-    config = CompressionConfig(spec, mode=args.mode, split_axis=args.split_axis,
-                               packing=packing)
-
-    if args.split_axis is not None:
-        slices = split_axis(raw.reshape(shape.extents), args.split_axis)
-        variables = compress_many(slices, GridShape(slices[0].shape), config)
-    else:
-        variables = compress_many([raw], shape, config)
-
+    config = CompressionConfig(spec, mode=args.mode, packing=packing)
+    variables = _compress(raw.reshape(shape.extents), config, args.split_axis)
     blob = write_artifact(variables)
     Path(args.output).write_bytes(blob)
     leaves = sum(v.stats.leaf_count for v in variables)
@@ -187,14 +178,18 @@ def _decoded(variables):
         yield v, walked
 
 
+def _restore(variables, axis: int) -> np.ndarray:
+    """Decode an artifact's variables; several are stacked along ``axis``."""
+    arrays = [_decompress(v, walked).reshape(v.shape.extents)
+              for v, walked in _decoded(variables)]
+    return arrays[0] if len(arrays) == 1 else stack_axis(arrays, axis)
+
+
 def cmd_decompress(args) -> int:
     variables, header = read_artifact(Path(args.input).read_bytes())
     if len(variables) > 1 and not 0 <= args.split_axis <= header.shape.dim:
         raise ConfigError(f"--split-axis {args.split_axis} out of range")
-    arrays = [_decompress(v, walked).reshape(v.shape.extents)
-              for v, walked in _decoded(variables)]
-    out = arrays[0] if len(arrays) == 1 else stack_axis(arrays, args.split_axis)
-    np.ascontiguousarray(out).tofile(args.output)
+    np.ascontiguousarray(_restore(variables, args.split_axis)).tofile(args.output)
     return 0
 
 
@@ -214,33 +209,24 @@ def cmd_info(args) -> int:
     print(f"post_pass: {header.post_pass}")
     print(f"variables: {header.n_variables}")
     for i, (v, (_, key, _)) in enumerate(_decoded(variables)):
-        mesh = _mesh(v.shape, key)
-        print(f"variable {i}: levels: {mesh.level_histogram()}  leaves={mesh.n_leaves} "
+        levels, counts = np.unique(header.shape.initial_level - (key >> 1), return_counts=True)
+        histogram = {int(a): int(b) for a, b in zip(levels, counts)}
+        print(f"variable {i}: levels: {histogram}  leaves={len(key)} "
               f"payload_values={len(v.payload)} payload_bytes={v.payload.nbytes} "
               f"bitfield_bytes={len(v.mesh_bits)}")
     return 0
 
 
 def cmd_sweep(args) -> int:
-    dims = args.dims
-    shape = GridShape(dims)
-    errors = args.errors
-    field = GENERATORS[args.generator](dims, seed=args.seed)
+    GridShape(args.dims)  # validate the dims before the field is generated
+    field = GENERATORS[args.generator](args.dims, seed=args.seed)
     flat = field.reshape(-1)
     kind = ABSOLUTE if args.criterion == "abs" else RELATIVE
     print("error,bytes,ratio,max_observed_error")
-    for bound in errors:
-        config = CompressionConfig(ErrorSpec(Criterion(kind, bound)),
-                                   split_axis=args.split_axis)
-        if args.split_axis is not None:
-            slices = split_axis(field, args.split_axis)
-            variables = compress_many(slices, GridShape(slices[0].shape), config)
-            recon = stack_axis(
-                [decompress(v).reshape(v.shape.extents) for v in variables],
-                args.split_axis).reshape(-1)
-        else:
-            variables = [compress(flat, shape, config)]
-            recon = decompress(variables[0]).astype(np.float64)
+    for bound in args.errors:
+        variables = _compress(field, CompressionConfig(ErrorSpec(Criterion(kind, bound))),
+                              args.split_axis)
+        recon = _restore(variables, args.split_axis).reshape(-1)
         blob = write_artifact(variables)
         dev = np.abs(recon - flat)
         if kind == ABSOLUTE:
@@ -312,12 +298,6 @@ def main(argv=None) -> int:
     args = _build_parser().parse_args(argv)
     try:
         return args.func(args)
-    except (ShapeError, DataError, ConfigError) as exc:
+    except (AmrcError, OSError) as exc:
         print(f"amrc: error: {exc}", file=sys.stderr)
-        return 3
-    except (CorruptArtifactError, UnsupportedFeatureError) as exc:
-        print(f"amrc: error: {exc}", file=sys.stderr)
-        return 4
-    except OSError as exc:
-        print(f"amrc: error: {exc}", file=sys.stderr)
-        return 3
+        return 4 if isinstance(exc, (CorruptArtifactError, UnsupportedFeatureError)) else 3

@@ -85,8 +85,9 @@ class Packing:
     offset: float
 
     def __post_init__(self):
-        if not self.scale > 0:
-            raise ConfigError(f"scale factor must be positive, got {self.scale}")
+        if not (0 < self.scale < np.inf and abs(self.offset) < np.inf):
+            raise ConfigError("packing needs a finite scale > 0 and a finite offset, "
+                              f"got scale={self.scale} offset={self.offset}")
 
 
 @dataclass(frozen=True)
@@ -151,8 +152,8 @@ def _quantize(means: np.ndarray, value_kind: str) -> np.ndarray:
 
 def packed_bound(eps_unpacked: float, scale_factor: float) -> float:
     """Transform an absolute bound into packed-data units."""
-    if not scale_factor > 0:
-        raise ConfigError(f"scale factor must be positive, got {scale_factor}")
+    if not 0 < scale_factor < np.inf:
+        raise ConfigError(f"scale factor must be finite and positive, got {scale_factor}")
     return eps_unpacked / scale_factor
 
 
@@ -185,28 +186,22 @@ def _row_sum(terms):
             + ((terms[4] + terms[5]) + (terms[6] + terms[7])))
 
 
-def _worst(members, trks, dev, cand):
+def _worst(members, trks, cand):
     """Relative error estimate of each family, member by member.
 
-    ``members``, ``dev`` and (unless ``trks`` is the scalar ``0.0``) ``trks``
-    hold one array per data member, ``dev`` its ``|cand - v| + t`` (computed
-    here when ``None``).
+    ``members`` and ``trks`` hold one array per data member. A zero tracker
+    leaves every term bit for bit what ``|cand - v| / |v|`` gives.
     ``batch_check_relative`` reads a zero denominator as 0 or inf; ``d / den``
     gives inf there too except for 0 / 0, a member met exactly, which is NaN:
     fmax skips it, and a family of such members gets NaN, which the accept
     test ``~(worst > bound)`` passes like the 0 it stands for.
     """
-    if dev is None:
-        dev = [np.abs(cand - v) for v in members]
-    if np.isscalar(trks):
-        dens = [np.abs(v) for v in members]
-    else:
-        dens = [np.minimum(np.abs(v - t), np.minimum(np.abs(v), np.abs(v + t)))
-                for v, t in zip(members, trks)]
-    return reduce(np.fmax, [d / den for d, den in zip(dev, dens)])
+    return reduce(np.fmax, [
+        (np.abs(cand - v) + t) / np.minimum(np.abs(v - t), np.minimum(np.abs(v), np.abs(v + t)))
+        for v, t in zip(members, trks)])
 
 
-def _relative_accept(members, trks, dev, cand, vmin, vmax, tmax, ntr, bounds):
+def _relative_accept(members, trks, cand, vmin, vmax, tmax, ntr, bounds):
     """Accept flags of the relative criterion, bit for bit those of :func:`_worst`.
 
     Two one-sided tests decide most families from their extremes. IEEE
@@ -215,13 +210,13 @@ def _relative_accept(members, trks, dev, cand, vmin, vmax, tmax, ntr, bounds):
     of the exact ones:
 
     - certain reject, ``ntr / max(|vmin|, |vmax|) > bound``: the member whose
-      ``dev`` is ``ntr`` has a denominator of at most ``|v| <= max(|vmin|,
-      |vmax|)``, so its term is at least as large (inf on a zero
+      ``|cand - v| + t`` is ``ntr`` has a denominator of at most ``|v| <=
+      max(|vmin|, |vmax|)``, so its term is at least as large (inf on a zero
       denominator), and ``fmax`` returns it or more;
     - certain accept, ``ntr / lo <= bound`` with ``lo = max(vmin - tmax,
       -(vmax + tmax)) > 0``: ``lo > 0`` holds only for a family of one strict
       sign whose every member clears its tracker, and then every
-      denominator is at least ``lo``, every ``dev`` at most ``ntr``, and no
+      denominator is at least ``lo``, every numerator at most ``ntr``, and no
       term is NaN.
 
     The rest (zero or NaN ratios, mixed signs, the band between the tests)
@@ -234,8 +229,7 @@ def _relative_accept(members, trks, dev, cand, vmin, vmax, tmax, ntr, bounds):
         return accept
     at = np.nonzero(~decided)
     worst = _worst([v[at] for v in members],
-                   trks if np.isscalar(trks) else [t[at] for t in trks],
-                   None if dev is None else [d[at] for d in dev], cand[at])
+                   [np.broadcast_to(t, cand.shape)[at] for t in trks], cand[at])
     accept[at] = ~(worst > bounds[at])
     return accept
 
@@ -259,7 +253,6 @@ def _check_families(vals, trks, bounds, kind: str, value_kind: str):
     """
     real = [k for k, v in enumerate(vals) if v is not None]
     members = [vals[k] for k in real]
-    zero_trackers = np.isscalar(trks)
     with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
         terms = [0.0 if v is None else v for v in vals]
         sums = _row_sum(terms)
@@ -275,27 +268,22 @@ def _check_families(vals, trks, bounds, kind: str, value_kind: str):
         vmin = reduce(np.minimum, members)
         vmax = reduce(np.maximum, members)
         cand = _quantize(np.where(vmin == vmax, vmax, means), value_kind)
-        if zero_trackers:
+        if np.isscalar(trks):
             # rounding is monotone, so the extreme deviations sit at vmin and vmax
-            ntr = np.maximum(np.abs(cand - vmin), np.abs(cand - vmax))
-            if kind == ABSOLUTE:
-                return ntr <= bounds, cand, ntr
-            return _relative_accept(members, trks, None, cand, vmin, vmax, 0.0, ntr,
-                                    bounds), cand, ntr
-        trks = [trks[k] for k in real]
-        dev = [np.abs(cand - v) + t for v, t in zip(members, trks)]
-        ntr = reduce(np.maximum, dev)
-        tmax = reduce(np.maximum, trks)
-        if kind != ABSOLUTE:
-            accept = _relative_accept(members, trks, dev, cand, vmin, vmax, tmax, ntr, bounds)
-        # Directed rounding: once prior inaccuracy enters the sum, pad the
-        # stored tracker by a few ulps so it upper-bounds the deviation in
-        # float arithmetic too, not only in exact arithmetic. First-level
-        # trackers stay bit-exact (no prior term, single rounded op).
-        ntr = np.where(tmax > 0.0, ntr + 4.0 * np.spacing(ntr), ntr)
+            trks, tmax = [0.0] * len(members), 0.0
+            ntr = stored = np.maximum(np.abs(cand - vmin), np.abs(cand - vmax))
+        else:
+            trks = [trks[k] for k in real]
+            tmax = reduce(np.maximum, trks)
+            ntr = reduce(np.maximum, [np.abs(cand - v) + t for v, t in zip(members, trks)])
+            # Directed rounding: once prior inaccuracy enters the sum, pad the
+            # stored tracker by a few ulps so it upper-bounds the deviation in
+            # float arithmetic too, not only in exact arithmetic. First-level
+            # trackers stay bit-exact (no prior term, single rounded op).
+            stored = np.where(tmax > 0.0, ntr + 4.0 * np.spacing(ntr), ntr)
         if kind == ABSOLUTE:  # the bound holds on the stored tracker itself
-            return ntr <= bounds, cand, ntr
-        return accept, cand, ntr
+            return stored <= bounds, cand, stored
+        return _relative_accept(members, trks, cand, vmin, vmax, tmax, ntr, bounds), cand, stored
 
 
 def _blocks(extents: tuple[int, ...]):
@@ -435,8 +423,7 @@ def _compress(arrays, shape: GridShape, config: CompressionConfig,
 
 def compress(values, shape: GridShape, config: CompressionConfig) -> CompressedVariable:
     """Compress one linear row-major array under the configured error bounds."""
-    arr = np.asarray(values)
-    return _compress([arr], shape, config, value_kind_of(arr.dtype))[0]
+    return compress_many([values], shape, config)[0]
 
 
 def compress_many(variables, shape: GridShape, config: CompressionConfig) -> list[CompressedVariable]:
@@ -453,7 +440,7 @@ def compress_many(variables, shape: GridShape, config: CompressionConfig) -> lis
         raise ConfigError(f"variables must share one value kind, got {sorted(kinds)}")
     kind = kinds.pop()
     if config.mode == ONE_FOR_ONE:
-        return [compress(a, shape, config) for a in arrays]
+        return [_compress([a], shape, config, kind)[0] for a in arrays]
     return _compress(arrays, shape, config, kind)
 
 

@@ -17,15 +17,19 @@ Header::
     post-pass id   u8       0=identity (only id implemented)
     variable count u16
 
-Sections follow the header. ``one-for-one``: per variable, a bit-field
-section then a payload section. ``one-for-all``: one shared bit-field
-section, then one payload section per variable.
+Sections follow the header: per variable, a bit-field section then a payload
+section, except that in ``one-for-all`` only the first variable has a
+bit-field section and the others share it.
 
     bit-field section:  u32 byte length, then the level-wise refinement bits
     payload section:    u32 value count, then the values (value_kind, LE)
 
-No trailing bytes are accepted, and all lengths are validated before any
-allocation, so ``write(read(b)) == b`` for every valid artifact ``b``.
+The header has exactly one encoding, as the bit-field has: the reader
+re-encodes the header it parsed and rejects the bytes unless they are that
+encoding, which also pins the initial level to the extents and the packing
+fields to zero bytes when the flag is 0. No trailing bytes are accepted, and
+all lengths are validated before any allocation, so ``write(read(b)) == b``
+for every valid artifact ``b``.
 """
 
 from __future__ import annotations
@@ -62,6 +66,9 @@ _CRITERION_KINDS = {v: k for k, v in _CRITERION_IDS.items()}
 _MODE_IDS = {ONE_FOR_ONE: 0, ONE_FOR_ALL: 1}
 _MODES = {v: k for k, v in _MODE_IDS.items()}
 
+# the header fields after the extents, from the initial level to the variable count
+_FIELDS = struct.Struct("<BBBdBBddBH")
+
 
 @dataclass(frozen=True)
 class ArtifactHeader:
@@ -72,6 +79,16 @@ class ArtifactHeader:
     packing: Packing | None
     post_pass: int
     n_variables: int
+
+
+def _header_bytes(h: ArtifactHeader) -> bytes:
+    """The one encoding of an artifact header."""
+    scale, offset = (0.0, 0.0) if h.packing is None else (h.packing.scale, h.packing.offset)
+    return (MAGIC + struct.pack(f"<BB{h.shape.dim}Q", VERSION, h.shape.dim, *h.shape.extents)
+            + _FIELDS.pack(h.shape.initial_level, _VALUE_KIND_IDS[h.value_kind],
+                           _CRITERION_IDS[h.criterion.kind], h.criterion.bound,
+                           _MODE_IDS[h.mode], h.packing is not None, scale, offset,
+                           h.post_pass, h.n_variables))
 
 
 def write_artifact(variables, post_pass: int = 0) -> bytes:
@@ -93,45 +110,14 @@ def write_artifact(variables, post_pass: int = 0) -> bytes:
     if len(variables) > 0xFFFF:
         raise ConfigError("too many variables for one artifact")
 
-    out = bytearray()
-    out += MAGIC
-    out += struct.pack("<BB", VERSION, first.shape.dim)
-    for e in first.shape.extents:
-        out += struct.pack("<Q", e)
-    out += struct.pack(
-        "<BBBd",
-        first.shape.initial_level,
-        _VALUE_KIND_IDS[first.value_kind],
-        _CRITERION_IDS[first.criterion.kind],
-        first.criterion.bound,
-    )
-    packing = first.packing
-    out += struct.pack(
-        "<BBdd",
-        _MODE_IDS[first.mode],
-        0 if packing is None else 1,
-        0.0 if packing is None else packing.scale,
-        0.0 if packing is None else packing.offset,
-    )
-    out += struct.pack("<BH", post_pass, len(variables))
-
-    def emit_bits(v):
-        out.extend(struct.pack("<I", len(v.mesh_bits)))
-        out.extend(v.mesh_bits)
-
-    def emit_payload(v):
+    out = bytearray(_header_bytes(ArtifactHeader(
+        first.shape, first.value_kind, first.criterion, first.mode, first.packing,
+        post_pass, len(variables))))
+    for i, v in enumerate(variables):
+        if i == 0 or first.mode == ONE_FOR_ONE:
+            out += struct.pack("<I", len(v.mesh_bits)) + v.mesh_bits
         data = np.ascontiguousarray(v.payload, dtype=VALUE_KIND_DTYPES[v.value_kind])
-        out.extend(struct.pack("<I", len(data)))
-        out.extend(data.tobytes())
-
-    if first.mode == ONE_FOR_ALL:
-        emit_bits(first)
-        for v in variables:
-            emit_payload(v)
-    else:
-        for v in variables:
-            emit_bits(v)
-            emit_payload(v)
+        out += struct.pack("<I", len(data)) + data.tobytes()
     return bytes(out)
 
 
@@ -166,81 +152,56 @@ def read_artifact(data: bytes):
     (dim,) = r.unpack("<B", "dim")
     if dim not in (2, 3):
         raise CorruptArtifactError(f"dim must be 2 or 3, got {dim}", r.offset - 1)
-    extents = tuple(r.unpack("<Q", "extent")[0] for _ in range(dim))
-    level, kind_id, crit_id, bound = r.unpack("<BBBd", "header fields")
-    mode_id, pack_flag, scale, offs = r.unpack("<BBdd", "mode/packing")
-    header_pack_at = r.offset - 17
-    post_pass, n_vars = r.unpack("<BH", "trailer fields")
+    extents = r.unpack(f"<{dim}Q", "extents")
+    pack_at = r.offset + 12  # the packing flag follows 12 bytes of fields
+    (level, kind_id, crit_id, bound, mode_id, pack_flag, scale, offs, post_pass,
+     n_vars) = r.unpack(_FIELDS.format, "header fields")
 
     try:
         shape = GridShape(extents)
     except (ShapeError, OverflowError) as exc:
         raise CorruptArtifactError(f"invalid extents {extents}: {exc}", 6) from exc
-    if level != shape.initial_level:
-        raise CorruptArtifactError(
-            f"initial level {level} does not match extents (expected {shape.initial_level})")
-    if kind_id not in _VALUE_KINDS:
-        raise CorruptArtifactError(f"unknown value kind id {kind_id}")
-    if crit_id not in _CRITERION_KINDS:
-        raise CorruptArtifactError(f"unknown criterion id {crit_id}")
+    for ident, known, what in ((kind_id, _VALUE_KINDS, "value kind"),
+                               (crit_id, _CRITERION_KINDS, "criterion"), (mode_id, _MODES, "mode")):
+        if ident not in known:
+            raise CorruptArtifactError(f"unknown {what} id {ident}")
     try:
         criterion = Criterion(_CRITERION_KINDS[crit_id], bound)
     except ConfigError as exc:
         raise CorruptArtifactError(str(exc)) from exc
-    if mode_id not in _MODES:
-        raise CorruptArtifactError(f"unknown mode id {mode_id}")
-    if pack_flag not in (0, 1):
-        raise CorruptArtifactError(f"packing flag must be 0/1, got {pack_flag}", header_pack_at)
-    if pack_flag:
-        try:
-            packing = Packing(scale, offs)
-        except ConfigError as exc:
-            raise CorruptArtifactError(str(exc), header_pack_at) from exc
-    else:
-        if struct.pack("<dd", scale, offs) != b"\x00" * 16:
-            raise CorruptArtifactError("packing fields must be zero when unpacked",
-                                       header_pack_at)
-        packing = None
+    try:
+        packing = Packing(scale, offs) if pack_flag else None
+    except ConfigError as exc:
+        raise CorruptArtifactError(str(exc), pack_at) from exc
+    header = ArtifactHeader(shape, _VALUE_KINDS[kind_id], criterion, _MODES[mode_id], packing,
+                            post_pass, n_vars)
+    canonical = _header_bytes(header)
+    if canonical != r.data[:r.offset]:
+        at = next(i for i, (a, b) in enumerate(zip(canonical, r.data)) if a != b)
+        raise CorruptArtifactError(
+            "header is not canonical (initial level, packing flag or unset packing fields)", at)
     if post_pass != 0:
         raise UnsupportedFeatureError(f"post-pass id {post_pass} is not implemented")
     if n_vars < 1:
         raise CorruptArtifactError("artifact declares zero variables", r.offset - 2)
 
-    value_kind = _VALUE_KINDS[kind_id]
-    mode = _MODES[mode_id]
-    dtype = np.dtype(VALUE_KIND_DTYPES[value_kind])
-
-    def read_bits() -> bytes:
-        (nbytes,) = r.unpack("<I", "bit-field length")
-        return r.take(nbytes, "bit-field section")
-
-    def read_payload() -> np.ndarray:
+    dtype = np.dtype(VALUE_KIND_DTYPES[header.value_kind])
+    variables = []
+    for i in range(n_vars):
+        if i == 0 or header.mode == ONE_FOR_ONE:
+            (nbytes,) = r.unpack("<I", "bit-field length")
+            bits = r.take(nbytes, "bit-field section")
         at = r.offset
         (count,) = r.unpack("<I", "payload count")
         if count * dtype.itemsize > len(r.data) - r.offset:
             raise CorruptArtifactError(
                 f"payload section declares {count} values but only "
                 f"{len(r.data) - r.offset} bytes remain", at)
-        raw = r.take(count * dtype.itemsize, "payload section")
-        return np.frombuffer(raw, dtype=dtype).copy()
-
-    def make_var(bits: bytes, payload: np.ndarray) -> CompressedVariable:
-        return CompressedVariable(
-            shape=shape, value_kind=value_kind, mesh_bits=bits, payload=payload,
-            criterion=criterion, mode=mode, packing=packing)
-
-    variables = []
-    if mode == ONE_FOR_ALL:
-        bits = read_bits()
-        for _ in range(n_vars):
-            variables.append(make_var(bits, read_payload()))
-    else:
-        for _ in range(n_vars):
-            bits = read_bits()
-            variables.append(make_var(bits, read_payload()))
+        payload = np.frombuffer(r.take(count * dtype.itemsize, "payload section"), dtype).copy()
+        variables.append(CompressedVariable(
+            shape=shape, value_kind=header.value_kind, mesh_bits=bits, payload=payload,
+            criterion=criterion, mode=header.mode, packing=packing))
     if r.offset != len(r.data):
         raise CorruptArtifactError(
             f"{len(r.data) - r.offset} trailing bytes after last section", r.offset)
-
-    header = ArtifactHeader(shape, value_kind, criterion, mode, packing, post_pass, n_vars)
     return variables, header

@@ -140,6 +140,17 @@ class TestCompressDecompress:
         assert rc == 3
         assert "bad packing record" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("record", ["scale_factor=inf\n", "scale_factor=0.5\noffset=nan\n",
+                                        "scale_factor=0.5\noffset=-inf\n"])
+    def test_non_finite_packing_is_rejected(self, tmp_path, capsys, record):
+        data = np.ones((4, 4), dtype=np.int16)
+        raw, meta = write_inputs(tmp_path, data, (4, 4), "i16", extra_meta=record)
+        out = tmp_path / "a.amrc"
+        rc = main(["compress", "--input", str(raw), "--meta", str(meta),
+                   "--abs", "1", "--output", str(out)])
+        assert rc == 3 and not out.exists()
+        assert "finite" in capsys.readouterr().err
+
     def test_size_mismatch_is_data_error(self, tmp_path, capsys):
         data = np.ones(10, dtype=np.float32)
         raw, meta = write_inputs(tmp_path, data, (4, 4), "f32")

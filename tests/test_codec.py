@@ -270,8 +270,15 @@ class TestPacked:
     def test_packed_bound(self):
         assert packed_bound(1.0, 0.01) == 100.0
         assert packed_bound(2.5, 2.5) == 1.0
+        for scale in (0.0, -1.0, np.inf, np.nan):
+            with pytest.raises(ConfigError):
+                packed_bound(1.0, scale)
+
+    @pytest.mark.parametrize("scale,offset", [(np.inf, 0.0), (np.nan, 0.0), (0.0, 0.0),
+                                              (1.0, np.nan), (1.0, np.inf), (1.0, -np.inf)])
+    def test_packing_needs_finite_record(self, scale, offset):
         with pytest.raises(ConfigError):
-            packed_bound(1.0, 0.0)
+            Packing(scale, offset)
 
     def test_integer_compression_respects_bound(self, rng):
         packed = rng.integers(-300, 300, size=(16, 16)).astype(np.int16)

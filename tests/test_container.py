@@ -173,6 +173,19 @@ class TestValidation:
         with pytest.raises(CorruptArtifactError):
             read_artifact(bytes(blob))
 
+    @pytest.mark.parametrize("field,value", [("scale", np.inf), ("offset", np.nan),
+                                             ("offset", np.inf), ("offset", -np.inf)])
+    def test_non_finite_packing_rejected(self, field, value):
+        var = compress(np.arange(16, dtype=np.int16), GridShape((4, 4)),
+                       CompressionConfig(ErrorSpec(Criterion("abs", 1.0)),
+                                         packing=Packing(0.5, 2.0)))
+        blob = bytearray(write_artifact([var]))
+        at = PACK_FLAG_AT + (1 if field == "scale" else 9)
+        blob[at:at + 8] = struct.pack("<d", value)
+        with pytest.raises(CorruptArtifactError) as exc:
+            read_artifact(bytes(blob))
+        assert exc.value.offset == PACK_FLAG_AT
+
     def test_inconsistent_variables_rejected(self, rng):
         a = random_variable(rng, value_kind="f32")
         b = random_variable(rng, value_kind="f64", shape=a.shape, criterion=a.criterion)
@@ -191,6 +204,53 @@ class TestValidation:
     def test_empty_artifact_rejected(self):
         with pytest.raises(ConfigError):
             write_artifact([])
+
+
+# in a 2D header: magic, version, dim, two extents, then the fields after them
+LEVEL_AT = 4 + 1 + 1 + 2 * 8
+PACK_FLAG_AT = LEVEL_AT + 1 + 1 + 1 + 8 + 1
+
+
+class TestCanonicalHeader:
+    """A header that parses but differs from its own encoding is rejected at
+    the first byte that differs."""
+
+    def blob(self, packing=None):
+        var = compress(np.arange(16, dtype=np.int16), GridShape((4, 4)),
+                       CompressionConfig(ErrorSpec(Criterion("abs", 1.0)), packing=packing))
+        return write_artifact([var])
+
+    def assert_rejected_at(self, blob, at):
+        with pytest.raises(CorruptArtifactError) as exc:
+            read_artifact(bytes(blob))
+        assert exc.value.offset == at
+
+    @pytest.mark.parametrize("packing", [None, Packing(0.5, 2.0)])
+    def test_packing_flag_two(self, packing):
+        blob = bytearray(self.blob(packing))
+        blob[PACK_FLAG_AT] = 2
+        self.assert_rejected_at(blob, PACK_FLAG_AT)
+
+    @pytest.mark.parametrize("field", [0, 1])
+    def test_negative_zero_packing_field_with_flag_unset(self, field):
+        blob = bytearray(self.blob())
+        at = PACK_FLAG_AT + 1 + 8 * field
+        blob[at:at + 8] = struct.pack("<d", -0.0)
+        # little-endian: only the last byte, the sign's, differs from +0.0
+        self.assert_rejected_at(blob, at + 7)
+
+    @pytest.mark.parametrize("step", [-1, 1])
+    def test_initial_level_off_by_one(self, step):
+        blob = bytearray(self.blob())
+        assert blob[LEVEL_AT] == 2
+        blob[LEVEL_AT] += step
+        self.assert_rejected_at(blob, LEVEL_AT)
+
+    def test_canonical_header_accepted(self):
+        blob = self.blob(Packing(0.5, -0.0))
+        back, header = read_artifact(blob)
+        assert write_artifact(back) == blob
+        assert str(header.packing.offset) == "-0.0"
 
 
 # Runs in a child process that caps its own address space first, so a mutated

@@ -385,7 +385,7 @@ class TestLevelKernelMatchesBatch:
         seen = []
         per_member = codec._worst
         monkeypatch.setattr(codec, "_worst",
-                            lambda *args: seen.append(args[3].size) or per_member(*args))
+                            lambda *args: seen.append(args[2].size) or per_member(*args))
         fvals = families(grid, np.nan)
         dmask = np.zeros(fvals.shape, dtype=bool)
         for trks in (0.0, np.full(grid.shape, 0.01)):
