@@ -10,7 +10,8 @@ lines (``#`` starts a comment)::
     scale_factor=0.01              # optional packing record
     offset=150.0                   # optional, defaults to 0 with scale_factor
 
-Exit codes: 0 success, 2 usage error, 3 data error, 4 corrupt artifact.
+Exit codes: 0 success, 2 usage error, 3 data error (an input too large for
+memory included), 4 corrupt artifact.
 """
 
 from __future__ import annotations
@@ -298,6 +299,6 @@ def main(argv=None) -> int:
     args = _build_parser().parse_args(argv)
     try:
         return args.func(args)
-    except (AmrcError, OSError) as exc:
+    except (AmrcError, OSError, MemoryError) as exc:
         print(f"amrc: error: {exc}", file=sys.stderr)
         return 4 if isinstance(exc, (CorruptArtifactError, UnsupportedFeatureError)) else 3

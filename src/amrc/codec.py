@@ -1,24 +1,21 @@
 """Compression driver: coarsen bottom-up, one tree level at a time, then package.
 
 Coarsening works on grid-index arrays, one per tree level. At each level a
-family of 2^dim siblings is read through strided child views of the grid,
-``grid[o0::2, o1::2]`` per Morton child, not copied out. On an odd axis the
-last parent's second child is a pad cell, a dummy leaf; cutting each odd
-axis into full parents and that last one splits the parent grid into
-blocks in which each child is present or a dummy throughout. Every complete
-family (all members still leaves) gets a candidate parent value, the mean of
-its data members, which is checked against the most restrictive bound of
-any error domain the parent meets. The sums, extremes and deviations are
-reduced elementwise across the child views, in the order that makes them
-bit-identical to :func:`~amrc.criteria.family_means` and the
-``batch_check_*`` functions of :mod:`amrc.criteria`, which
-``tests/oracle.py`` keeps as the reference. The relative check is
-evaluated member by member only where it has to be: two one-sided tests on
-a family's extremes, a certain reject and, for a family of one strict sign,
-a certain accept, decide most families, and they are exact because IEEE
-subtraction, addition and division round monotonically, so no member's
-term can fall outside the range the extremes give. Accepted parents
-become the leaves of the next level up; the leaves of rejected or
+family of 2^dim siblings is read through the strided child views that
+:func:`amrc.mesh._blocks` gives, ``grid[o0::2, o1::2]`` per Morton child,
+not copied out. Every complete family (all members still leaves) gets a
+candidate parent value, the mean of its data members, which is checked
+against the most restrictive bound of any error domain the parent meets.
+The sums, extremes and deviations are reduced elementwise across the child
+views, in the order that makes them bit-identical to
+:func:`~amrc.criteria.family_means` and the ``batch_check_*`` functions of
+:mod:`amrc.criteria`, which ``tests/oracle.py`` keeps as the reference. The
+relative check is evaluated member by member only where it has to be: two
+one-sided tests on a family's extremes, a certain reject and, for a family
+of one strict sign, a certain accept, decide most families, and they are
+exact because IEEE subtraction, addition and division round monotonically,
+so no member's term can fall outside the range the extremes give. Accepted
+parents become the leaves of the next level up; the leaves of rejected or
 incomplete families stay in the final mesh. The pass stops at the first
 level that accepts nothing.
 
@@ -51,7 +48,6 @@ deviation of the value that is actually stored.
 
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass
 from functools import reduce
 
@@ -59,7 +55,7 @@ import numpy as np
 
 from .criteria import ABSOLUTE, Criterion, ErrorSpec
 from .errors import ConfigError, CorruptArtifactError, DataError, ShapeError
-from .mesh import ForestMesh, GridShape, _fill_grids, _fill_leaves, _mesh, _walk
+from .mesh import ForestMesh, GridShape, _blocks, _fill_grids, _fill_leaves, _mesh, _walk
 
 ONE_FOR_ONE = "one-for-one"
 ONE_FOR_ALL = "one-for-all"
@@ -286,48 +282,21 @@ def _check_families(vals, trks, bounds, kind: str, value_kind: str):
         return _relative_accept(members, trks, cand, vmin, vmax, tmax, ntr, bounds), cand, stored
 
 
-def _blocks(extents: tuple[int, ...]):
-    """Parent-grid blocks of a level grid, each with its children's slices.
-
-    A parent's children sit at ``2p`` and ``2p + 1`` on every axis; on an odd
-    axis the last parent's second child is the pad cell, a dummy. Splitting
-    each axis into full parents and that last one cuts the parent grid into
-    blocks in which every child is either present throughout or a dummy
-    throughout. Yields ``(parent slices, child slices)`` with the children in
-    Morton child order and ``None`` for a dummy child.
-    """
-    dim = len(extents)
-    axes = []
-    for e in extents:
-        h = e // 2
-        options = [(slice(0, h), (slice(0, 2 * h, 2), slice(1, 2 * h, 2)))] if h else []
-        if e % 2:
-            options.append((slice(h, h + 1), (slice(e - 1, e), None)))
-        axes.append(options)
-    for combo in itertools.product(*axes):
-        children = []
-        for k in range(1 << dim):
-            sl = tuple(c[1][(k >> (dim - 1 - j)) & 1] for j, c in enumerate(combo))
-            children.append(None if None in sl else sl)
-        yield tuple(c[0] for c in combo), children
-
-
 def _check_level(vals, trks, leaf, bounds, kind: str, value_kind: str):
     """Check every family of one level grid for every variable.
 
     ``vals`` and ``trks`` hold one level grid per variable (``trks`` entries
     may be the scalar ``0.0``), ``leaf`` flags the leaf cells (``None``: all
-    are leaves) and ``bounds`` holds each parent's bound. Returns the
-    parent-grid accept flags (set where the family is complete and every
-    variable accepts) and each variable's candidate and tracker grids. The
-    candidate and tracker of a family that is not accepted are arbitrary.
+    are leaves) and ``bounds`` holds each parent's bound, on the parent
+    grid. Returns the parent-grid accept flags (set where the family is
+    complete and every variable accepts) and each variable's candidate and
+    tracker grids. The candidate and tracker of a family that is not
+    accepted are arbitrary.
     """
-    extents = vals[0].shape
-    parents = tuple((e + 1) // 2 for e in extents)
-    ok = np.ones(parents, dtype=bool)
-    cands = [np.empty(parents) for _ in vals]
-    ntrs = [np.empty(parents) for _ in vals]
-    for pslices, children in _blocks(extents):
+    ok = np.ones(bounds.shape, dtype=bool)
+    cands = [np.empty(bounds.shape) for _ in vals]
+    ntrs = [np.empty(bounds.shape) for _ in vals]
+    for pslices, children in _blocks(vals[0].shape):
         acc = ok[pslices]  # a view: clearing it clears ok
         if leaf is not None:
             for sl in children:

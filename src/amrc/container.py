@@ -141,7 +141,8 @@ def read_artifact(data: bytes):
     """Parse an artifact; returns ``(variables, header)``.
 
     Exact inverse of :func:`write_artifact`; any deviation from the format,
-    including trailing bytes, raises :class:`CorruptArtifactError`.
+    including trailing bytes, raises :class:`CorruptArtifactError`. Each
+    payload is a read-only view into ``bytes(data)``, not a copy.
     """
     r = _Reader(bytes(data))
     if r.take(4, "magic") != MAGIC:
@@ -197,7 +198,8 @@ def read_artifact(data: bytes):
             raise CorruptArtifactError(
                 f"payload section declares {count} values but only "
                 f"{len(r.data) - r.offset} bytes remain", at)
-        payload = np.frombuffer(r.take(count * dtype.itemsize, "payload section"), dtype).copy()
+        payload = np.frombuffer(r.data, dtype, count, r.offset)  # a read-only view
+        r.offset += payload.nbytes
         variables.append(CompressedVariable(
             shape=shape, value_kind=header.value_kind, mesh_bits=bits, payload=payload,
             criterion=criterion, mode=header.mode, packing=packing))

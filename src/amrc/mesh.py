@@ -22,8 +22,11 @@ This module owns the tree geometry. The grid at level ``l`` has
 ``ceil(e / 2^(initial_level - l))`` cells per extent ``e``. Parent ``p``
 of a level grid has its children at ``2p`` and ``2p + 1`` on every axis, in
 Morton child order; on an odd axis the last parent's second child is a pad
-cell outside the grid, a dummy leaf. :func:`_children` gives the cells and
-pad flags of chosen families.
+cell outside the grid, a dummy leaf. That layout has two forms here:
+:func:`_blocks` gives the families of a whole level grid as strided child
+slices, which the level pass reads and decoding writes, and
+:func:`_children` gives the flat cells and pad flags of chosen families,
+which the walk follows.
 
 One top-down walk, :func:`_walk`, is the only bridge between the bit-fields
 and the level grids, in both directions. From the root it refines every
@@ -36,8 +39,8 @@ key (its height above the initial level, and whether it is a dummy) and
 each level the cells of its data leaves. Compression gathers the payload
 from the level grids by a per-level key mask (:func:`_fill_leaves`);
 decompression is the mirror image (:func:`_fill_grids`): top-down from the
-root, each level's grid is upsampled into the next and that level's leaves
-are written in place. Neither side computes a Morton code. A
+root, each parent's value is written into its present children, and each
+level's leaves are written in place. Neither side computes a Morton code. A
 :class:`ForestMesh` is built from the keys alone, since the leaves tile the
 root in curve order. The initial mesh and its data mapping are the walk
 with nothing accepted. The same families as a padded ``(n_parents, 2^dim)``
@@ -46,6 +49,7 @@ copy, for the reference checks, are built in ``tests/oracle.py``.
 
 from __future__ import annotations
 
+import itertools
 from dataclasses import dataclass
 
 import numpy as np
@@ -148,6 +152,31 @@ def _mesh(shape: GridShape, key: np.ndarray) -> ForestMesh:
     codes = (np.cumsum(size) - size) >> shift
     levels = (shape.initial_level - height).astype(np.uint8)
     return ForestMesh(shape, codes, levels, (key & 1).astype(bool))
+
+
+def _blocks(extents: tuple[int, ...]):
+    """The families of a level grid, as blocks of the parent grid and child slices.
+
+    Splitting each odd axis into full parents and the last one, whose
+    second child is the pad, cuts the parent grid into blocks in which
+    every child is present throughout or a pad throughout. Yields
+    ``(parent slices, child slices)`` per block, with the children in Morton
+    child order and ``None`` for a pad child.
+    """
+    dim = len(extents)
+    axes = []
+    for e in extents:
+        h = e // 2
+        options = [(slice(0, h), (slice(0, 2 * h, 2), slice(1, 2 * h, 2)))] if h else []
+        if e % 2:
+            options.append((slice(h, h + 1), (slice(e - 1, e), None)))
+        axes.append(options)
+    for combo in itertools.product(*axes):
+        children = []
+        for k in range(1 << dim):
+            sl = tuple(c[1][(k >> (dim - 1 - j)) & 1] for j, c in enumerate(combo))
+            children.append(None if None in sl else sl)
+        yield tuple(c[0] for c in combo), children
 
 
 def _children(grid: tuple[int, ...], rows: np.ndarray):
@@ -256,27 +285,23 @@ def _fill_leaves(out: np.ndarray, key: np.ndarray, cells, grids) -> np.ndarray:
     return out
 
 
-def _upsample(grid: np.ndarray, out: np.ndarray) -> None:
-    """Fill ``out`` with ``grid`` repeated twice along every axis, cropped to ``out``."""
-    dim = grid.ndim
-    for k in range(1 << dim):
-        dst = out[tuple(slice((k >> a) & 1, None, 2) for a in range(dim))]
-        dst[...] = grid[tuple(slice(0, n) for n in dst.shape)]
-
-
 def _fill_grids(out: np.ndarray, key: np.ndarray, cells, values) -> np.ndarray:
     """Mirror of :func:`_fill_leaves`: write one value per key into the level grids.
 
     ``out`` is the grid of the initial level. Top-down from the ``(1,)*dim``
-    grid of the root, each level's grid is the one above upsampled, and the
-    values of the level's keys are written at its ``cells``; the initial
-    level upsamples into ``out`` itself. Values of odd keys are never read.
+    grid of the root, each parent's value is written into its present
+    children of :func:`_blocks`, and the values of the level's keys are
+    written at its ``cells``; the initial level is ``out`` itself. Values of
+    odd keys are never read.
     """
     grid = None
     for h in range(len(cells) - 1, -1, -1):
         nxt = out if h == 0 else np.empty(tuple(-(-e >> h) for e in out.shape), out.dtype)
         if grid is not None:
-            _upsample(grid, nxt)
+            for parents, children in _blocks(nxt.shape):
+                for sl in children:
+                    if sl is not None:
+                        nxt[sl] = grid[parents]
         grid = nxt
         if len(cells[h]):
             grid.reshape(-1)[cells[h]] = values[key == 2 * h]

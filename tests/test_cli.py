@@ -1,10 +1,13 @@
+import os
 import struct
 import subprocess
 import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import amrc
 from amrc import cli, codec, decompress, read_artifact
 from amrc.cli import main, read_sidecar
 from amrc.errors import DataError
@@ -312,6 +315,23 @@ class TestSweep:
                   "--dims", args["--dims"], "--errors", args["--errors"]])
         assert exc.value.code == 2
         assert f"argument {option}" in capsys.readouterr().err
+
+    def test_huge_dims_is_data_error(self):
+        # the child caps its own address space, so the field fails to allocate
+        # at once instead of filling the host's memory
+        child = ("import resource, sys\n"
+                 "resource.setrlimit(resource.RLIMIT_AS, (2 << 30, 2 << 30))\n"
+                 "from amrc.cli import main\n"
+                 "sys.exit(main(['sweep', '--generator', 'noise', '--dims', '100000,100000',"
+                 " '--errors', '0.1', '--criterion', 'abs']))\n")
+        env = dict(os.environ, OPENBLAS_NUM_THREADS="1", OMP_NUM_THREADS="1",
+                   PYTHONPATH=os.pathsep.join([str(Path(amrc.__file__).parents[1]),
+                                               os.environ.get("PYTHONPATH", "")]))
+        result = subprocess.run([sys.executable, "-c", child], capture_output=True,
+                                text=True, env=env, timeout=120)
+        assert result.returncode == 3, result.stderr
+        assert result.stderr.startswith("amrc: error: ")
+        assert "Traceback" not in result.stderr and result.stdout == ""
 
     def test_layered_split_smaller_than_3d(self, capsys):
         args = ["sweep", "--generator", "layered", "--dims", "8,16,16",

@@ -1,3 +1,4 @@
+import dataclasses
 import json
 import os
 import pickle
@@ -108,6 +109,24 @@ class TestRoundTrip:
                        CompressionConfig(ErrorSpec(Criterion("abs", 0.25))))
         back, _ = read_artifact(write_artifact([var]))
         assert np.array_equal(decompress(back[0]), decompress(var))
+
+    def test_payloads_are_read_only_views(self):
+        for blob in fuzz_corpus():  # f32 and i16 at odd offsets, f64 at 8k and 8k + 4
+            variables, _ = read_artifact(blob)
+            for var in variables:
+                assert np.shares_memory(var.payload, np.frombuffer(blob, np.uint8))
+                assert not var.payload.flags.writeable
+            assert write_artifact(variables) == blob
+            for var in variables:
+                copy = dataclasses.replace(var, payload=var.payload.copy())
+                assert decompress(var).tobytes() == decompress(copy).tobytes()
+
+    def test_bytearray_input_is_snapshot(self):
+        blob = bytearray(fuzz_corpus()[0])
+        var = read_artifact(blob)[0][0]
+        before = var.payload.copy()
+        blob[-before.nbytes:] = bytes(before.nbytes)  # the payload is the last section
+        assert np.array_equal(var.payload, before)
 
 
 class TestValidation:

@@ -13,6 +13,7 @@ from amrc import (
     map_data,
     serialize_refinement,
 )
+from amrc.mesh import _blocks, _children
 from conftest import random_mesh
 from oracle import (
     coarsen_marked,
@@ -320,3 +321,29 @@ class TestOrdering:
         for arrays in broken:
             with pytest.raises(ShapeError):
                 validate_mesh(ForestMesh(mesh.shape, *(a.copy() for a in arrays)))
+
+
+class TestLayout:
+    """``_blocks`` (slices) and ``_children`` (flat cells) describe one layout."""
+
+    @pytest.mark.parametrize("extents", [(1, 1), (1, 7), (6, 9), (7, 7), (1, 2, 3), (5, 6, 7),
+                                         (3, 3, 3)])
+    def test_blocks_match_children(self, extents):
+        parents = tuple((e + 1) // 2 for e in extents)
+        rows = np.arange(int(np.prod(parents)))
+        flat, pad = _children(extents, rows)
+        parent_rows = rows.reshape(parents)
+        cells = np.arange(int(np.prod(extents))).reshape(extents)
+        parent_hits = np.zeros(parents, dtype=int)
+        child_hits = np.zeros(extents, dtype=int)
+        for pslices, children in _blocks(extents):
+            parent_hits[pslices] += 1
+            at = parent_rows[pslices].reshape(-1)
+            assert len(children) == 1 << len(extents)
+            for k, sl in enumerate(children):
+                assert np.array_equal(pad[at, k], np.full(len(at), sl is None))
+                if sl is not None:
+                    child_hits[sl] += 1
+                    assert np.array_equal(cells[sl].reshape(-1), flat[at, k])
+        assert (parent_hits == 1).all()
+        assert (child_hits == 1).all()
