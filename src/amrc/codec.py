@@ -41,15 +41,18 @@ Levels above the initial one never read the initial data again; per-leaf
 inaccuracy trackers stand in for it, and they guarantee the end-to-end
 point-wise bound of the decompressed output.
 
-Candidate values are rounded into the storage type (f32, or nearest-even for
-integer kinds) *before* the compliance check, so the tracker bounds the
-deviation of the value that is actually stored.
+The initial level is read in the caller's storage dtype, with no float64
+copy, and each level reuses a few parent-grid buffers across its blocks and
+variables (:func:`_check_families`, :func:`_check_level`). Candidate values are
+rounded into the storage type (f32, or nearest-even for integer kinds)
+*before* the compliance check, so the tracker bounds the deviation of the
+value that is actually stored.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import reduce
+from functools import partial, reduce
 
 import numpy as np
 
@@ -60,7 +63,7 @@ from .mesh import ForestMesh, GridShape, _blocks, _fill_grids, _fill_leaves, _me
 ONE_FOR_ONE = "one-for-one"
 ONE_FOR_ALL = "one-for-all"
 
-# storage kinds: little-endian on disk, float64 as the working type
+# storage kinds: little-endian on disk; float64 above the initial level
 VALUE_KIND_DTYPES = {"f32": "<f4", "f64": "<f8", "i16": "<i2", "i32": "<i4"}
 _KIND_BY_DTYPE = {("f", 4): "f32", ("f", 8): "f64", ("i", 2): "i16", ("i", 4): "i32"}
 
@@ -138,14 +141,6 @@ class CoarsenResult:
     iterations: int
 
 
-def _quantize(means: np.ndarray, value_kind: str) -> np.ndarray:
-    if value_kind == "f64":
-        return means
-    if value_kind == "f32":
-        return means.astype(np.float32).astype(np.float64)
-    return np.rint(means)
-
-
 def packed_bound(eps_unpacked: float, scale_factor: float) -> float:
     """Transform an absolute bound into packed-data units."""
     if not 0 < scale_factor < np.inf:
@@ -166,27 +161,31 @@ def _parent_bounds(spec: ErrorSpec, parents: tuple[int, ...], size: int) -> np.n
     return bounds
 
 
-def _row_sum(terms):
-    """Sum of one family's members, in numpy's order for a contiguous row.
+def _row_sum(terms, out, a, b):
+    """Sum of one family's members into ``out``, in numpy's order for a contiguous row.
 
     ``x.sum(axis=1)`` of a contiguous ``(n, 4)`` row adds left to right and of
     an ``(n, 8)`` row pairwise; a dummy member enters as ``0.0``. Writing the
-    order out keeps every mean bit-identical to :func:`family_means`. numpy
-    also adds the row onto ``+0.0``, which only turns a sum of negative zeros
-    into ``+0.0``; such a family is constant and takes its value from its
-    maximum instead, so that addition is left out.
+    order out keeps every mean bit-identical to :func:`family_means`. Each
+    addition first converts to float64, which is exact, so members may be in
+    their storage dtype; ``a`` and ``b`` are float64 scratch. numpy also adds
+    the row onto ``+0.0``, which only turns a sum of negative zeros into
+    ``+0.0``; such a family is constant and takes its value from its maximum
+    instead, so that addition is left out.
     """
+    add = partial(np.add, dtype=np.float64)
     if len(terms) == 4:
-        return ((terms[0] + terms[1]) + terms[2]) + terms[3]
-    return (((terms[0] + terms[1]) + (terms[2] + terms[3]))
-            + ((terms[4] + terms[5]) + (terms[6] + terms[7])))
+        return add(add(add(terms[0], terms[1], out=out), terms[2], out=out), terms[3], out=out)
+    left = add(add(terms[0], terms[1], out=out), add(terms[2], terms[3], out=a), out=out)
+    right = add(add(terms[4], terms[5], out=a), add(terms[6], terms[7], out=b), out=a)
+    return add(left, right, out=out)
 
 
 def _worst(members, trks, cand):
     """Relative error estimate of each family, member by member.
 
-    ``members`` and ``trks`` hold one array per data member. A zero tracker
-    leaves every term bit for bit what ``|cand - v| / |v|`` gives.
+    ``members`` and ``trks`` hold one float64 array per data member. A zero
+    tracker leaves every term bit for bit what ``|cand - v| / |v|`` gives.
     ``batch_check_relative`` reads a zero denominator as 0 or inf; ``d / den``
     gives inf there too except for 0 / 0, a member met exactly, which is NaN:
     fmax skips it, and a family of such members gets NaN, which the accept
@@ -197,7 +196,7 @@ def _worst(members, trks, cand):
         for v, t in zip(members, trks)])
 
 
-def _relative_accept(members, trks, cand, vmin, vmax, tmax, ntr, bounds):
+def _relative_accept(members, trks, cand, vmin, vmax, tmax, ntr, bounds, tmp):
     """Accept flags of the relative criterion, bit for bit those of :func:`_worst`.
 
     Two one-sided tests decide most families from their extremes. IEEE
@@ -217,69 +216,88 @@ def _relative_accept(members, trks, cand, vmin, vmax, tmax, ntr, bounds):
 
     The rest (zero or NaN ratios, mixed signs, the band between the tests)
     takes the exact per-member pass of :func:`_worst`, gathered by index.
+    Values enter it as float64, where the magnitude of an integer minimum
+    does not wrap; ``tmp`` is float64 scratch.
     """
-    lo = np.maximum(vmin - tmax, -(vmax + tmax))
+    vmin, vmax = np.asarray(vmin, np.float64), np.asarray(vmax, np.float64)
+    np.maximum(np.abs(vmin, out=tmp), np.abs(vmax), out=tmp)
+    reject = np.divide(ntr, tmp, out=tmp) > bounds
+    lo = np.maximum(np.subtract(vmin, tmax, out=tmp), -(vmax + tmax), out=tmp)
     accept = (lo > 0.0) & (ntr / lo <= bounds)
-    decided = accept | (ntr / np.maximum(np.abs(vmin), np.abs(vmax)) > bounds)
+    decided = accept | reject
     if decided.all():
         return accept
     at = np.nonzero(~decided)
-    worst = _worst([v[at] for v in members],
+    worst = _worst([np.asarray(v[at], np.float64) for v in members],
                    [np.broadcast_to(t, cand.shape)[at] for t in trks], cand[at])
     accept[at] = ~(worst > bounds[at])
     return accept
 
 
-def _check_families(vals, trks, bounds, kind: str, value_kind: str):
-    """Candidate, tracker and accept flag of every family of one block.
+def _check_families(vals, trks, bounds, kind: str, value_kind: str, cand, ntr, scratch):
+    """Accept flag of every family of one block; writes its candidates and trackers.
 
     ``vals`` holds the family members in Morton child order, one array per
     child (strided views of the level grid, all of the block's shape), with
     ``None`` for a child that is a dummy throughout the block. ``trks`` holds
-    the trackers the same way, or is the scalar ``0.0`` on the initial level.
-    Computes :func:`family_means`, :func:`_quantize` and ``batch_check_*``
-    with the directed rounding of later levels, elementwise across the
-    children: the same values bit for bit, without a copy of the members.
-    The relative check rejects where ``ntr / max(|vmin|, |vmax|) > bound``
-    and, for a family of one strict sign, accepts where ``ntr / lo <= bound``,
-    ``lo`` the least denominator its extremes and largest tracker allow;
-    rounding is monotone, so neither test can disagree with the per-member
-    check, which runs only on the families neither decides
-    (:func:`_relative_accept`).
+    the trackers the same way, or is the scalar ``0.0`` on the initial level,
+    whose members are in their storage dtype. ``cand`` and ``ntr`` are the
+    block's float64 output, and ``scratch`` the block of the level's buffers
+    (:func:`_check_level`). Computes :func:`family_means`, the rounding into
+    the storage type and ``batch_check_*`` with the directed rounding of
+    later levels, elementwise across the children: the same values bit for
+    bit, without a copy of the members. The conversion to float64 is exact
+    and monotone, so the sums and the extremes, taken in the storage dtype,
+    are those of a float64 copy. Only f64 data can overflow a sum: every
+    other value lies in its storage range, candidates included. The relative
+    check is :func:`_relative_accept`.
     """
+    lo, hi, tmp, tbuf = scratch
     real = [k for k, v in enumerate(vals) if v is not None]
     members = [vals[k] for k in real]
+    terms = [0.0 if v is None else v for v in vals]
     with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
-        terms = [0.0 if v is None else v for v in vals]
-        sums = _row_sum(terms)
-        means = sums / len(real)
-        big = ~np.isfinite(sums)
-        if big.any():
+        means = _row_sum(terms, cand, ntr, tmp)
+        means /= len(real)
+        big = ~np.isfinite(means) if value_kind == "f64" else False
+        if np.any(big):
             # as in family_means: average the overflowing rows pre-scaled by 2^-dim
             scale = 1.0 / len(vals)
-            rows = np.stack([np.broadcast_to(t, sums.shape)[big] for t in terms], axis=1)
+            rows = np.stack([np.broadcast_to(t, means.shape)[big] for t in terms], axis=1)
             means[big] = (rows * scale).sum(axis=1) / len(real) / scale
         # left folds, as numpy's max runs over a row: a constant family of
         # zeros of both signs takes the same zero from vmax as in family_means
-        vmin = reduce(np.minimum, members)
-        vmax = reduce(np.maximum, members)
-        cand = _quantize(np.where(vmin == vmax, vmax, means), value_kind)
+        vmin = reduce(lambda m, v: np.minimum(m, v, out=lo), members)
+        vmax = reduce(lambda m, v: np.maximum(m, v, out=hi), members)
+        np.copyto(cand, vmax, where=vmin == vmax)
+        if value_kind == "f32":  # to the nearest f32 and back, through the loop's casts
+            np.positive(cand, out=cand, dtype=np.float32)
+        elif value_kind != "f64":
+            np.rint(cand, out=cand)
         if np.isscalar(trks):
             # rounding is monotone, so the extreme deviations sit at vmin and vmax
             trks, tmax = [0.0] * len(members), 0.0
-            ntr = stored = np.maximum(np.abs(cand - vmin), np.abs(cand - vmax))
+            np.abs(np.subtract(cand, vmin, out=ntr), out=ntr)
+            np.maximum(ntr, np.abs(np.subtract(cand, vmax, out=tmp), out=tmp), out=ntr)
         else:
             trks = [trks[k] for k in real]
-            tmax = reduce(np.maximum, trks)
-            ntr = reduce(np.maximum, [np.abs(cand - v) + t for v, t in zip(members, trks)])
+            tmax = reduce(lambda m, t: np.maximum(m, t, out=tbuf), trks)
+            for i, (v, t) in enumerate(zip(members, trks)):
+                dev = tmp if i else ntr
+                np.add(np.abs(np.subtract(cand, v, out=dev), out=dev), t, out=dev)
+                if i:
+                    np.maximum(ntr, dev, out=ntr)
+        accept = None if kind == ABSOLUTE else _relative_accept(
+            members, trks, cand, vmin, vmax, tmax, ntr, bounds, tmp)
+        if not np.isscalar(tmax):
             # Directed rounding: once prior inaccuracy enters the sum, pad the
             # stored tracker by a few ulps so it upper-bounds the deviation in
             # float arithmetic too, not only in exact arithmetic. First-level
             # trackers stay bit-exact (no prior term, single rounded op).
-            stored = np.where(tmax > 0.0, ntr + 4.0 * np.spacing(ntr), ntr)
-        if kind == ABSOLUTE:  # the bound holds on the stored tracker itself
-            return stored <= bounds, cand, stored
-        return _relative_accept(members, trks, cand, vmin, vmax, tmax, ntr, bounds), cand, stored
+            pad = np.multiply(np.spacing(ntr, out=tmp), 4.0, out=tmp)
+            np.copyto(ntr, np.add(ntr, pad, out=tmp), where=tmax > 0.0)
+        # the absolute bound holds on the stored tracker itself
+        return ntr <= bounds if accept is None else accept
 
 
 def _check_level(vals, trks, leaf, bounds, kind: str, value_kind: str):
@@ -291,23 +309,28 @@ def _check_level(vals, trks, leaf, bounds, kind: str, value_kind: str):
     grid. Returns the parent-grid accept flags (set where the family is
     complete and every variable accepts) and each variable's candidate and
     tracker grids. The candidate and tracker of a family that is not
-    accepted are arbitrary.
+    accepted are arbitrary. Every block and variable reuses one set of
+    parent-grid buffers: the extremes in the values' dtype, and float64
+    scratch and tracker maxima.
     """
     ok = np.ones(bounds.shape, dtype=bool)
     cands = [np.empty(bounds.shape) for _ in vals]
     ntrs = [np.empty(bounds.shape) for _ in vals]
+    dtype = np.result_type(*vals)
+    scratch = (np.empty(bounds.shape, dtype), np.empty(bounds.shape, dtype), np.empty(bounds.shape),
+               None if np.isscalar(trks[0]) else np.empty(bounds.shape))
     for pslices, children in _blocks(vals[0].shape):
         acc = ok[pslices]  # a view: clearing it clears ok
         if leaf is not None:
             for sl in children:
                 if sl is not None:
                     acc &= leaf[sl]
+        block = [None if s is None else s[pslices] for s in scratch]
         for v, t, cand, ntr in zip(vals, trks, cands, ntrs):
             members = [None if sl is None else v[sl] for sl in children]
             trackers = t if np.isscalar(t) else [None if sl is None else t[sl] for sl in children]
-            a, cand[pslices], ntr[pslices] = _check_families(
-                members, trackers, bounds[pslices], kind, value_kind)
-            acc &= a
+            acc &= _check_families(members, trackers, bounds[pslices], kind, value_kind,
+                                   cand[pslices], ntr[pslices], block)
     return ok, cands, ntrs
 
 
@@ -335,8 +358,7 @@ def _level_pass(arrays, shape: GridShape, spec: ErrorSpec, value_kind: str,
             raise ShapeError(f"expected {shape.npoints} values, got {arr.size}")
 
     levels = [(None, [arr.reshape(shape.extents) for arr in arrays], [0.0] * len(arrays))]
-    leaf, trks = None, levels[0][2]
-    vals = [g.astype(np.float64, copy=False) for g in levels[0][1]]
+    leaf, vals, trks = levels[0]
     while len(levels) <= shape.initial_level and (
             max_iterations is None or len(levels) <= max_iterations):
         parents = tuple((e + 1) // 2 for e in vals[0].shape)

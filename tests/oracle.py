@@ -22,7 +22,7 @@ import math
 import numpy as np
 
 from amrc import morton
-from amrc.codec import CoarsenResult, _quantize
+from amrc.codec import CoarsenResult
 from amrc.criteria import (
     ABSOLUTE,
     Criterion,
@@ -189,6 +189,16 @@ def coarsen_marked(mesh: ForestMesh, marks) -> ForestMesh:
         raise ShapeError("marks address overlapping families")
     codes, levels, dummy, _ = _collapse(mesh.codes, mesh.levels, mesh.dummy, starts, mesh.dim)
     return ForestMesh(mesh.shape, codes, levels, dummy)
+
+
+def _quantize(means, value_kind):
+    """Round float64 candidates into the storage type (f32, or nearest-even
+    for integer kinds) and back to float64."""
+    if value_kind == "f64":
+        return means
+    if value_kind == "f32":
+        return means.astype(np.float32).astype(np.float64)
+    return np.rint(means)
 
 
 def reference_check(vals, trs, dmask, bounds, kind, value_kind):

@@ -11,6 +11,7 @@ from amrc import (
     ErrorDomain,
     ErrorSpec,
     GridShape,
+    ONE_FOR_ALL,
     Packing,
     coarsen_forest,
     compress,
@@ -21,6 +22,7 @@ from amrc import (
     read_artifact,
     split_axis,
     stack_axis,
+    write_artifact,
 )
 from amrc.fields import layered, noise, smooth
 from conftest import huge_root_artifact
@@ -115,6 +117,16 @@ class TestExtremeMagnitudes:
         var = compress(field, GridShape((2, 2)), config)
         assert var.stats.leaf_count == 4 and var.stats.iterations == 0
         assert np.array_equal(decompress(var), field)
+
+    @pytest.mark.parametrize("dtype", [np.int16, np.int32])
+    def test_integer_extremes_collapse_under_rel_one(self, dtype):
+        # the mean rounds to 0, which is exactly 1 relative to either extreme;
+        # the magnitude of the integer minimum wraps in its own dtype, so the
+        # relative check must not take it there
+        info = np.iinfo(dtype)
+        field = np.array([[info.min, info.max], [0, 0]], dtype=dtype)
+        var = compress(field, GridShape((2, 2)), rel_config(1.0))
+        assert var.stats.leaf_count == 1 and var.payload.tolist() == [0]
 
 
 class TestBoundCompliance:
@@ -334,6 +346,32 @@ class TestValueKinds:
         var = compress(data, GridShape((2, 2)), abs_config(eps))
         out = decompress(var)
         assert np.abs(out.astype(np.float64) - data.astype(np.float64)).max() <= eps
+
+    @pytest.mark.parametrize("dtype,config", [
+        (np.float32, abs_config(0.05)), (np.float64, rel_config(0.02)), (np.int16, abs_config(3.0)),
+    ])
+    def test_input_layout_does_not_change_the_artifact(self, dtype, config):
+        # the finest level reads the caller's array as it is laid out
+        extents = (9, 14)
+        field = smooth(extents, seed=5) + 3.0
+        field = (np.rint(field * 40) if np.dtype(dtype).kind == "i" else field).astype(dtype)
+        shape = GridShape(extents)
+        want = write_artifact([compress(field, shape, config)])
+        wide = np.zeros((9, 28), dtype)
+        wide[:, ::2] = field
+        layouts = {
+            "big-endian": field.astype(field.dtype.newbyteorder(">")),
+            "fortran": np.asfortranarray(field),
+            "strided": wide[:, ::2],
+            "reversed": np.ascontiguousarray(field[::-1, ::-1])[::-1, ::-1],
+        }
+        for name, arr in layouts.items():
+            assert np.array_equal(arr, field)
+            assert write_artifact([compress(arr, shape, config)]) == want, name
+        shared = compress_many([field, field], shape, CompressionConfig(config.spec, ONE_FOR_ALL))
+        mixed = compress_many([field, layouts["big-endian"]], shape,
+                              CompressionConfig(config.spec, ONE_FOR_ALL))
+        assert write_artifact(mixed) == write_artifact(shared)
 
 
 class TestDomains:

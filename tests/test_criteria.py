@@ -286,6 +286,26 @@ def boundary_rows(width, rng):
     return np.concatenate([one_sign, -one_sign, zeros, rng.normal(size=(n, width))])
 
 
+def extreme_rows(width, value_kind, rng):
+    """Family rows at the ends of the storage dtype's range.
+
+    Random rows and constant rows of the dtype's minimum and maximum (the
+    largest float of either sign), their halves, and 0 and ±1, and the rows
+    of one minimum, one maximum and zeros, whose mean rounds to zero.
+    """
+    dtype = np.dtype(codec.VALUE_KIND_DTYPES[value_kind])
+    if dtype.kind == "f":
+        hi = float(np.finfo(dtype).max)
+        lo = -hi
+    else:
+        lo, hi = int(np.iinfo(dtype).min), int(np.iinfo(dtype).max)
+    values = np.array([lo, hi, lo // 2, hi // 2, 0, 1, -1], dtype=np.float64)
+    pair = np.resize([lo, hi] + [0] * (width - 2), width).astype(np.float64)
+    return np.concatenate([rng.choice(values, size=(64, width)),
+                           np.repeat(values[:, None], width, axis=1),
+                           [np.roll(pair, r) for r in range(width)]])
+
+
 def level_grid(rows, parents):
     """The level grid whose ``oracle.families`` rows are ``rows``; inverse of it on
     even extents."""
@@ -309,7 +329,8 @@ class TestLevelKernelMatchesBatch:
         with np.errstate(over="ignore", invalid="ignore"):
             want = rows.sum(axis=1)
             # numpy adds onto +0.0, which turns a sum of negative zeros positive
-            got = 0.0 + _row_sum([rows[:, k] for k in range(width)])
+            got = 0.0 + _row_sum([rows[:, k] for k in range(width)],
+                                 *(np.empty(len(rows)) for _ in range(3)))
         assert got.tobytes() == want.tobytes(), (
             f"numpy no longer sums a contiguous (n, {width}) row in the order "
             "codec._row_sum writes out; the kernel's means, and so the artifacts, "
@@ -329,13 +350,18 @@ class TestLevelKernelMatchesBatch:
             elif value_kind in ("i16", "i32"):  # integers within the dtype range
                 info = np.iinfo(codec.VALUE_KIND_DTYPES[value_kind])
                 rows = np.clip(np.rint(rows * 100.0), info.min, info.max)
+        rows = np.concatenate([rows, extreme_rows(width, value_kind, rng)])
         side = 1
         while side ** dim < len(rows):
             side += 1
         fill = rng.normal(size=(side ** dim - len(rows), width))
-        if value_kind in ("i16", "i32"):
+        if value_kind == "f32":
+            fill = fill.astype(np.float32).astype(np.float64)
+        elif value_kind in ("i16", "i32"):
             fill = np.rint(fill * 100.0)
         rows = np.concatenate([rows, fill])[rng.permutation(side ** dim)]
+        if value_kind in ("i16", "i32"):
+            rows += 0.0  # integers have no negative zero
         grid = level_grid(rows, (side,) * dim)
         # trackers of a later level: some zero, the others up to the value's size
         prior = np.abs(grid) * rng.random(grid.shape) * (rng.random(grid.shape) < 0.7)
@@ -347,7 +373,10 @@ class TestLevelKernelMatchesBatch:
             bounds[::7] = 0.0
             if kind == "rel":
                 bounds = rng.random(len(fvals))
-            for trks in (0.0, prior[tuple(slice(0, n) for n in vals.shape)]):
+            feeds = [(vals, 0.0), (vals, prior[tuple(slice(0, n) for n in vals.shape)])]
+            if value_kind != "f64":  # the initial level reads the values in their own dtype
+                feeds.append((vals.astype(codec.VALUE_KIND_DTYPES[value_kind]), 0.0))
+            for level, trks in feeds:
                 ftrks = families(np.broadcast_to(trks, vals.shape), 0.0)
                 cases = {"random": bounds}
                 if kind == "rel":
@@ -366,13 +395,13 @@ class TestLevelKernelMatchesBatch:
                         assert want[0].all()
                     elif case == "below":
                         assert not (want[0] & (worst > 0.0)).any()
-                    ok, cands, ntrs = _check_level([vals], [trks], None, b.reshape(
+                    ok, cands, ntrs = _check_level([level], [trks], None, b.reshape(
                         [(n + 1) // 2 for n in vals.shape]), kind, value_kind)
                     got = ok.reshape(-1), cands[0].reshape(-1), ntrs[0].reshape(-1)
                     for name, g, w in zip(("accept", "candidate", "tracker"), got, want):
                         assert g.tobytes() == w.tobytes(), (
-                            f"{name} differs with crop {crop}, {case} bounds, "
-                            f"{'zero' if np.isscalar(trks) else 'nonzero'} trackers")
+                            f"{name} differs with crop {crop}, {case} bounds, {level.dtype} "
+                            f"values, {'zero' if np.isscalar(trks) else 'nonzero'} trackers")
 
     @pytest.mark.parametrize("dim", [2, 3])
     @pytest.mark.parametrize("sign", [1.0, -1.0])
