@@ -352,6 +352,9 @@ def _level_pass(arrays, shape: GridShape, spec: ErrorSpec, value_kind: str,
     if not arrays:
         raise ConfigError("no variables given")
     for arr in arrays:
+        # the kernel relies on every value lying in the storage range
+        if value_kind_of(arr.dtype) != value_kind:
+            raise ConfigError(f"{arr.dtype} values do not match value kind {value_kind!r}")
         if arr.dtype.kind == "f" and not np.isfinite(arr).all():
             raise DataError("input contains non-finite values")
         if arr.size != shape.npoints:

@@ -85,6 +85,14 @@ class TestCompressBasics:
         with pytest.raises(ConfigError):
             compress(np.zeros(16, dtype=np.int64), GridShape((4, 4)), abs_config(1.0))
 
+    @pytest.mark.parametrize("kind", ["f32", "i16", "i32"])
+    def test_value_kind_must_match_dtype(self, kind):
+        # float64 values near its maximum would overflow the kernel's sums,
+        # which only f64 data may reach
+        field = np.full(16, np.finfo(np.float64).max)
+        with pytest.raises(ConfigError, match="value kind"):
+            coarsen_forest([field], GridShape((4, 4)), ErrorSpec(Criterion("abs", 1.0)), kind)
+
     def test_length_mismatch_rejected(self):
         with pytest.raises(Exception):
             compress(np.zeros(15), GridShape((4, 4)), abs_config(1.0))
