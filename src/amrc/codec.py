@@ -344,15 +344,14 @@ def _level_pass(arrays, shape: GridShape, spec: ErrorSpec, value_kind: str,
     level holds the caller's arrays in their own dtype and ``0.0`` trackers.
     Cells that are not leaves hold rejected candidates, which nothing reads.
     """
-    if value_kind not in VALUE_KIND_DTYPES:
-        raise ConfigError(f"unknown value kind {value_kind!r}")
     if any(len(dom.box) != shape.dim for dom in spec.domains):
         raise ConfigError(f"error-domain boxes need {shape.dim} ranges for {shape.dim}D data")
     arrays = [np.asarray(v).reshape(-1) for v in arrays]
     if not arrays:
         raise ConfigError("no variables given")
     for arr in arrays:
-        # the kernel relies on every value lying in the storage range
+        # also rejects an unknown kind; the kernel relies on every value
+        # lying in the storage range of its kind
         if value_kind_of(arr.dtype) != value_kind:
             raise ConfigError(f"{arr.dtype} values do not match value kind {value_kind!r}")
         if arr.dtype.kind == "f" and not np.isfinite(arr).all():

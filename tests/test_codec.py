@@ -85,7 +85,7 @@ class TestCompressBasics:
         with pytest.raises(ConfigError):
             compress(np.zeros(16, dtype=np.int64), GridShape((4, 4)), abs_config(1.0))
 
-    @pytest.mark.parametrize("kind", ["f32", "i16", "i32"])
+    @pytest.mark.parametrize("kind", ["f32", "i16", "i32", "f16"])
     def test_value_kind_must_match_dtype(self, kind):
         # float64 values near its maximum would overflow the kernel's sums,
         # which only f64 data may reach
