@@ -338,11 +338,12 @@ def _level_pass(arrays, shape: GridShape, spec: ErrorSpec, value_kind: str,
                 max_iterations: int | None):
     """Coarsen bottom-up, one level grid at a time, until no family is accepted.
 
-    Returns the levels reached, the initial level first, each as ``(leaf,
-    values, trackers)``: the leaf flags (``None``: all cells) and one value
-    and one tracker grid per variable; and the iteration count. The initial
-    level holds the caller's arrays in their own dtype and ``0.0`` trackers.
-    Cells that are not leaves hold rejected candidates, which nothing reads.
+    Yields the levels reached one at a time, the initial level first, each
+    as ``(leaf, values, trackers)``: the leaf flags (``None``: all cells) and
+    one value and one tracker grid per variable. The initial level holds the
+    caller's arrays in their own dtype and ``0.0`` trackers. Cells that are
+    not leaves hold rejected candidates, which nothing reads. Each level is
+    computed when asked for, and the arguments are checked at the first one.
     """
     if any(len(dom.box) != shape.dim for dom in spec.domains):
         raise ConfigError(f"error-domain boxes need {shape.dim} ranges for {shape.dim}D data")
@@ -359,17 +360,17 @@ def _level_pass(arrays, shape: GridShape, spec: ErrorSpec, value_kind: str,
         if arr.size != shape.npoints:
             raise ShapeError(f"expected {shape.npoints} values, got {arr.size}")
 
-    levels = [(None, [arr.reshape(shape.extents) for arr in arrays], [0.0] * len(arrays))]
-    leaf, vals, trks = levels[0]
-    while len(levels) <= shape.initial_level and (
-            max_iterations is None or len(levels) <= max_iterations):
+    leaf, vals, trks = None, [arr.reshape(shape.extents) for arr in arrays], [0.0] * len(arrays)
+    yield leaf, vals, trks
+    for h in range(1, shape.initial_level + 1):
+        if max_iterations is not None and h > max_iterations:
+            return
         parents = tuple((e + 1) // 2 for e in vals[0].shape)
-        bounds = _parent_bounds(spec, parents, 1 << len(levels))
+        bounds = _parent_bounds(spec, parents, 1 << h)
         leaf, vals, trks = _check_level(vals, trks, leaf, bounds, spec.kind, value_kind)
         if not leaf.any():
-            break
-        levels.append((leaf, vals, trks))
-    return levels, len(levels) - 1
+            return
+        yield leaf, vals, trks
 
 
 def coarsen_forest(
@@ -386,31 +387,41 @@ def coarsen_forest(
     compression. ``max_iterations`` caps the number of accepting levels.
     Dummy leaves hold NaN values and zero trackers.
     """
-    levels, iterations = _level_pass(variables, shape, spec, value_kind, max_iterations)
-    leaves, vals, trks = zip(*levels)
+    leaves, vals, trks = zip(*_level_pass(variables, shape, spec, value_kind, max_iterations))
     _, key, cells = _walk(shape, leaves)
     n = len(key)
     values = [_fill_leaves(np.full(n, np.nan), key, cells, grids) for grids in zip(*vals)]
     trackers = [_fill_leaves(np.zeros(n), key, cells, grids) for grids in zip(*trks)]
-    return CoarsenResult(_mesh(shape, key), values, trackers, iterations)
+    return CoarsenResult(_mesh(shape, key), values, trackers, len(leaves) - 1)
 
 
 def _compress(arrays, shape: GridShape, config: CompressionConfig,
               value_kind: str) -> list[CompressedVariable]:
-    """Compress variables onto one shared mesh, straight from the level grids."""
-    levels, iterations = _level_pass(arrays, shape, config.spec, value_kind, None)
-    leaves, vals, trks = zip(*levels)
+    """Compress variables onto one shared mesh, straight from the level grids.
+
+    A level's trackers go once read, and a variable's grids once its payload is written.
+    """
+    leaves, grids, peaks = [], [], [0.0] * len(arrays)
+    for leaf, vals, trks in _level_pass(arrays, shape, config.spec, value_kind, None):
+        if leaf is not None:
+            # the largest tracker of an accepted family is that of a final leaf:
+            # a stored tracker is >= its members' (|c - v| >= 0, monotone
+            # rounding, a non-negative pad), and the initial level's are 0.0
+            peaks = [max(p, np.max(t, where=leaf, initial=0.0)) for p, t in zip(peaks, trks)]
+        leaves.append(leaf)
+        grids.append(vals)
+    del leaf, vals, trks  # the last level's, which the loop leaves bound
     bits, key, cells = _walk(shape, leaves)
+    stats = [CompressStats(len(leaves) - 1, len(key), float(p)) for p in peaks]
     data = key[(key & 1) == 0]  # the keys of the data leaves, in curve order
+    grids = [list(g) for g in zip(*grids)]  # per variable
     out = []
-    for grids, trackers in zip(zip(*vals), zip(*trks)):
+    for i, stat in enumerate(stats):
         payload = _fill_leaves(np.empty(len(data), VALUE_KIND_DTYPES[value_kind]),
-                               data, cells, grids)
-        # trackers are >= 0, and those of the initial level are 0.0
-        peaks = [t.reshape(-1)[c].max() for t, c in zip(trackers[1:], cells[1:]) if len(c)]
-        stats = CompressStats(iterations, len(key), float(np.max([0.0] + peaks)))
+                               data, cells, grids[i])
+        grids[i] = None
         out.append(CompressedVariable(shape, value_kind, bits, payload, config.spec.default,
-                                      config.mode, config.packing, stats))
+                                      config.mode, config.packing, stat))
     return out
 
 

@@ -110,15 +110,15 @@ def write_artifact(variables, post_pass: int = 0) -> bytes:
     if len(variables) > 0xFFFF:
         raise ConfigError("too many variables for one artifact")
 
-    out = bytearray(_header_bytes(ArtifactHeader(
+    parts = [_header_bytes(ArtifactHeader(
         first.shape, first.value_kind, first.criterion, first.mode, first.packing,
-        post_pass, len(variables))))
+        post_pass, len(variables)))]
     for i, v in enumerate(variables):
         if i == 0 or first.mode == ONE_FOR_ONE:
-            out += struct.pack("<I", len(v.mesh_bits)) + v.mesh_bits
+            parts += [struct.pack("<I", len(v.mesh_bits)), v.mesh_bits]
         data = np.ascontiguousarray(v.payload, dtype=VALUE_KIND_DTYPES[v.value_kind])
-        out += struct.pack("<I", len(data)) + data.tobytes()
-    return bytes(out)
+        parts += [struct.pack("<I", len(data)), memoryview(data)]
+    return b"".join(parts)  # the one copy of the payloads
 
 
 class _Reader:

@@ -37,7 +37,8 @@ that the bottom-up level pass leaves, and the walk writes the bit-fields;
 on decoding it reads them. Either way it gives each leaf in curve order a
 key (its height above the initial level, and whether it is a dummy) and
 each level the cells of its data leaves. Compression gathers the payload
-from the level grids by a per-level key mask (:func:`_fill_leaves`);
+from the level grids (:func:`_fill_leaves`), level by level and, within a
+level, a chunk of keys at a time, so it holds no level-sized temporary;
 decompression is the mirror image (:func:`_fill_grids`): top-down from the
 root, each parent's value is written into its present children, and each
 level's leaves are written in place. Neither side computes a Morton code. A
@@ -263,7 +264,8 @@ def _walk(shape: GridShape, leaves=None, bits: bytes | None = None):
         key[refine] -= 2
         key = np.repeat(key, np.where(refine, fam, 1))
         grid = tuple(-(-e >> (h - 1)) for e in shape.extents)
-        cells, pad = (a.reshape(-1) for a in _children(grid, cells[~leaf]))
+        rows, cells = cells[~leaf], None  # this level's cells go before the next level's come
+        cells, pad = (a.reshape(-1) for a in _children(grid, rows))
     if bits is not None and out != bits:
         at = next((i for i, (a, b) in enumerate(zip(out, bits)) if a != b),
                   min(len(out), len(bits)))
@@ -273,15 +275,41 @@ def _walk(shape: GridShape, leaves=None, bits: bytes | None = None):
     return bytes(out), key, found
 
 
+# keys per chunk of a level's slots: bounds the mask and the values a fill holds
+_CHUNK = 1 << 16
+
+
+def _level_slots(key: np.ndarray, h: int, count: int):
+    """The ``count`` slots of key ``2h`` (data leaves ``h`` levels up), by chunk of keys.
+
+    Yields ``(at, mask, rows)`` per chunk of ``_CHUNK`` keys that holds any:
+    the chunk's slice of ``key``, the slots' mask within it, and their slice
+    of the level's leaves in curve order, which indexes its :func:`_walk` cells.
+    """
+    s = 0
+    for a in range(0, len(key), _CHUNK):
+        if s == count:
+            break
+        mask = key[a:a + _CHUNK] == 2 * h
+        n = int(np.count_nonzero(mask))
+        if n:
+            yield slice(a, a + _CHUNK), mask, slice(s, s + n)
+            s += n
+
+
 def _fill_leaves(out: np.ndarray, key: np.ndarray, cells, grids) -> np.ndarray:
     """Write per-level grid values into ``out``, one slot per key of :func:`_walk`.
 
     ``cells`` and ``grids`` run over the levels, the initial level first; a
-    grid may be a scalar. Slots of other keys keep what ``out`` holds.
+    grid may be a scalar. The levels are written top level first, as in
+    :func:`_fill_grids`, each a chunk of keys at a time
+    (:func:`_level_slots`), so no level's values are gathered at once.
+    Slots of other keys keep what ``out`` holds.
     """
-    for h, (c, grid) in enumerate(zip(cells, grids)):
-        if len(c):
-            out[key == 2 * h] = grid if np.isscalar(grid) else grid.reshape(-1)[c]
+    for h in range(len(grids) - 1, -1, -1):
+        grid, c = grids[h], cells[h]
+        for at, mask, rows in _level_slots(key, h, len(c)):
+            out[at][mask] = grid if np.isscalar(grid) else grid.reshape(-1)[c[rows]]
     return out
 
 
@@ -291,7 +319,8 @@ def _fill_grids(out: np.ndarray, key: np.ndarray, cells, values) -> np.ndarray:
     ``out`` is the grid of the initial level. Top-down from the ``(1,)*dim``
     grid of the root, each parent's value is written into its present
     children of :func:`_blocks`, and the values of the level's keys are
-    written at its ``cells``; the initial level is ``out`` itself. Values of
+    written at its ``cells``, a chunk of keys at a time
+    (:func:`_level_slots`); the initial level is ``out`` itself. Values of
     odd keys are never read.
     """
     grid = None
@@ -303,8 +332,8 @@ def _fill_grids(out: np.ndarray, key: np.ndarray, cells, values) -> np.ndarray:
                     if sl is not None:
                         nxt[sl] = grid[parents]
         grid = nxt
-        if len(cells[h]):
-            grid.reshape(-1)[cells[h]] = values[key == 2 * h]
+        for at, mask, rows in _level_slots(key, h, len(cells[h])):
+            grid.reshape(-1)[cells[h][rows]] = values[at][mask]
     return out
 
 

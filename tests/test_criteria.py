@@ -399,6 +399,16 @@ class TestLevelKernelMatchesBatch:
                         assert g.tobytes() == w.tobytes(), (
                             f"{name} differs with crop {crop}, {case} bounds, {level.dtype} "
                             f"values, {'zero' if np.isscalar(trks) else 'nonzero'} trackers")
+                    # CompressStats.max_tracker is taken over every accepted
+                    # family: it is the final leaves' maximum only while a
+                    # stored tracker is >= each of its present members'. A
+                    # criterion's bound is finite; the "at" bound of a family
+                    # whose estimate overflows is inf, and its tracker NaN.
+                    accepted = got[0] & np.isfinite(b)
+                    assert ((got[2][accepted, None] >= ftrks[accepted])
+                            | dmask[accepted]).all(), (
+                        f"an accepted tracker is below a member's with crop {crop}, "
+                        f"{case} bounds, {level.dtype} values")
 
     @pytest.mark.parametrize("dim", [2, 3])
     @pytest.mark.parametrize("sign", [1.0, -1.0])

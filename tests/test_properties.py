@@ -8,7 +8,9 @@ one mesh (``one-for-all``). Each case must keep the point-wise bound through
 the round trip, give trackers that bound the exact leaf deviations of the
 brute-force oracle, and write the artifact it reads back byte for byte.
 Drawn 3D fields split into 2D slices along a drawn axis must do the same
-once their slices are stacked back.
+once their slices are stacked back. Packed integer fields, with a drawn
+``Packing(scale, offset)`` record and an absolute bound given in unpacked
+units, must keep that bound once unpacked.
 """
 
 import numpy as np
@@ -23,9 +25,11 @@ from amrc import (
     ErrorDomain,
     ErrorSpec,
     GridShape,
+    Packing,
     coarsen_forest,
     compress_many,
     decompress,
+    packed_bound,
     read_artifact,
     split_axis,
     stack_axis,
@@ -113,6 +117,19 @@ def split_cases(draw):
     return field, axis, CompressionConfig(spec, mode=mode, split_axis=axis)
 
 
+@st.composite
+def packed_cases(draw):
+    """Integer fields, their packing record and an absolute bound in unpacked units."""
+    extents = draw(extents_st())
+    value_kind = draw(st.sampled_from(["i16", "i32"]))
+    arrays = [draw(fields(extents, value_kind)) for _ in range(draw(st.integers(1, 2)))]
+    packing = Packing(draw(st.floats(1e-4, 10.0)), draw(st.floats(-1e5, 1e5)))
+    eps = draw_bound(draw, "abs", arrays) * packing.scale
+    mode = ONE_FOR_ALL if len(arrays) > 1 else ONE_FOR_ONE
+    spec = ErrorSpec(Criterion("abs", packed_bound(eps, packing.scale)))
+    return arrays, GridShape(extents), eps, CompressionConfig(spec, mode=mode, packing=packing)
+
+
 def point_bounds(shape: GridShape, spec: ErrorSpec) -> np.ndarray:
     """Each point's bound: the default, lowered by every domain box covering it."""
     bounds = np.full(shape.extents, spec.default.bound)
@@ -179,3 +196,25 @@ def test_split_axis_round_trip(case):
     spec = config.spec
     allowed = spec.default.bound * np.abs(x) if spec.kind == "rel" else spec.default.bound
     assert np.all(np.abs(out.astype(np.float64) - x) <= allowed)
+
+
+@PROPERTY_SETTINGS
+@given(packed_cases())
+def test_packed_round_trip_keeps_unpacked_bound(case):
+    arrays, shape, eps, config = case
+    blob = write_artifact(compress_many(arrays, shape, config))
+    variables, _ = read_artifact(blob)
+    assert write_artifact(variables) == blob
+    for arr, var in zip(arrays, variables):
+        assert var.packing == config.packing
+        out = decompress(var)
+        assert out.dtype == arr.dtype
+        # the bound holds exactly in packed units, and so, up to the
+        # rounding of the division and the unpacking, in unpacked ones
+        err = np.abs(out.astype(np.int64) - arr.reshape(-1).astype(np.int64))
+        assert np.all(err <= config.spec.default.bound)
+        scale, offset = config.packing.scale, config.packing.offset
+        got = scale * out.astype(np.float64) + offset
+        want = scale * arr.reshape(-1).astype(np.float64) + offset
+        slack = 4 * np.spacing(np.maximum(np.abs(got), np.abs(want))) + 4 * np.spacing(eps)
+        assert np.all(np.abs(got - want) <= eps + slack)
