@@ -16,7 +16,7 @@ from amrc import (
     GridShape,
     compress,
     compress_many,
-    decompress,
+    decompress_many,
     split_axis,
     stack_axis,
     write_artifact,
@@ -35,7 +35,8 @@ slices = split_axis(field, 0)
 parts = compress_many(slices, GridShape(extents[1:]), config)
 blob2d = write_artifact(parts)
 
-recon = stack_axis([decompress(v).reshape(v.shape.extents) for v in parts], 0)
+# decompress_many walks a bit-field once for consecutive slices that share it
+recon = stack_axis([a.reshape(extents[1:]) for a in decompress_many(parts)], 0)
 assert np.abs(recon - field).max() <= 1.0
 
 print(f"3D run:    payload {len(whole.payload):6d} values, artifact {len(blob3d)} bytes")

@@ -13,6 +13,7 @@ from .codec import (
     compress,
     compress_many,
     decompress,
+    decompress_many,
     packed_bound,
     split_axis,
     stack_axis,
@@ -68,6 +69,7 @@ __all__ = [
     "compress",
     "compress_many",
     "decompress",
+    "decompress_many",
     "deserialize_refinement",
     "expand_to_uniform",
     "map_data",

@@ -29,8 +29,8 @@ from .codec import (
     VALUE_KIND_DTYPES,
     CompressionConfig,
     Packing,
-    _decompress,
     compress_many,
+    decompress_many,
     packed_bound,
     split_axis,
     stack_axis,
@@ -165,24 +165,9 @@ def cmd_compress(args) -> int:
     return 0
 
 
-def _decoded(variables):
-    """Yield each variable of an artifact with the decode walk of its bit-field.
-
-    The variables of an artifact share one shape, so a bit-field equal to
-    the one before, as every bit-field of a ``one-for-all`` artifact is, is
-    walked once.
-    """
-    bits = walked = None
-    for v in variables:
-        if v.mesh_bits != bits:
-            bits, walked = v.mesh_bits, _walk(v.shape, bits=v.mesh_bits)
-        yield v, walked
-
-
 def _restore(variables, axis: int) -> np.ndarray:
     """Decode an artifact's variables; several are stacked along ``axis``."""
-    arrays = [_decompress(v, walked).reshape(v.shape.extents)
-              for v, walked in _decoded(variables)]
+    arrays = [a.reshape(v.shape.extents) for v, a in zip(variables, decompress_many(variables))]
     return arrays[0] if len(arrays) == 1 else stack_axis(arrays, axis)
 
 
@@ -209,9 +194,11 @@ def cmd_info(args) -> int:
         print(f"packing: scale={header.packing.scale!r} offset={header.packing.offset!r}")
     print(f"post_pass: {header.post_pass}")
     print(f"variables: {header.n_variables}")
-    for i, (v, (_, key, _)) in enumerate(_decoded(variables)):
-        levels, counts = np.unique(header.shape.initial_level - (key >> 1), return_counts=True)
-        histogram = {int(a): int(b) for a, b in zip(levels, counts)}
+    for i, v in enumerate(variables):
+        if i == 0 or header.mode == ONE_FOR_ONE:  # the variables that store a bit-field
+            _, key, _ = _walk(header.shape, bits=v.mesh_bits)
+            levels, counts = np.unique(header.shape.initial_level - (key >> 1), return_counts=True)
+            histogram = {int(a): int(b) for a, b in zip(levels, counts)}
         print(f"variable {i}: levels: {histogram}  leaves={len(key)} "
               f"payload_values={len(v.payload)} payload_bytes={v.payload.nbytes} "
               f"bitfield_bytes={len(v.mesh_bits)}")

@@ -33,7 +33,8 @@ flags, candidates and trackers as grids; :mod:`amrc.mesh` walks those grids
 top-down from the root into the refinement bit-field and the leaf order, so
 compression writes the bit-field and the payload straight from the grids
 and never sorts leaves or builds a :class:`ForestMesh`. Decompression runs
-the same walk on the stored bit-field, which gives each level's data-leaf
+the same walk on the stored bit-field, once for each run of variables that
+share it (:func:`decompress_many`), which gives each level's data-leaf
 cells, and writes the payload into the level grids top-down. Neither side
 of the round trip computes a Morton code.
 
@@ -458,24 +459,33 @@ def decompress(var: CompressedVariable) -> np.ndarray:
     before any level grid, so a grid too large to allocate raises
     :class:`CorruptArtifactError` before the expansion starts.
     """
-    return _decompress(var, _walk(var.shape, bits=var.mesh_bits))
+    return decompress_many([var])[0]
 
 
-def _decompress(var: CompressedVariable, walked) -> np.ndarray:
-    """:func:`decompress` from ``walked``, the decode walk of the variable's bit-field."""
-    _, key, cells = walked
-    data = key[(key & 1) == 0]  # the keys of the data leaves, in curve order
-    if len(var.payload) != len(data):
-        raise CorruptArtifactError(
-            f"payload holds {len(var.payload)} values, mesh has {len(data)} data leaves")
-    dtype = np.dtype(VALUE_KIND_DTYPES[var.value_kind])
-    try:
-        out = np.empty(var.shape.extents, dtype)
-    except (MemoryError, ValueError):  # ValueError: the size overflows the address width
-        n = var.shape.npoints
-        raise CorruptArtifactError(
-            f"grid of {n} points ({n * dtype.itemsize} bytes) cannot be allocated") from None
-    return _fill_grids(out, data, cells, var.payload.astype(dtype, copy=False)).reshape(-1)
+def decompress_many(variables) -> list[np.ndarray]:
+    """:func:`decompress` of each variable, in order, walking a shared bit-field once.
+
+    Consecutive variables with the same shape and bit-field, as all the
+    variables of a ``one-for-all`` artifact are, share one decode walk.
+    """
+    out, run = [], None
+    for var in variables:
+        if run != (var.shape, var.mesh_bits):
+            run = (var.shape, var.mesh_bits)
+            _, key, cells = _walk(var.shape, bits=var.mesh_bits)
+            data = key[(key & 1) == 0]  # the keys of the data leaves, in curve order
+        if len(var.payload) != len(data):
+            raise CorruptArtifactError(
+                f"payload holds {len(var.payload)} values, mesh has {len(data)} data leaves")
+        dtype = np.dtype(VALUE_KIND_DTYPES[var.value_kind])
+        try:
+            grid = np.empty(var.shape.extents, dtype)
+        except (MemoryError, ValueError):  # ValueError: the size overflows the address width
+            n = var.shape.npoints
+            raise CorruptArtifactError(
+                f"grid of {n} points ({n * dtype.itemsize} bytes) cannot be allocated") from None
+        out.append(_fill_grids(grid, data, cells, var.payload.astype(dtype, copy=False)).reshape(-1))
+    return out
 
 
 def split_axis(values: np.ndarray, axis: int) -> list[np.ndarray]:

@@ -57,7 +57,6 @@ from .mesh import GridShape
 
 MAGIC = b"AMRC"
 VERSION = 1
-FILE_EXTENSION = ".amrc"
 
 _VALUE_KIND_IDS = {"f32": 0, "f64": 1, "i16": 2, "i32": 3}
 _VALUE_KINDS = {v: k for k, v in _VALUE_KIND_IDS.items()}

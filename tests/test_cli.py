@@ -126,6 +126,22 @@ class TestCompressDecompress:
         orig = 0.0078125 * data.reshape(-1).astype(np.float64) + 100.0
         assert np.abs(unpacked - orig).max() <= 0.5
 
+    def test_packed_domain_bound_in_unpacked_units(self, tmp_path, capsys):
+        scale, offset = 0.0078125, 100.0
+        data = (smooth((32, 32), seed=4) * 200).astype(np.int16)
+        raw, meta = write_inputs(tmp_path, data, (32, 32), "i16",
+                                 extra_meta=f"scale_factor={scale}\noffset={offset}\n")
+        out, back = tmp_path / "a.amrc", tmp_path / "b.raw"
+        assert main(["compress", "--input", str(raw), "--meta", str(meta), "--abs", "0.5",
+                     "--domain", "0:16,0:16=0.2", "--output", str(out)]) == 0
+        assert main(["decompress", "--input", str(out), "--output", str(back)]) == 0
+        got = scale * np.fromfile(back, dtype="<i2").reshape(32, 32) + offset
+        err = np.abs(got - (scale * data.astype(np.float64) + offset))
+        # a bound left in packed units would keep the domain lossless
+        assert 0.0 < err[:16, :16].max() <= 0.2 and err.max() <= 0.5
+        assert main(["info", "--input", str(out)]) == 0
+        assert f"packing: scale={scale!r} offset={offset!r}\n" in capsys.readouterr().out
+
     def test_rel_with_packing_rejected(self, tmp_path, capsys):
         data = np.ones((4, 4), dtype=np.int16)
         raw, meta = write_inputs(tmp_path, data, (4, 4), "i16",
@@ -168,6 +184,50 @@ class TestCompressDecompress:
                    "--abs", "1", "--domain", "6:9,0:4=0.1",
                    "--output", str(tmp_path / "a.amrc")])
         assert rc == 3
+
+
+SIDECAR = "dims=4,4\nvalue_kind=f32\norder=row-major-last-fastest\n"
+
+
+def assert_one_error_line(rc, err, fragment):
+    assert rc == 3
+    assert len(err.splitlines()) == 1 and err.startswith("amrc: error: ")
+    assert fragment in err and "Traceback" not in err
+
+
+class TestErrorPaths:
+    @pytest.mark.parametrize("sidecar, fragment", [
+        ("dims 4,4\nvalue_kind=f32\norder=row-major-last-fastest\n", "expected key=value"),
+        (SIDECAR + "dims=4,4\n", "duplicate sidecar key 'dims'"),
+        ("dims=4,4\nvalue_kind=f32\n", "missing required key 'order'"),
+        (SIDECAR.replace("f32", "f16"), "unknown value_kind 'f16'"),
+        (SIDECAR.replace("4,4", "4,x"), "bad dims '4,x'"),
+        (SIDECAR + "offset=1.0\n", "offset given without scale_factor"),
+    ], ids=["no-equals", "duplicate", "missing-order", "value-kind", "dims", "offset-alone"])
+    def test_bad_sidecar(self, tmp_path, capsys, sidecar, fragment):
+        raw, meta = write_inputs(tmp_path, np.ones(16, np.float32), (4, 4), "f32")
+        meta.write_text(sidecar)
+        out = tmp_path / "a.amrc"
+        rc = main(["compress", "--input", str(raw), "--meta", str(meta), "--abs", "1",
+                   "--output", str(out)])
+        assert_one_error_line(rc, capsys.readouterr().err, fragment)
+        assert not out.exists()
+
+    @pytest.mark.parametrize("extra, fragment", [
+        (["--domain", "0:4,0:4"], "is missing '=bound'"),
+        (["--domain", "0:4,0:4=abc"], "bad domain '0:4,0:4=abc'"),
+        (["--domain", "0:4,0:x=0.1"], "bad domain '0:4,0:x=0.1'"),
+        (["--domain", "0:4=0.1"], "has 1 ranges for 3D data"),
+        (["--domain", "0:2,0:4,0:4=0.1", "--split-axis", "0"],
+         "error domains cannot be combined with --split-axis"),
+    ], ids=["no-bound", "bad-bound", "bad-range", "range-count", "with-split-axis"])
+    def test_bad_domain(self, tmp_path, capsys, extra, fragment):
+        raw, meta = write_inputs(tmp_path, np.ones(32, np.float32), (2, 4, 4), "f32")
+        out = tmp_path / "a.amrc"
+        rc = main(["compress", "--input", str(raw), "--meta", str(meta), "--abs", "1",
+                   "--output", str(out)] + extra)
+        assert_one_error_line(rc, capsys.readouterr().err, fragment)
+        assert not out.exists()
 
 
 class TestInfoAndErrors:
@@ -261,7 +321,8 @@ class TestInfoAndErrors:
         main(["compress", "--input", str(raw), "--meta", str(meta),
               "--abs", "1", "--split-axis", "0", "--output", str(src)])
         decoded = []
-        monkeypatch.setattr(cli, "_walk", lambda *args, **kwargs: decoded.append(args))
+        for module in (cli, codec):
+            monkeypatch.setattr(module, "_walk", lambda *args, **kwargs: decoded.append(args))
         rc = main(["decompress", "--input", str(src), "--output", str(tmp_path / "b"),
                    "--split-axis", "3"])
         assert rc == 3 and decoded == []

@@ -15,10 +15,12 @@ from amrc import (
     GridShape,
     ONE_FOR_ALL,
     Packing,
+    ShapeError,
     coarsen_forest,
     compress,
     compress_many,
     decompress,
+    decompress_many,
     deserialize_refinement,
     packed_bound,
     read_artifact,
@@ -96,8 +98,19 @@ class TestCompressBasics:
         with pytest.raises(ConfigError, match="value kind"):
             coarsen_forest([field], GridShape((4, 4)), ErrorSpec(Criterion("abs", 1.0)), kind)
 
+    @pytest.mark.parametrize("call, match", [
+        (lambda: abs_config(1.0, mode="one-for-some"), "unknown mode"),
+        (lambda: abs_config(1.0, split_axis=-1), "non-negative axis"),
+        (lambda: compress_many([], GridShape((4, 4)), abs_config(1.0)), "no variables"),
+        (lambda: coarsen_forest([], GridShape((4, 4)), ErrorSpec(Criterion("abs", 1.0)), "f64"),
+         "no variables"),
+    ], ids=["unknown-mode", "negative-split-axis", "compress-none", "coarsen-none"])
+    def test_config_errors(self, call, match):
+        with pytest.raises(ConfigError, match=match):
+            call()
+
     def test_length_mismatch_rejected(self):
-        with pytest.raises(Exception):
+        with pytest.raises(ShapeError, match="expected 16 values, got 15"):
             compress(np.zeros(15), GridShape((4, 4)), abs_config(1.0))
 
 
@@ -434,6 +447,29 @@ class TestDecompress:
             var = compress(field, GridShape(extents), abs_config(0.5))
             assert decompress(var).shape == field.shape
 
+    def test_decompress_many_walks_each_shared_bitfield_once(self, monkeypatch):
+        # two one-for-all artifacts of different shapes, then a one-for-one one
+        vs = (compress_many([layered((3, 16, 16), seed=s)[0].astype(np.float32)
+                             for s in range(3)], GridShape((16, 16)),
+                            abs_config(0.5, mode=ONE_FOR_ALL))
+              + compress_many([smooth((12, 20), seed=s) for s in range(2)],
+                              GridShape((12, 20)), abs_config(0.3, mode=ONE_FOR_ALL))
+              + compress_many([(smooth((16, 16), seed=s) * 100).astype(np.int16)
+                               for s in range(2)], GridShape((16, 16)), abs_config(30.0)))
+        assert vs[0].mesh_bits == vs[2].mesh_bits and vs[5].mesh_bits != vs[6].mesh_bits
+        want = [decompress(v) for v in vs]
+        calls, walk = [], mesh._walk
+
+        def counting(shape, leaves=None, bits=None):
+            calls.append(bits)
+            return walk(shape, leaves, bits)
+
+        monkeypatch.setattr(amrc.codec, "_walk", counting)
+        got = decompress_many(vs)
+        assert calls == [vs[0].mesh_bits, vs[3].mesh_bits, vs[5].mesh_bits, vs[6].mesh_bits]
+        assert [(g.dtype, g.tobytes()) for g in got] == [(w.dtype, w.tobytes()) for w in want]
+        assert decompress_many([]) == []
+
     @pytest.mark.parametrize("level", [24, 31])  # 1 PiB; beyond the address width
     def test_unallocatable_grid_is_corrupt(self, level):
         (var,), _ = read_artifact(huge_root_artifact(level))
@@ -483,9 +519,9 @@ PUBLIC_API = {
     "ErrorDomain", "ErrorSpec", "ForestMesh", "GridShape", "Packing", "ShapeError",
     "UnsupportedFeatureError",
     "build_initial_mesh", "coarsen_forest", "complete_family_starts", "compress",
-    "compress_many", "decompress", "deserialize_refinement", "expand_to_uniform", "map_data",
-    "packed_bound", "read_artifact", "serialize_refinement", "split_axis", "stack_axis",
-    "write_artifact",
+    "compress_many", "decompress", "decompress_many", "deserialize_refinement",
+    "expand_to_uniform", "map_data", "packed_bound", "read_artifact", "serialize_refinement",
+    "split_axis", "stack_axis", "write_artifact",
 }
 
 

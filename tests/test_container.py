@@ -272,6 +272,60 @@ class TestCanonicalHeader:
         assert str(header.packing.offset) == "-0.0"
 
 
+class TestHeaderFieldErrors:
+    """Each header field that cannot be decoded raises its own typed error."""
+
+    def blob(self):
+        var = compress(np.arange(16.0), GridShape((4, 4)),
+                       CompressionConfig(ErrorSpec(Criterion("abs", 0.5))))
+        return bytearray(write_artifact([var]))
+
+    @pytest.mark.parametrize("dim", [0, 1, 4])
+    def test_dim_byte(self, dim):
+        blob = self.blob()
+        blob[5] = dim
+        with pytest.raises(CorruptArtifactError, match="dim must be 2 or 3") as exc:
+            read_artifact(bytes(blob))
+        assert exc.value.offset == 5
+
+    @pytest.mark.parametrize("extent", [0, 1 << 40])
+    def test_invalid_extents(self, extent):
+        blob = self.blob()
+        blob[6:14] = struct.pack("<Q", extent)
+        with pytest.raises(CorruptArtifactError, match="invalid extents") as exc:
+            read_artifact(bytes(blob))
+        assert exc.value.offset == 6
+
+    @pytest.mark.parametrize("at, what", [(LEVEL_AT + 1, "value kind"), (LEVEL_AT + 2, "criterion"),
+                                          (LEVEL_AT + 11, "mode")])
+    def test_unknown_field_id(self, at, what):
+        blob = self.blob()
+        blob[at] = 9
+        with pytest.raises(CorruptArtifactError, match=f"unknown {what} id 9"):
+            read_artifact(bytes(blob))
+
+    @pytest.mark.parametrize("bound", [-1.0, np.nan, np.inf])
+    def test_invalid_criterion_bound(self, bound):
+        blob = self.blob()
+        blob[LEVEL_AT + 3:LEVEL_AT + 11] = struct.pack("<d", bound)
+        with pytest.raises(CorruptArtifactError, match="bound must be finite"):
+            read_artifact(bytes(blob))
+
+    def test_zero_variables(self):
+        blob = self.blob()
+        count_at = PACK_FLAG_AT + 1 + 16 + 1
+        assert blob[count_at:count_at + 2] == struct.pack("<H", 1)
+        blob[count_at:count_at + 2] = struct.pack("<H", 0)
+        with pytest.raises(CorruptArtifactError, match="zero variables") as exc:
+            read_artifact(bytes(blob))
+        assert exc.value.offset == count_at
+
+    def test_too_many_variables_to_write(self):
+        (var,), _ = read_artifact(bytes(self.blob()))
+        with pytest.raises(ConfigError, match="too many variables"):
+            write_artifact([var] * 0x10000)
+
+
 # Runs in a child process that caps its own address space first, so a mutated
 # extent that slips past the checks fails to allocate instead of filling the
 # host's memory. Any exception other than AmrcError escapes as a traceback.
