@@ -1,15 +1,16 @@
 """Compression driver: coarsen bottom-up, one tree level at a time, then package.
 
 Coarsening works on grid-index arrays, one per tree level. At each level a
-family of 2^dim siblings is read through the strided child views that
+family of 2^dim siblings is read through the child views that
 :func:`amrc.mesh._blocks` gives, ``grid[o0::2, o1::2]`` per Morton child,
-not copied out. Every complete family (all members still leaves) gets a
-candidate parent value, the mean of its data members, which is checked
-against the most restrictive bound of any error domain the parent meets.
-The sums, extremes and deviations are reduced elementwise across the child
-views, in the order that makes them bit-identical to
-:func:`~amrc.criteria.family_means` and the ``batch_check_*`` functions of
-:mod:`amrc.criteria`, which ``tests/oracle.py`` keeps as the reference. The
+one slab of parent rows at a time. Every complete family (all members
+still leaves) gets a candidate parent value, the mean of its data members,
+which is checked against the most restrictive bound of any error domain
+the parent meets. The sums, extremes and deviations are reduced
+elementwise across the children, in the order that makes them
+bit-identical to :func:`~amrc.criteria.family_means` and the
+``batch_check_*`` functions of :mod:`amrc.criteria`, which
+``tests/oracle.py`` keeps as the reference. The
 relative check is evaluated member by member only where it has to be: two
 one-sided tests on a family's extremes, a certain reject and, for a family
 of one strict sign, a certain accept, decide most families, and they are
@@ -43,15 +44,22 @@ inaccuracy trackers stand in for it, and they guarantee the end-to-end
 point-wise bound of the decompressed output.
 
 The initial level is read in the caller's storage dtype, with no float64
-copy, and each level reuses a few parent-grid buffers across its blocks and
-variables (:func:`_check_families`, :func:`_check_level`). Candidate values are
-rounded into the storage type (f32, or nearest-even for integer kinds)
-*before* the compliance check, so the tracker bounds the deviation of the
-value that is actually stored.
+copy. Each level is checked in slabs of whole parent rows, at most
+``_SLAB`` families each: a slab's child views are copied into contiguous
+buffers, so every pass of the kernel reads contiguous data that stays in
+cache, and those copies and the kernel's scratch are slab-sized buffers
+that every slab, block and variable of the level reuses
+(:func:`_check_level`, :func:`_check_families`). Only the accept flags,
+candidates and trackers are parent-grid arrays, and a level without error
+domains reads one broadcast bound. Candidate values are rounded into the
+storage type (f32, or nearest-even for integer kinds) *before* the
+compliance check, so the tracker bounds the deviation of the value that is
+actually stored.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from functools import partial, reduce
 
@@ -67,6 +75,10 @@ ONE_FOR_ALL = "one-for-all"
 # storage kinds: little-endian on disk; float64 above the initial level
 VALUE_KIND_DTYPES = {"f32": "<f4", "f64": "<f8", "i16": "<i2", "i32": "<i4"}
 _KIND_BY_DTYPE = {("f", 4): "f32", ("f", 8): "f64", ("i", 2): "i16", ("i", 4): "i32"}
+
+# families per slab of a level in _check_level: small enough that a slab's
+# member copies and scratch stay in L2
+_SLAB = 1 << 15
 
 
 def value_kind_of(dtype) -> str:
@@ -154,7 +166,10 @@ def _parent_bounds(spec: ErrorSpec, parents: tuple[int, ...], size: int) -> np.n
 
     Parent ``p`` meets a domain box iff ``p*size < hi`` and
     ``p*size + size > lo`` on every axis, a box slice of the parent grid.
+    Without domains the grid is a read-only broadcast of the default bound.
     """
+    if not spec.domains:
+        return np.broadcast_to(np.float64(spec.default.bound), parents)
     bounds = np.full(parents, spec.default.bound)
     for dom in spec.domains:
         box = tuple(slice(max(lo // size, 0), max(-(-hi // size), 0)) for lo, hi in dom.box)
@@ -185,7 +200,8 @@ def _row_sum(terms, out, a, b):
 def _worst(members, trks, cand):
     """Relative error estimate of each family, member by member.
 
-    ``members`` and ``trks`` hold one float64 array per data member. A zero
+    ``members`` holds one float64 array per data member and ``trks`` one
+    array of its trackers, or the scalar ``0.0`` on the initial level. A zero
     tracker leaves every term bit for bit what ``|cand - v| / |v|`` gives.
     ``batch_check_relative`` reads a zero denominator as 0 or inf; ``d / den``
     gives inf there too except for 0 / 0, a member met exactly, which is NaN:
@@ -230,7 +246,7 @@ def _relative_accept(members, trks, cand, vmin, vmax, tmax, ntr, bounds, tmp):
         return accept
     at = np.nonzero(~decided)
     worst = _worst([np.asarray(v[at], np.float64) for v in members],
-                   [np.broadcast_to(t, cand.shape)[at] for t in trks], cand[at])
+                   [t if np.isscalar(t) else t[at] for t in trks], cand[at])
     accept[at] = ~(worst > bounds[at])
     return accept
 
@@ -238,16 +254,17 @@ def _relative_accept(members, trks, cand, vmin, vmax, tmax, ntr, bounds, tmp):
 def _check_families(vals, trks, bounds, kind: str, value_kind: str, cand, ntr, scratch):
     """Accept flag of every family of one block; writes its candidates and trackers.
 
-    ``vals`` holds the family members in Morton child order, one array per
-    child (strided views of the level grid, all of the block's shape), with
-    ``None`` for a child that is a dummy throughout the block. ``trks`` holds
-    the trackers the same way, or is the scalar ``0.0`` on the initial level,
-    whose members are in their storage dtype. ``cand`` and ``ntr`` are the
-    block's float64 output, and ``scratch`` the block of the level's buffers
-    (:func:`_check_level`). Computes :func:`family_means`, the rounding into
-    the storage type and ``batch_check_*`` with the directed rounding of
-    later levels, elementwise across the children: the same values bit for
-    bit, without a copy of the members. The conversion to float64 is exact
+    ``vals`` holds the family members in Morton child order, one contiguous
+    array per child (a copy of its view of the level grid, of the block's
+    shape), with ``None`` for a child that is a dummy throughout the block.
+    ``trks`` holds the trackers the same way, or is the scalar ``0.0`` on the
+    initial level, whose members are in their storage dtype. ``cand`` and
+    ``ntr`` are the block's float64 output, and ``scratch`` the block's share
+    of the level's slab buffers (:func:`_check_level`). Computes
+    :func:`family_means`, the rounding into the storage type and
+    ``batch_check_*`` with the directed rounding of later levels,
+    elementwise across the children: the same values bit for bit, without
+    gathering each family into a row. The conversion to float64 is exact
     and monotone, so the sums and the extremes, taken in the storage dtype,
     are those of a float64 copy. Only f64 data can overflow a sum: every
     other value lies in its storage range, candidates included. The relative
@@ -301,6 +318,23 @@ def _check_families(vals, trks, bounds, kind: str, value_kind: str, cand, ntr, s
         return ntr <= bounds if accept is None else accept
 
 
+def _gather(bufs, grid, children, shape):
+    """Contiguous copies of the child views ``grid[sl]``, carved out of ``bufs``.
+
+    ``children`` are child slices of :func:`amrc.mesh._blocks` (``None``: a
+    pad, copied as ``None``), and ``shape`` is their block's shape.
+    """
+    n = math.prod(shape)
+    out = []
+    for buf, sl in zip(bufs, children):
+        dst = None
+        if sl is not None:
+            dst = buf[:n].reshape(shape)
+            dst[...] = grid[sl]
+        out.append(dst)
+    return out
+
+
 def _check_level(vals, trks, leaf, bounds, kind: str, value_kind: str):
     """Check every family of one level grid for every variable.
 
@@ -310,28 +344,48 @@ def _check_level(vals, trks, leaf, bounds, kind: str, value_kind: str):
     grid. Returns the parent-grid accept flags (set where the family is
     complete and every variable accepts) and each variable's candidate and
     tracker grids. The candidate and tracker of a family that is not
-    accepted are arbitrary. Every block and variable reuses one set of
-    parent-grid buffers: the extremes in the values' dtype, and float64
-    scratch and tracker maxima.
+    accepted are arbitrary.
+
+    The level is worked through in slabs of whole parent rows along axis 0,
+    at most ``_SLAB`` families each unless one row holds more. The level
+    grid of parent rows ``a:b`` is ``grid[2a:2b]``; its even start keeps the
+    family layout, so each slab is cut into the :func:`~amrc.mesh._blocks`
+    of its own shape. Every block's members are copied into contiguous
+    buffers in their dtype, and its trackers, above the initial level, in
+    float64. These copies and the scratch of :func:`_check_families` (the
+    extremes in the values' dtype, float64 scratch and tracker maxima) are
+    slab-sized buffers allocated once per level, so the kernel's passes run
+    on contiguous data that stays in cache. Only the accept flags, the
+    candidates and the trackers are parent-grid arrays.
     """
-    ok = np.ones(bounds.shape, dtype=bool)
-    cands = [np.empty(bounds.shape) for _ in vals]
-    ntrs = [np.empty(bounds.shape) for _ in vals]
+    parents = bounds.shape
+    ok = np.ones(parents, dtype=bool)
+    cands = [np.empty(parents) for _ in vals]
+    ntrs = [np.empty(parents) for _ in vals]
+    row = math.prod(parents[1:])  # families per parent row
+    rows = max(_SLAB // row, 1)
+    size = min(rows, parents[0]) * row
     dtype = np.result_type(*vals)
-    scratch = (np.empty(bounds.shape, dtype), np.empty(bounds.shape, dtype), np.empty(bounds.shape),
-               None if np.isscalar(trks[0]) else np.empty(bounds.shape))
-    for pslices, children in _blocks(vals[0].shape):
-        acc = ok[pslices]  # a view: clearing it clears ok
-        if leaf is not None:
-            for sl in children:
-                if sl is not None:
-                    acc &= leaf[sl]
-        block = [None if s is None else s[pslices] for s in scratch]
-        for v, t, cand, ntr in zip(vals, trks, cands, ntrs):
-            members = [None if sl is None else v[sl] for sl in children]
-            trackers = t if np.isscalar(t) else [None if sl is None else t[sl] for sl in children]
-            acc &= _check_families(members, trackers, bounds[pslices], kind, value_kind,
-                                   cand[pslices], ntr[pslices], block)
+    initial = np.isscalar(trks[0])
+    copies = [np.empty(size, dtype) for _ in range(1 << len(parents))]
+    tcopies = None if initial else [np.empty(size) for _ in copies]
+    scratch = (np.empty(size, dtype), np.empty(size, dtype), np.empty(size),
+               None if initial else np.empty(size))
+    for a in range(0, parents[0], rows):
+        at, cells = slice(a, a + rows), slice(2 * a, 2 * (a + rows))
+        for pslices, children in _blocks(vals[0][cells].shape):
+            shape = tuple(s.stop - s.start for s in pslices)
+            acc = ok[at][pslices]  # a view: clearing it clears ok
+            if leaf is not None:
+                for sl in children:
+                    if sl is not None:
+                        acc &= leaf[cells][sl]
+            block = [None if s is None else s[:math.prod(shape)].reshape(shape) for s in scratch]
+            for v, t, cand, ntr in zip(vals, trks, cands, ntrs):
+                members = _gather(copies, v[cells], children, shape)
+                trackers = t if initial else _gather(tcopies, t[cells], children, shape)
+                acc &= _check_families(members, trackers, bounds[at][pslices], kind, value_kind,
+                                       cand[at][pslices], ntr[at][pslices], block)
     return ok, cands, ntrs
 
 

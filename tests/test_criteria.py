@@ -316,10 +316,11 @@ def level_grid(rows, parents):
 
 
 class TestLevelKernelMatchesBatch:
-    """The codec's level kernel reduces across strided child views of a level
-    grid. It must give the candidates, trackers and accept flags that
-    ``family_means`` and ``batch_check_*`` give on ``families`` copies, bit
-    for bit, or the artifacts change."""
+    """The codec's level kernel reduces across copies of the child views of a
+    level grid, a slab of parent rows at a time. With any slab size it must
+    give the candidates, trackers and accept flags that ``family_means`` and
+    ``batch_check_*`` give on ``families`` copies, bit for bit, or the
+    artifacts change."""
 
     @pytest.mark.parametrize("width", [4, 8])
     def test_row_sum_is_numpy_order(self, rng, width):
@@ -339,8 +340,9 @@ class TestLevelKernelMatchesBatch:
     @pytest.mark.parametrize("dim", [2, 3])
     @pytest.mark.parametrize("kind", ["abs", "rel"])
     @pytest.mark.parametrize("value_kind", ["f64", "f32", "i16", "i32"])
-    def test_kernel_matches_batch_checks(self, rng, dim, kind, value_kind):
+    def test_kernel_matches_batch_checks(self, rng, monkeypatch, dim, kind, value_kind):
         width = 1 << dim
+        slabs = (codec._SLAB, 1)  # the whole level in one slab, and one parent row per slab
         rows = np.concatenate([adversarial_rows(width, rng), boundary_rows(width, rng)])
         with np.errstate(over="ignore"):
             if value_kind == "f32":  # f32 data stays in the f32 range
@@ -392,13 +394,17 @@ class TestLevelKernelMatchesBatch:
                         assert want[0].all()
                     elif case == "below":
                         assert not (want[0] & (worst > 0.0)).any()
-                    ok, cands, ntrs = _check_level([level], [trks], None, b.reshape(
-                        [(n + 1) // 2 for n in vals.shape]), kind, value_kind)
-                    got = ok.reshape(-1), cands[0].reshape(-1), ntrs[0].reshape(-1)
-                    for name, g, w in zip(("accept", "candidate", "tracker"), got, want):
-                        assert g.tobytes() == w.tobytes(), (
-                            f"{name} differs with crop {crop}, {case} bounds, {level.dtype} "
-                            f"values, {'zero' if np.isscalar(trks) else 'nonzero'} trackers")
+                    for slab in slabs:
+                        monkeypatch.setattr(codec, "_SLAB", slab)
+                        ok, cands, ntrs = _check_level([level], [trks], None, b.reshape(
+                            [(n + 1) // 2 for n in vals.shape]), kind, value_kind)
+                        got = ok.reshape(-1), cands[0].reshape(-1), ntrs[0].reshape(-1)
+                        for name, g, w in zip(("accept", "candidate", "tracker"), got, want):
+                            assert g.tobytes() == w.tobytes(), (
+                                f"{name} differs with crop {crop}, {case} bounds, "
+                                f"{level.dtype} values, "
+                                f"{'zero' if np.isscalar(trks) else 'nonzero'} trackers, "
+                                f"slabs of {slab} families")
                     # CompressStats.max_tracker is taken over every accepted
                     # family: it is the final leaves' maximum only while a
                     # stored tracker is >= each of its present members'. A
@@ -424,7 +430,8 @@ class TestLevelKernelMatchesBatch:
                             lambda *args: seen.append(args[2].size) or per_member(*args))
         fvals = families(grid, np.nan)
         dmask = np.zeros(fvals.shape, dtype=bool)
-        for trks in (0.0, np.full(grid.shape, 0.01)):
+        for trks, slab in itertools.product((0.0, np.full(grid.shape, 0.01)), (codec._SLAB, 1)):
+            monkeypatch.setattr(codec, "_SLAB", slab)
             ftrks = families(np.broadcast_to(trks, grid.shape), 0.0)
             with np.errstate(all="ignore"):
                 _, cand, _ = reference_check(fvals, ftrks, dmask, np.zeros(len(fvals)),
