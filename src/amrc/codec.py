@@ -232,7 +232,8 @@ def _relative_accept(members, trks, cand, vmin, vmax, tmax, ntr, bounds, tmp):
       term is NaN.
 
     The rest (zero or NaN ratios, mixed signs, the band between the tests)
-    takes the exact per-member pass of :func:`_worst`, gathered by index.
+    takes the exact per-member pass of :func:`_worst`, gathered by flat
+    index from the block's arrays.
     Values enter it as float64, where the magnitude of an integer minimum
     does not wrap; ``tmp`` is float64 scratch.
     """
@@ -244,10 +245,16 @@ def _relative_accept(members, trks, cand, vmin, vmax, tmax, ntr, bounds, tmp):
     decided = accept | reject
     if decided.all():
         return accept
-    at = np.nonzero(~decided)
-    worst = _worst([np.asarray(v[at], np.float64) for v in members],
-                   [t if np.isscalar(t) else t[at] for t in trks], cand[at])
-    accept[at] = ~(worst > bounds[at])
+    at = np.flatnonzero(~decided)
+
+    def undecided(a):  # the undecided families of a block array
+        return a.reshape(-1).take(at)
+
+    worst = _worst([np.asarray(undecided(v), np.float64) for v in members],
+                   [t if np.isscalar(t) else undecided(t) for t in trks], undecided(cand))
+    # a broadcast bound (no domains) is one value, which reshape(-1) would copy out
+    bound = bounds.flat[0] if not any(bounds.strides) else undecided(bounds)
+    np.put(accept, at, ~(worst > bound))
     return accept
 
 
@@ -454,7 +461,8 @@ def _compress(arrays, shape: GridShape, config: CompressionConfig,
               value_kind: str) -> list[CompressedVariable]:
     """Compress variables onto one shared mesh, straight from the level grids.
 
-    A level's trackers go once read, and a variable's grids once its payload is written.
+    A level's trackers go once read, the leaf keys once the data keys are
+    taken, and a variable's grids once its payload is written.
     """
     leaves, grids, peaks = [], [], [0.0] * len(arrays)
     for leaf, vals, trks in _level_pass(arrays, shape, config.spec, value_kind, None):
@@ -469,6 +477,7 @@ def _compress(arrays, shape: GridShape, config: CompressionConfig,
     bits, key, cells = _walk(shape, leaves)
     stats = [CompressStats(len(leaves) - 1, len(key), float(p)) for p in peaks]
     data = key[(key & 1) == 0]  # the keys of the data leaves, in curve order
+    del key
     grids = [list(g) for g in zip(*grids)]  # per variable
     out = []
     for i, stat in enumerate(stats):
@@ -528,6 +537,7 @@ def decompress_many(variables) -> list[np.ndarray]:
             run = (var.shape, var.mesh_bits)
             _, key, cells = _walk(var.shape, bits=var.mesh_bits)
             data = key[(key & 1) == 0]  # the keys of the data leaves, in curve order
+            del key
         if len(var.payload) != len(data):
             raise CorruptArtifactError(
                 f"payload holds {len(var.payload)} values, mesh has {len(data)} data leaves")

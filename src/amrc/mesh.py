@@ -41,7 +41,12 @@ from the level grids (:func:`_fill_leaves`), level by level and, within a
 level, a chunk of keys at a time, so it holds no level-sized temporary;
 decompression is the mirror image (:func:`_fill_grids`): top-down from the
 root, each parent's value is written into its present children, and each
-level's leaves are written in place. Neither side computes a Morton code. A
+level's leaves are written in place. Neither side computes a Morton code.
+The cell indices of the walk and the fills are ``int32`` whenever the
+finest grid, each odd extent rounded up to even, has fewer than ``2^31``
+cells, and ``intp`` otherwise; the grid shape alone decides. They are the
+largest arrays the walk holds, one per data leaf, so their width sets its
+memory, and no pad index computed in ``int32`` can overflow. A
 :class:`ForestMesh` is built from the keys alone, since the leaves tile the
 root in curve order. The initial mesh and its data mapping are the walk
 with nothing accepted. The same families as a padded ``(n_parents, 2^dim)``
@@ -51,6 +56,7 @@ copy, for the reference checks, are built in ``tests/oracle.py``.
 from __future__ import annotations
 
 import itertools
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -188,12 +194,21 @@ def _children(grid: tuple[int, ...], rows: np.ndarray):
     index into ``grid``, and a flag that is set where the child is the pad
     cell of an odd axis, i.e. a dummy leaf. A pad child's index points at
     some cell of the grid; what it holds is not the pad's.
+
+    The indices are in the dtype of ``rows``, ``int32`` or ``intp`` by the
+    width rule of :func:`_walk`: the coordinates come from ``np.divmod`` in
+    that dtype, as ``np.unravel_index`` would return ``intp``, and no pad
+    index overflows it before it is clipped into the grid.
     """
     dim = len(grid)
-    coords = np.unravel_index(rows, tuple((e + 1) // 2 for e in grid))
-    k = np.arange(1 << dim)
-    base = np.zeros(len(rows), dtype=np.intp)
-    offset = np.zeros(1 << dim, dtype=np.intp)
+    coords, rest = [], rows
+    for e in grid[:0:-1]:
+        rest, c = np.divmod(rest, (e + 1) // 2)
+        coords.insert(0, c)
+    coords.insert(0, rest)
+    k = np.arange(1 << dim, dtype=rows.dtype)
+    base = np.zeros(len(rows), dtype=rows.dtype)
+    offset = np.zeros(1 << dim, dtype=rows.dtype)
     pad = np.zeros((len(rows), 1 << dim), dtype=bool)
     for j, e in enumerate(grid):
         bit = (k >> (dim - 1 - j)) & 1
@@ -203,7 +218,7 @@ def _children(grid: tuple[int, ...], rows: np.ndarray):
             pad |= (coords[j] == e // 2)[:, None] & (bit == 1)
     flat = base[:, None] + offset
     if pad.any():
-        np.minimum(flat, int(np.prod(grid)) - 1, out=flat)
+        np.minimum(flat, math.prod(grid) - 1, out=flat)
     return flat, pad
 
 
@@ -230,10 +245,17 @@ def _walk(shape: GridShape, leaves=None, bits: bytes | None = None):
     for a data leaf ``h`` levels above the initial level, ``2h + 1`` for a
     dummy), and per level, the initial level first, the flat cell indices of
     its data leaves in curve order.
+
+    The cell indices are ``int32`` when the finest grid, each odd extent
+    rounded up to even, has fewer than ``2^31`` cells, and ``intp``
+    otherwise. Every level grid, padded so, is no larger, so no index of
+    :func:`_children` overflows, pads included.
     """
     l0, fam = shape.initial_level, 1 << shape.dim
+    padded = math.prod(e + e % 2 for e in shape.extents)
+    index = np.int32 if padded < 1 << 31 else np.intp
     key = np.full(1, 2 * l0, dtype=np.uint8)  # an element not yet classified at h holds 2h
-    cells, pad = np.zeros(1, dtype=np.intp), np.zeros(1, dtype=bool)
+    cells, pad = np.zeros(1, dtype=index), np.zeros(1, dtype=bool)
     out, found = bytearray(), [cells[:0]] * (l0 + 1)
     for h in range(l0, -1, -1):
         if bits is not None:
@@ -301,7 +323,8 @@ def _fill_leaves(out: np.ndarray, key: np.ndarray, cells, grids) -> np.ndarray:
     """Write per-level grid values into ``out``, one slot per key of :func:`_walk`.
 
     ``cells`` and ``grids`` run over the levels, the initial level first; a
-    grid may be a scalar. The levels are written top level first, as in
+    grid may be a scalar. The cells are the walk's, ``int32`` or ``intp`` by
+    its width rule. The levels are written top level first, as in
     :func:`_fill_grids`, each a chunk of keys at a time
     (:func:`_level_slots`), so no level's values are gathered at once.
     Slots of other keys keep what ``out`` holds.
@@ -320,8 +343,9 @@ def _fill_grids(out: np.ndarray, key: np.ndarray, cells, values) -> np.ndarray:
     grid of the root, each parent's value is written into its present
     children of :func:`_blocks`, and the values of the level's keys are
     written at its ``cells``, a chunk of keys at a time
-    (:func:`_level_slots`); the initial level is ``out`` itself. Values of
-    odd keys are never read.
+    (:func:`_level_slots`); the initial level is ``out`` itself. The cells
+    are the walk's, ``int32`` or ``intp`` by its width rule. Values of odd
+    keys are never read.
     """
     grid = None
     for h in range(len(cells) - 1, -1, -1):

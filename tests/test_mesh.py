@@ -1,18 +1,27 @@
+import math
+
 import numpy as np
 import pytest
 
 from amrc import (
+    CompressionConfig,
     CorruptArtifactError,
+    Criterion,
+    ErrorSpec,
     ForestMesh,
     GridShape,
     ShapeError,
     build_initial_mesh,
     complete_family_starts,
+    compress,
+    decompress,
     deserialize_refinement,
     expand_to_uniform,
     map_data,
     serialize_refinement,
 )
+from amrc import codec, mesh
+from amrc.fields import smooth
 from amrc.mesh import _blocks, _children
 from conftest import random_mesh
 from oracle import (
@@ -347,3 +356,66 @@ class TestLayout:
                     assert np.array_equal(cells[sl].reshape(-1), flat[at, k])
         assert (parent_hits == 1).all()
         assert (child_hits == 1).all()
+
+
+class TestIndexWidth:
+    """The walk's cell indices are int32 while the padded finest grid has fewer
+    than 2^31 cells, and intp beyond."""
+
+    @pytest.mark.parametrize("extents", [(37, 53), (3, 45), (9, 13, 17), (5, 6, 7)])
+    def test_round_trip_keeps_int32(self, monkeypatch, extents):
+        dtypes, calls = set(), []
+        children, walk = mesh._children, mesh._walk
+
+        def spy_children(grid, rows):
+            flat, pad = children(grid, rows)
+            calls.append(grid)
+            dtypes.update((rows.dtype, flat.dtype))
+            return flat, pad
+
+        def spy_walk(*args, **kwargs):
+            bits, key, found = walk(*args, **kwargs)
+            dtypes.update(c.dtype for c in found)
+            return bits, key, found
+
+        monkeypatch.setattr(mesh, "_children", spy_children)
+        monkeypatch.setattr(codec, "_walk", spy_walk)
+        field = smooth(extents) + 4.0
+        var = compress(field.reshape(-1), GridShape(extents),
+                       CompressionConfig(ErrorSpec(Criterion("rel", 0.5))))
+        decompress(var)
+        assert var.stats.iterations >= 1 and calls
+        assert dtypes == {np.dtype(np.int32)}
+
+    @pytest.mark.parametrize("extents, dtype", [
+        ((46339, 46339), np.int32), ((46340, 46340), np.int32),
+        ((46341, 46340), np.intp),  # fewer than 2^31 cells, but not once padded
+        ((46342, 46342), np.intp), ((1289, 1290, 1290), np.int32), ((1291, 1291, 1291), np.intp),
+    ])
+    def test_children_near_the_end_of_a_large_grid(self, extents, dtype):
+        """``_children`` agrees with Python-int arithmetic on the last rows of a
+        grid on each side of the rule, pads included; no grid is allocated."""
+        # a root-only mesh: the decode walk allocates one cell
+        found = mesh._walk(GridShape(extents), bits=b"")[2]
+        assert {c.dtype for c in found} == {np.dtype(dtype)}
+        dim, cells = len(extents), math.prod(extents)
+        parents = [(e + 1) // 2 for e in extents]
+        n, last = math.prod(parents), parents[-1]
+        rows = np.array([0, 1, n - last - 1, n - last, n - last + 1, n - 2, n - 1], dtype=dtype)
+        flat, pad = _children(extents, rows)
+        assert flat.dtype == np.dtype(dtype)
+        for r, row in enumerate(rows.tolist()):
+            coords = []
+            for p in reversed(parents):
+                row, c = divmod(row, p)
+                coords.insert(0, c)
+            for k in range(1 << dim):
+                child = [2 * c + ((k >> (dim - 1 - j)) & 1) for j, c in enumerate(coords)]
+                assert pad[r, k] == any(x >= e for x, e in zip(child, extents))
+                if pad[r, k]:
+                    assert 0 <= flat[r, k] < cells
+                else:
+                    want = 0
+                    for x, e in zip(child, extents):
+                        want = want * e + x
+                    assert flat[r, k] == want
