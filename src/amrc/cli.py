@@ -55,8 +55,13 @@ _ORDER = "row-major-last-fastest"
 
 
 def read_sidecar(path) -> SidecarMeta:
+    try:
+        text = Path(path).read_text(encoding="utf-8")
+    except UnicodeDecodeError as exc:
+        raise DataError(
+            f"{path}: sidecar is not UTF-8 text ({exc.reason} at byte {exc.start})") from None
     fields: dict[str, str] = {}
-    for lineno, raw in enumerate(Path(path).read_text().splitlines(), start=1):
+    for lineno, raw in enumerate(text.splitlines(), start=1):
         line = raw.split("#", 1)[0].strip()
         if not line:
             continue

@@ -27,13 +27,13 @@ reference. No all-dummy family exists at the start, and a rejected family
 never changes, so re-checking it rejects it again. Sweep iteration ``i``
 can therefore only accept families whose parents sit at level ``l0 - i``,
 which is what the level pass checks at its ``i``-th level.
-``CompressStats.iterations`` counts the levels that accepted something, and
-``max_iterations`` caps that count. Of the coarsening, this module decides
-only which families meet their bounds. The pass keeps each level's leaf
-flags, candidates and trackers as grids; :mod:`amrc.mesh` walks those grids
-top-down from the root into the refinement bit-field and the leaf order, so
-compression writes the bit-field and the payload straight from the grids
-and never sorts leaves or builds a :class:`ForestMesh`. Decompression runs
+``CompressStats.iterations`` counts the levels that accepted something.
+Of the coarsening, this module decides only which families meet their
+bounds. The pass keeps each level's leaf flags, candidates and trackers as
+grids; :mod:`amrc.mesh` walks those grids top-down from the root into the
+refinement bit-field and the leaf order, so compression writes the
+bit-field and the payload straight from the grids and never sorts leaves
+or builds a :class:`ForestMesh`. Decompression runs
 the same walk on the stored bit-field, once for each run of variables that
 share it (:func:`decompress_many`), which gives each level's data-leaf
 cells, and writes the payload into the level grids top-down. Neither side
@@ -44,17 +44,11 @@ inaccuracy trackers stand in for it, and they guarantee the end-to-end
 point-wise bound of the decompressed output.
 
 The initial level is read in the caller's storage dtype, with no float64
-copy. Each level is checked in slabs of whole parent rows, at most
-``_SLAB`` families each: a slab's child views are copied into contiguous
-buffers, so every pass of the kernel reads contiguous data that stays in
-cache, and those copies and the kernel's scratch are slab-sized buffers
-that every slab, block and variable of the level reuses
-(:func:`_check_level`, :func:`_check_families`). Only the accept flags,
-candidates and trackers are parent-grid arrays, and a level without error
-domains reads one broadcast bound. Candidate values are rounded into the
-storage type (f32, or nearest-even for integer kinds) *before* the
-compliance check, so the tracker bounds the deviation of the value that is
-actually stored.
+copy, and each level is checked in cache-sized slabs (:func:`_check_level`).
+A level without error domains reads one broadcast bound. Candidate values
+are rounded into the storage type (f32, or nearest-even for integer kinds)
+*before* the compliance check, so the tracker bounds the deviation of the
+value that is actually stored.
 """
 
 from __future__ import annotations
@@ -132,7 +126,11 @@ class CompressStats:
 
 @dataclass
 class CompressedVariable:
-    """One compressed variable: encoded mesh plus non-dummy leaf payload."""
+    """One compressed variable: encoded mesh plus non-dummy leaf payload.
+
+    The payload's dtype must be of the variable's value kind, in either byte
+    order, so that storing it is an exact cast.
+    """
 
     shape: GridShape
     value_kind: str
@@ -142,6 +140,11 @@ class CompressedVariable:
     mode: str = ONE_FOR_ONE
     packing: Packing | None = None
     stats: CompressStats | None = None  # not serialized
+
+    def __post_init__(self):
+        if value_kind_of(self.payload.dtype) != self.value_kind:
+            raise ConfigError(f"{self.payload.dtype} payload does not match "
+                              f"value kind {self.value_kind!r}")
 
 
 @dataclass
@@ -396,8 +399,7 @@ def _check_level(vals, trks, leaf, bounds, kind: str, value_kind: str):
     return ok, cands, ntrs
 
 
-def _level_pass(arrays, shape: GridShape, spec: ErrorSpec, value_kind: str,
-                max_iterations: int | None):
+def _level_pass(arrays, shape: GridShape, spec: ErrorSpec, value_kind: str):
     """Coarsen bottom-up, one level grid at a time, until no family is accepted.
 
     Yields the levels reached one at a time, the initial level first, each
@@ -425,8 +427,6 @@ def _level_pass(arrays, shape: GridShape, spec: ErrorSpec, value_kind: str,
     leaf, vals, trks = None, [arr.reshape(shape.extents) for arr in arrays], [0.0] * len(arrays)
     yield leaf, vals, trks
     for h in range(1, shape.initial_level + 1):
-        if max_iterations is not None and h > max_iterations:
-            return
         parents = tuple((e + 1) // 2 for e in vals[0].shape)
         bounds = _parent_bounds(spec, parents, 1 << h)
         leaf, vals, trks = _check_level(vals, trks, leaf, bounds, spec.kind, value_kind)
@@ -435,21 +435,14 @@ def _level_pass(arrays, shape: GridShape, spec: ErrorSpec, value_kind: str,
         yield leaf, vals, trks
 
 
-def coarsen_forest(
-    variables,
-    shape: GridShape,
-    spec: ErrorSpec,
-    value_kind: str,
-    max_iterations: int | None = None,
-) -> CoarsenResult:
+def coarsen_forest(variables, shape: GridShape, spec: ErrorSpec, value_kind: str) -> CoarsenResult:
     """Coarsen one shared mesh under ``spec`` until no family is accepted.
 
     A family collapses only if the check passes for *every* variable; trackers
     are maintained per variable. Pass a single-element list for solo
-    compression. ``max_iterations`` caps the number of accepting levels.
-    Dummy leaves hold NaN values and zero trackers.
+    compression. Dummy leaves hold NaN values and zero trackers.
     """
-    leaves, vals, trks = zip(*_level_pass(variables, shape, spec, value_kind, max_iterations))
+    leaves, vals, trks = zip(*_level_pass(variables, shape, spec, value_kind))
     _, key, cells = _walk(shape, leaves)
     n = len(key)
     values = [_fill_leaves(np.full(n, np.nan), key, cells, grids) for grids in zip(*vals)]
@@ -465,7 +458,7 @@ def _compress(arrays, shape: GridShape, config: CompressionConfig,
     taken, and a variable's grids once its payload is written.
     """
     leaves, grids, peaks = [], [], [0.0] * len(arrays)
-    for leaf, vals, trks in _level_pass(arrays, shape, config.spec, value_kind, None):
+    for leaf, vals, trks in _level_pass(arrays, shape, config.spec, value_kind):
         if leaf is not None:
             # the largest tracker of an accepted family is that of a final leaf:
             # a stored tracker is >= its members' (|c - v| >= 0, monotone

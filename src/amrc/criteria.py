@@ -30,6 +30,7 @@ grid.
 from __future__ import annotations
 
 import math
+import operator
 from dataclasses import dataclass
 
 import numpy as np
@@ -67,7 +68,10 @@ class ErrorDomain:
     criterion: Criterion
 
     def __post_init__(self):
-        box = tuple((int(lo), int(hi)) for lo, hi in self.box)
+        try:
+            box = tuple((operator.index(lo), operator.index(hi)) for lo, hi in self.box)
+        except TypeError:
+            raise ConfigError(f"domain bounds must be integers, got {self.box}") from None
         object.__setattr__(self, "box", box)
         if any(lo >= hi for lo, hi in box):
             raise ConfigError(f"empty domain box {box}")

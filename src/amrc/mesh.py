@@ -42,13 +42,9 @@ level, a chunk of keys at a time, so it holds no level-sized temporary;
 decompression is the mirror image (:func:`_fill_grids`): top-down from the
 root, each parent's value is written into its present children, and each
 level's leaves are written in place. Neither side computes a Morton code.
-The cell indices of the walk and the fills are ``int32`` whenever the
-finest grid, each odd extent rounded up to even, has fewer than ``2^31``
-cells, and ``intp`` otherwise; the grid shape alone decides. They are the
-largest arrays the walk holds, one per data leaf, so their width sets its
-memory, and no pad index computed in ``int32`` can overflow. A
-:class:`ForestMesh` is built from the keys alone, since the leaves tile the
-root in curve order. The initial mesh and its data mapping are the walk
+The grid shape alone decides the width of the cell indices (:func:`_walk`).
+A :class:`ForestMesh` is built from the keys alone, since the leaves tile
+the root in curve order. The initial mesh and its data mapping are the walk
 with nothing accepted. The same families as a padded ``(n_parents, 2^dim)``
 copy, for the reference checks, are built in ``tests/oracle.py``.
 """
@@ -57,6 +53,7 @@ from __future__ import annotations
 
 import itertools
 import math
+import operator
 from dataclasses import dataclass
 
 import numpy as np
@@ -72,7 +69,11 @@ class GridShape:
     extents: tuple[int, ...]
 
     def __post_init__(self):
-        object.__setattr__(self, "extents", tuple(int(e) for e in self.extents))
+        try:
+            extents = tuple(operator.index(e) for e in self.extents)
+        except TypeError:
+            raise ShapeError(f"every extent must be an integer, got {self.extents}") from None
+        object.__setattr__(self, "extents", extents)
         if len(self.extents) not in (2, 3):
             raise ShapeError(f"grid must be 2D or 3D, got {len(self.extents)} axes")
         if any(e < 1 for e in self.extents):
@@ -100,7 +101,7 @@ class GridShape:
         return (max(self.extents) - 1).bit_length()
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class ForestMesh:
     """Leaf set of one refinement tree, in ascending SFC order."""
 
@@ -125,24 +126,10 @@ class ForestMesh:
     def n_leaves(self) -> int:
         return len(self.codes)
 
-    def __eq__(self, other) -> bool:
-        if not isinstance(other, ForestMesh):
-            return NotImplemented
-        return (
-            self.shape == other.shape
-            and np.array_equal(self.codes, other.codes)
-            and np.array_equal(self.levels, other.levels)
-            and np.array_equal(self.dummy, other.dummy)
-        )
-
     def aligned_codes(self) -> np.ndarray:
         """Codes left-aligned to the initial level (strictly increasing)."""
         shift = (self.dim * (self.initial_level - self.levels.astype(np.int64))).astype(np.uint64)
         return self.codes.astype(np.uint64) << shift
-
-    def level_histogram(self) -> dict[int, int]:
-        lv, cnt = np.unique(self.levels, return_counts=True)
-        return {int(a): int(b) for a, b in zip(lv, cnt)}
 
 
 def _mesh(shape: GridShape, key: np.ndarray) -> ForestMesh:
@@ -195,10 +182,9 @@ def _children(grid: tuple[int, ...], rows: np.ndarray):
     cell of an odd axis, i.e. a dummy leaf. A pad child's index points at
     some cell of the grid; what it holds is not the pad's.
 
-    The indices are in the dtype of ``rows``, ``int32`` or ``intp`` by the
-    width rule of :func:`_walk`: the coordinates come from ``np.divmod`` in
-    that dtype, as ``np.unravel_index`` would return ``intp``, and no pad
-    index overflows it before it is clipped into the grid.
+    The indices are in the dtype of ``rows`` (:func:`_walk`): the
+    coordinates come from ``np.divmod`` in that dtype, as
+    ``np.unravel_index`` would return ``intp``.
     """
     dim = len(grid)
     coords, rest = [], rows
@@ -248,8 +234,10 @@ def _walk(shape: GridShape, leaves=None, bits: bytes | None = None):
 
     The cell indices are ``int32`` when the finest grid, each odd extent
     rounded up to even, has fewer than ``2^31`` cells, and ``intp``
-    otherwise. Every level grid, padded so, is no larger, so no index of
-    :func:`_children` overflows, pads included.
+    otherwise; the grid shape alone decides. They are the largest arrays the
+    walk holds, one per data leaf, so their width sets its memory. Every
+    level grid, padded so, is no larger, so no index of :func:`_children`
+    overflows, pads included.
     """
     l0, fam = shape.initial_level, 1 << shape.dim
     padded = math.prod(e + e % 2 for e in shape.extents)
@@ -258,12 +246,14 @@ def _walk(shape: GridShape, leaves=None, bits: bytes | None = None):
     cells, pad = np.zeros(1, dtype=index), np.zeros(1, dtype=bool)
     out, found = bytearray(), [cells[:0]] * (l0 + 1)
     for h in range(l0, -1, -1):
+        opened = None  # positions of the keys 2h, found once per level
         if bits is not None:
             level = bits[len(out):len(out) + (len(key) + 7) // 8]
             if h and len(level):
+                opened = np.flatnonzero(key == 2 * h)
                 flags = np.unpackbits(np.frombuffer(level, dtype=np.uint8),
                                       count=len(key), bitorder="little")
-                leaf = pad | (flags[key == 2 * h] == 0)
+                leaf = pad | (flags[opened] == 0)
             else:
                 leaf = np.ones(len(cells), dtype=bool)
         elif h >= len(leaves):
@@ -276,7 +266,8 @@ def _walk(shape: GridShape, leaves=None, bits: bytes | None = None):
         found[h] = cells if data.all() else cells[data]
         if data.all():  # nothing to mark or refine, mostly the initial level
             break
-        opened = np.flatnonzero(key == 2 * h)
+        if opened is None:
+            opened = np.flatnonzero(key == 2 * h)
         key[opened[pad]] += 1
         if leaf.all():
             break
@@ -323,8 +314,7 @@ def _fill_leaves(out: np.ndarray, key: np.ndarray, cells, grids) -> np.ndarray:
     """Write per-level grid values into ``out``, one slot per key of :func:`_walk`.
 
     ``cells`` and ``grids`` run over the levels, the initial level first; a
-    grid may be a scalar. The cells are the walk's, ``int32`` or ``intp`` by
-    its width rule. The levels are written top level first, as in
+    grid may be a scalar. The levels are written top level first, as in
     :func:`_fill_grids`, each a chunk of keys at a time
     (:func:`_level_slots`), so no level's values are gathered at once.
     Slots of other keys keep what ``out`` holds.
@@ -343,9 +333,8 @@ def _fill_grids(out: np.ndarray, key: np.ndarray, cells, values) -> np.ndarray:
     grid of the root, each parent's value is written into its present
     children of :func:`_blocks`, and the values of the level's keys are
     written at its ``cells``, a chunk of keys at a time
-    (:func:`_level_slots`); the initial level is ``out`` itself. The cells
-    are the walk's, ``int32`` or ``intp`` by its width rule. Values of odd
-    keys are never read.
+    (:func:`_level_slots`); the initial level is ``out`` itself. Values of
+    odd keys are never read.
     """
     grid = None
     for h in range(len(cells) - 1, -1, -1):

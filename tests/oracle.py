@@ -9,7 +9,9 @@ exception is :func:`reference_coarsen`, the original Jacobi-sweep engine.
 It checks families with the batched criteria of :mod:`amrc.criteria`
 (:func:`reference_check`), which the level kernel of the codec reproduces
 on strided views without calling them, and serves as the differential
-reference for the level-pass engine. Its family collapse,
+reference for the level-pass engine; :func:`capped_coarsen` stops that
+engine after a given number of accepting levels, as the reference's
+``max_iterations`` stops the sweep. Its family collapse,
 :func:`coarsen_marked`, also builds the random meshes of the mesh tests.
 :func:`reference_expand`, the original per-cell expansion, is the
 differential reference for the top-down expansion of decompression.
@@ -17,12 +19,13 @@ differential reference for the top-down expansion of decompression.
 
 from __future__ import annotations
 
+import itertools
 import math
 
 import numpy as np
 
 from amrc import morton
-from amrc.codec import CoarsenResult
+from amrc.codec import CoarsenResult, _level_pass
 from amrc.criteria import (
     ABSOLUTE,
     Criterion,
@@ -37,6 +40,9 @@ from amrc.mesh import (
     ForestMesh,
     GridShape,
     _family_starts,
+    _fill_leaves,
+    _mesh,
+    _walk,
     build_initial_mesh,
     complete_family_starts,
     map_data,
@@ -124,6 +130,13 @@ def families(grid: np.ndarray, fill) -> np.ndarray:
     split = grid.reshape([n for e in grid.shape for n in (e // 2, 2)])
     order = list(range(0, 2 * dim, 2)) + list(range(1, 2 * dim, 2))
     return np.ascontiguousarray(split.transpose(order)).reshape(-1, 1 << dim)
+
+
+def mesh_equal(a: ForestMesh, b: ForestMesh) -> bool:
+    """Whether two meshes have the same grid and the same leaves."""
+    return a.shape == b.shape and all(
+        np.array_equal(x, y) for x, y in [(a.codes, b.codes), (a.levels, b.levels),
+                                          (a.dummy, b.dummy)])
 
 
 def validate_mesh(mesh: ForestMesh) -> None:
@@ -278,6 +291,22 @@ def reference_coarsen(variables, shape, spec, value_kind, max_iterations=None):
         iterations += 1
 
     return CoarsenResult(ForestMesh(shape, codes, levels, dummy), work, trackers, iterations)
+
+
+def capped_coarsen(variables, shape, spec, value_kind, cap) -> CoarsenResult:
+    """``coarsen_forest`` stopped after ``cap`` accepting levels.
+
+    Takes the initial level and the next ``cap`` levels of the level pass and
+    finishes them as ``coarsen_forest`` does: the walk over their leaf flags,
+    then the leaf values and trackers gathered from their grids.
+    """
+    levels = itertools.islice(_level_pass(variables, shape, spec, value_kind), cap + 1)
+    leaves, vals, trks = zip(*levels)
+    _, key, cells = _walk(shape, leaves)
+    n = len(key)
+    values = [_fill_leaves(np.full(n, np.nan), key, cells, grids) for grids in zip(*vals)]
+    trackers = [_fill_leaves(np.zeros(n), key, cells, grids) for grids in zip(*trks)]
+    return CoarsenResult(_mesh(shape, key), values, trackers, len(leaves) - 1)
 
 
 def naive_encode(coords, level: int, dim: int) -> int:

@@ -213,6 +213,19 @@ class TestErrorPaths:
         assert_one_error_line(rc, capsys.readouterr().err, fragment)
         assert not out.exists()
 
+    def test_sidecar_not_utf8(self, tmp_path):
+        # through the module entry point, where an uncaught error prints a traceback
+        raw, meta = write_inputs(tmp_path, np.ones(16, np.float32), (4, 4), "f32")
+        meta.write_bytes(b"\xff\xfe" + SIDECAR.encode())
+        out = tmp_path / "a.amrc"
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+            [str(Path(amrc.__file__).parents[1]), os.environ.get("PYTHONPATH", "")]))
+        result = subprocess.run(
+            [sys.executable, "-m", "amrc", "compress", "--input", str(raw), "--meta", str(meta),
+             "--abs", "1", "--output", str(out)], capture_output=True, text=True, env=env)
+        assert_one_error_line(result.returncode, result.stderr, f"{meta}: sidecar is not UTF-8")
+        assert not out.exists()
+
     @pytest.mark.parametrize("extra, fragment", [
         (["--domain", "0:4,0:4"], "is missing '=bound'"),
         (["--domain", "0:4,0:4=abc"], "bad domain '0:4,0:4=abc'"),

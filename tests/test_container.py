@@ -224,6 +224,18 @@ class TestValidation:
         with pytest.raises(ConfigError):
             write_artifact([])
 
+    def test_payload_of_another_kind_rejected(self):
+        # stored as f32, 1e40 would turn into inf
+        shape, crit = GridShape((1, 1)), Criterion("abs", 0.0)
+        for kind, payload in [("f32", np.array([1e40])), ("i16", np.array([70000], np.int32)),
+                              ("f64", np.array([1.5], np.float32))]:
+            with pytest.raises(ConfigError, match=f"value kind '{kind}'"):
+                CompressedVariable(shape, kind, b"", payload, crit)
+        # the other byte order of the same kind is an exact cast
+        var = CompressedVariable(shape, "f32", b"", np.array([1.5], ">f4"), crit)
+        assert decompress(var).tolist() == [1.5]
+        assert read_artifact(write_artifact([var]))[0][0].payload.tolist() == [1.5]
+
 
 # in a 2D header: magic, version, dim, two extents, then the fields after them
 LEVEL_AT = 4 + 1 + 1 + 2 * 8

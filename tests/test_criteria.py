@@ -45,6 +45,15 @@ class TestCriterionTypes:
         with pytest.raises(ConfigError):
             ErrorDomain(((4, 4), (0, 4)), Criterion("abs", 1.0))
 
+    def test_box_bounds_must_be_integers(self):
+        crit = Criterion("abs", 1.0)
+        box = ErrorDomain(((np.int64(0), 3), (0, np.int32(3))), crit).box
+        assert box == ((0, 3), (0, 3)) and all(type(b) is int for r in box for b in r)
+        # truncating 0.9 and 2.9 would shrink the domain to ((0, 2), (0, 3))
+        for bad in [((0.9, 2.9), (0, 3)), ((0, 3.0), (0, 3)), (("0", 3), (0, 3))]:
+            with pytest.raises(ConfigError, match="must be integers"):
+                ErrorDomain(bad, crit)
+
 
 def family_mean(members):
     """Mean of one family given as a 4-slot row; NaN slots are dummies."""

@@ -6,8 +6,9 @@ count. ``decompress`` and ``expand_to_uniform`` must reproduce
 :func:`oracle.reference_expand` byte for byte. The sweeps cover every 2D
 shape up to 9x9 and every 3D shape up to 5x5x5, plus a few long and
 degenerate shapes. For coarsening, each shape gets several configurations,
-rotated through bound kinds, dtypes, domains, modes and iteration caps; for
-expansion, random meshes carry payloads of every value kind.
+rotated through bound kinds, dtypes, domains, modes and iteration caps (a
+capped level pass is :func:`oracle.capped_coarsen`); for expansion, random
+meshes carry payloads of every value kind.
 """
 
 import itertools
@@ -35,7 +36,7 @@ from amrc import (
 from amrc.codec import VALUE_KIND_DTYPES
 from amrc.fields import smooth
 from conftest import random_mesh
-from oracle import reference_coarsen, reference_expand
+from oracle import capped_coarsen, mesh_equal, reference_coarsen, reference_expand
 
 SHAPES = (list(itertools.product(range(1, 10), repeat=2))
           + list(itertools.product(range(1, 6), repeat=3))
@@ -86,8 +87,15 @@ def make_case(extents, config, rng):
     return arrays, GridShape(extents), spec, value_kind, cap
 
 
+def coarsen(arrays, shape, spec, value_kind, cap):
+    """``coarsen_forest``, or under a cap the oracle's capped level pass."""
+    if cap is None:
+        return coarsen_forest(arrays, shape, spec, value_kind)
+    return capped_coarsen(arrays, shape, spec, value_kind, cap)
+
+
 def assert_same(got, want):
-    assert got.mesh == want.mesh
+    assert mesh_equal(got.mesh, want.mesh)
     assert got.iterations == want.iterations
     assert len(got.values) == len(want.values) == len(got.trackers)
     for a, b in zip(got.values + got.trackers, want.values + want.trackers):
@@ -102,7 +110,7 @@ def test_matches_reference_sweep(index):
         # class across the parametrization
         config = CONFIGS[(index + i) % len(CONFIGS)]
         arrays, shape, spec, kind, cap = make_case(extents, config, rng)
-        got = coarsen_forest(arrays, shape, spec, kind, max_iterations=cap)
+        got = coarsen(arrays, shape, spec, kind, cap)
         want = reference_coarsen(arrays, shape, spec, kind, max_iterations=cap)
         assert_same(got, want)
 
@@ -112,7 +120,7 @@ def test_iteration_cap_counts_accepting_levels(cap):
     field = smooth((37, 52), seed=3)
     shape = GridShape((37, 52))
     spec = ErrorSpec(Criterion("abs", 3.0))  # five accepting levels uncapped
-    got = coarsen_forest([field], shape, spec, "f64", max_iterations=cap)
+    got = coarsen([field], shape, spec, "f64", cap)
     assert_same(got, reference_coarsen([field], shape, spec, "f64", max_iterations=cap))
     assert got.iterations == (5 if cap is None else cap)
 
@@ -141,7 +149,7 @@ def test_expansion_matches_reference(value_kind):
         shape = GridShape(extents)
         mesh = random_mesh(shape, rng, rounds=int(rng.integers(0, 6)))
         bits = serialize_refinement(mesh)
-        assert deserialize_refinement(bits, shape) == mesh
+        assert mesh_equal(deserialize_refinement(bits, shape), mesh)
         data = ~mesh.dummy
         payload = random_payload(rng, int(data.sum()), dtype)
         leaf = np.zeros(mesh.n_leaves, dtype=dtype)
@@ -174,7 +182,7 @@ def test_matches_reference_level_classes(extents, cap):
                   .astype(dtype).reshape(-1) for _ in range(n_vars)]
         spec = ErrorSpec(Criterion(kind, bound), random_domains(rng, extents, kind, bound))
         value_kind = "f32" if dtype == np.float32 else "f64"
-        got = coarsen_forest(arrays, GridShape(extents), spec, value_kind, max_iterations=cap)
+        got = coarsen(arrays, GridShape(extents), spec, value_kind, cap)
         want = reference_coarsen(arrays, GridShape(extents), spec, value_kind,
                                  max_iterations=cap)
         assert_same(got, want)
