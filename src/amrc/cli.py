@@ -131,10 +131,12 @@ def _compress(field: np.ndarray, config: CompressionConfig, axis: int | None):
 def cmd_compress(args) -> int:
     meta = read_sidecar(args.meta)
     shape = GridShape(meta.dims)
-    raw = np.fromfile(args.input, dtype=VALUE_KIND_DTYPES[meta.value_kind])
-    if raw.size != shape.npoints:
-        raise DataError(
-            f"{args.input}: holds {raw.size} values, sidecar dims need {shape.npoints}")
+    dtype = np.dtype(VALUE_KIND_DTYPES[meta.value_kind])
+    size, need = Path(args.input).stat().st_size, shape.npoints * dtype.itemsize
+    if size != need:  # checked before anything of that size is allocated
+        raise DataError(f"{args.input}: holds {size} bytes, sidecar dims need {need} "
+                        f"({shape.npoints} {meta.value_kind} values)")
+    raw = np.fromfile(args.input, dtype=dtype, count=shape.npoints)
 
     kind = ABSOLUTE if args.abs is not None else RELATIVE
     bound = args.abs if args.abs is not None else args.rel
@@ -161,7 +163,8 @@ def cmd_compress(args) -> int:
     variables = _compress(raw.reshape(shape.extents), config, args.split_axis)
     blob = write_artifact(variables)
     Path(args.output).write_bytes(blob)
-    leaves = sum(v.stats.leaf_count for v in variables)
+    leaves = sum(v.stats.leaf_count for i, v in enumerate(variables)
+                 if i == 0 or v.mode == ONE_FOR_ONE)  # the variables that store a bit-field
     iterations = max(v.stats.iterations for v in variables)
     max_tracker = max(v.stats.max_tracker for v in variables)
     print(f"input_bytes={raw.nbytes} output_bytes={len(blob)} "

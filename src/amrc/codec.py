@@ -117,19 +117,20 @@ class CompressionConfig:
             raise ConfigError("split_axis must be a non-negative axis index")
 
 
-@dataclass
+@dataclass(frozen=True)
 class CompressStats:
     iterations: int
     leaf_count: int
     max_tracker: float
 
 
-@dataclass
+@dataclass(frozen=True)
 class CompressedVariable:
     """One compressed variable: encoded mesh plus non-dummy leaf payload.
 
     The payload's dtype must be of the variable's value kind, in either byte
-    order, so that storing it is an exact cast.
+    order; it is kept as the format writes it, little-endian and contiguous.
+    Immutable: build a changed variable with :func:`dataclasses.replace`.
     """
 
     shape: GridShape
@@ -142,9 +143,10 @@ class CompressedVariable:
     stats: CompressStats | None = None  # not serialized
 
     def __post_init__(self):
-        if value_kind_of(self.payload.dtype) != self.value_kind:
-            raise ConfigError(f"{self.payload.dtype} payload does not match "
-                              f"value kind {self.value_kind!r}")
+        kind, payload = self.value_kind, self.payload
+        if value_kind_of(payload.dtype) != kind:
+            raise ConfigError(f"{payload.dtype} payload does not match value kind {kind!r}")
+        object.__setattr__(self, "payload", np.ascontiguousarray(payload, VALUE_KIND_DTYPES[kind]))
 
 
 @dataclass
@@ -534,14 +536,13 @@ def decompress_many(variables) -> list[np.ndarray]:
         if len(var.payload) != len(data):
             raise CorruptArtifactError(
                 f"payload holds {len(var.payload)} values, mesh has {len(data)} data leaves")
-        dtype = np.dtype(VALUE_KIND_DTYPES[var.value_kind])
         try:
-            grid = np.empty(var.shape.extents, dtype)
+            grid = np.empty(var.shape.extents, var.payload.dtype)
         except (MemoryError, ValueError):  # ValueError: the size overflows the address width
             n = var.shape.npoints
-            raise CorruptArtifactError(
-                f"grid of {n} points ({n * dtype.itemsize} bytes) cannot be allocated") from None
-        out.append(_fill_grids(grid, data, cells, var.payload.astype(dtype, copy=False)).reshape(-1))
+            raise CorruptArtifactError(f"grid of {n} points ({n * var.payload.itemsize} "
+                                       "bytes) cannot be allocated") from None
+        out.append(_fill_grids(grid, data, cells, var.payload).reshape(-1))
     return out
 
 

@@ -115,8 +115,7 @@ def write_artifact(variables, post_pass: int = 0) -> bytes:
     for i, v in enumerate(variables):
         if i == 0 or first.mode == ONE_FOR_ONE:
             parts += [struct.pack("<I", len(v.mesh_bits)), v.mesh_bits]
-        data = np.ascontiguousarray(v.payload, dtype=VALUE_KIND_DTYPES[v.value_kind])
-        parts += [struct.pack("<I", len(data)), memoryview(data)]
+        parts += [struct.pack("<I", len(v.payload)), memoryview(v.payload)]
     return b"".join(parts)  # the one copy of the payloads
 
 

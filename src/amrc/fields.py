@@ -10,7 +10,7 @@ def smooth(shape, seed: int = 0, amplitude: float = 1.0) -> np.ndarray:
     rng = np.random.default_rng(seed)
     extents = tuple(int(e) for e in shape)
     axes = np.meshgrid(*(np.linspace(0.0, 1.0, e, endpoint=False) for e in extents),
-                       indexing="ij")
+                       indexing="ij", sparse=True)
     field = np.zeros(extents)
     for _ in range(4):
         freqs = rng.integers(1, 4, size=len(extents))

@@ -249,6 +249,9 @@ def _walk(shape: GridShape, leaves=None, bits: bytes | None = None):
         opened = None  # positions of the keys 2h, found once per level
         if bits is not None:
             level = bits[len(out):len(out) + (len(key) + 7) // 8]
+            # len(level) is load-bearing: an empty slice reads as all leaves,
+            # and np.unpackbits of an empty buffer with a count returns
+            # uninitialized bytes, not zeros (numpy 2.4.6)
             if h and len(level):
                 opened = np.flatnonzero(key == 2 * h)
                 flags = np.unpackbits(np.frombuffer(level, dtype=np.uint8),

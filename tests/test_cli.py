@@ -170,12 +170,20 @@ class TestCompressDecompress:
         assert rc == 3 and not out.exists()
         assert "finite" in capsys.readouterr().err
 
-    def test_size_mismatch_is_data_error(self, tmp_path, capsys):
-        data = np.ones(10, dtype=np.float32)
-        raw, meta = write_inputs(tmp_path, data, (4, 4), "f32")
-        rc = main(["compress", "--input", str(raw), "--meta", str(meta),
-                   "--abs", "1", "--output", str(tmp_path / "a.amrc")])
-        assert rc == 3
+    def test_size_mismatch_is_data_error(self, tmp_path, capsys, monkeypatch):
+        # the file's size is checked before anything of it is read
+        def no_read(*args, **kwargs):
+            raise AssertionError("np.fromfile called on a file of the wrong size")
+
+        for n in (10, 17):
+            raw, meta = write_inputs(tmp_path, np.ones(n, dtype=np.float32), (4, 4), "f32")
+            with monkeypatch.context() as m:
+                m.setattr(np, "fromfile", no_read)
+                rc = main(["compress", "--input", str(raw), "--meta", str(meta),
+                           "--abs", "1", "--output", str(tmp_path / "a.amrc")])
+            assert_one_error_line(rc, capsys.readouterr().err,
+                                  f"holds {4 * n} bytes, sidecar dims need 64 (16 f32 values)")
+            assert not (tmp_path / "a.amrc").exists()
 
     def test_invalid_domain_box_rejected(self, tmp_path, capsys):
         data = np.ones((4, 4), dtype=np.float32)
@@ -289,6 +297,22 @@ class TestInfoAndErrors:
         assert back.read_bytes() == want.tobytes()
         assert main(["info", "--input", str(src)]) == 0
         assert len(calls) == 2 and capsys.readouterr().out.count("variable ") == 3
+
+    @pytest.mark.parametrize("mode", ["one-for-all", "one-for-one"])
+    def test_summary_counts_each_stored_mesh_once(self, tmp_path, capsys, mode):
+        field = layered((4, 32, 32)).astype(np.float32)
+        raw, meta = write_inputs(tmp_path, field, (4, 32, 32), "f32")
+        out = tmp_path / "a.amrc"
+        assert main(["compress", "--input", str(raw), "--meta", str(meta), "--abs", "0.5",
+                     "--split-axis", "0", "--mode", mode, "--output", str(out)]) == 0
+        printed = int(capsys.readouterr().out.split("leaves=")[1].split()[0])
+        assert main(["info", "--input", str(out)]) == 0
+        stored = [int(line.split("leaves=")[1].split()[0])
+                  for line in capsys.readouterr().out.splitlines() if "leaves=" in line]
+        shared = mode == "one-for-all"
+        assert printed == (stored[0] if shared else sum(stored))
+        if shared:
+            assert len(set(stored)) == 1 and printed < sum(stored)
 
     def test_truncated_artifact_exit_4(self, tmp_path, capsys):
         data = np.full((8, 8), 2.0, dtype=np.float32)

@@ -1,3 +1,4 @@
+import dataclasses
 import tracemalloc
 
 import numpy as np
@@ -438,9 +439,8 @@ class TestDomains:
 class TestDecompress:
     def test_payload_mesh_mismatch_rejected(self):
         var = compress(np.zeros(16), GridShape((4, 4)), abs_config(0.0))
-        var.payload = var.payload[:-1]
         with pytest.raises(CorruptArtifactError):
-            decompress(var)
+            decompress(dataclasses.replace(var, payload=var.payload[:-1]))
 
     def test_output_size_matches_grid(self, rng):
         for extents in [(5, 3), (6, 6), (3, 4, 5)]:

@@ -216,7 +216,7 @@ class TestValidation:
         b = random_variable(rng, mode="one-for-all", value_kind=a.value_kind,
                             shape=a.shape, criterion=a.criterion)
         if a.mesh_bits == b.mesh_bits:
-            b.mesh_bits = a.mesh_bits + b"\x01"
+            b = dataclasses.replace(b, mesh_bits=a.mesh_bits + b"\x01")
         with pytest.raises(ConfigError):
             write_artifact([a, b])
 
@@ -231,10 +231,29 @@ class TestValidation:
                               ("f64", np.array([1.5], np.float32))]:
             with pytest.raises(ConfigError, match=f"value kind '{kind}'"):
                 CompressedVariable(shape, kind, b"", payload, crit)
-        # the other byte order of the same kind is an exact cast
-        var = CompressedVariable(shape, "f32", b"", np.array([1.5], ">f4"), crit)
-        assert decompress(var).tolist() == [1.5]
-        assert read_artifact(write_artifact([var]))[0][0].payload.tolist() == [1.5]
+        # nor can one be swapped into a built variable
+        var = compress(np.float32([1.5]), shape, CompressionConfig(ErrorSpec(crit)))
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            var.payload = np.array([1e40])
+        with pytest.raises(ConfigError, match="value kind 'f32'"):
+            dataclasses.replace(var, payload=np.array([1e40]))
+        want, value = write_artifact([var]), decompress(var)
+        assert read_artifact(want)[0][0].payload.tolist() == value.tolist() == [1.5]
+        # the other byte order and a strided view of the same kind are kept
+        # as the format writes them, little-endian and contiguous
+        for payload in (np.array([1.5], ">f4"), np.float32([1.5, 0.0])[::2]):
+            other = dataclasses.replace(var, payload=payload)
+            assert other.payload.dtype == np.dtype("<f4") and other.payload.flags.c_contiguous
+            assert write_artifact([other]) == want
+            assert decompress(other).tobytes() == value.tobytes()
+
+    def test_records_are_frozen(self):
+        var = compress(smooth((8, 8), seed=1).reshape(-1), GridShape((8, 8)),
+                       CompressionConfig(ErrorSpec(Criterion("abs", 0.1))))
+        for record in (var, var.stats):
+            for field in dataclasses.fields(record):
+                with pytest.raises(dataclasses.FrozenInstanceError):
+                    setattr(record, field.name, getattr(record, field.name))
 
 
 # in a 2D header: magic, version, dim, two extents, then the fields after them
