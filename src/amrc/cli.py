@@ -17,6 +17,7 @@ memory included), 4 corrupt artifact.
 from __future__ import annotations
 
 import argparse
+import os
 import sys
 from dataclasses import dataclass
 from pathlib import Path
@@ -214,7 +215,9 @@ def cmd_info(args) -> int:
 
 
 def cmd_sweep(args) -> int:
-    GridShape(args.dims)  # validate the dims before the field is generated
+    n = GridShape(args.dims).npoints  # validate the dims before the field is generated
+    if n * 8 > os.sysconf("SC_PHYS_PAGES") * os.sysconf("SC_PAGE_SIZE"):
+        raise DataError(f"a float64 field of {n} points does not fit in physical memory")
     field = GENERATORS[args.generator](args.dims, seed=args.seed)
     flat = field.reshape(-1)
     kind = ABSOLUTE if args.criterion == "abs" else RELATIVE

@@ -3,19 +3,20 @@
 Coarsening works on grid-index arrays, one per tree level. At each level a
 family of 2^dim siblings is read through the child views that
 :func:`amrc.mesh._blocks` gives, ``grid[o0::2, o1::2]`` per Morton child,
-one slab of parent rows at a time. Every complete family (all members
-still leaves) gets a candidate parent value, the mean of its data members,
-which is checked against the most restrictive bound of any error domain
-the parent meets. The sums, extremes and deviations are reduced
-elementwise across the children, in the order that makes them
-bit-identical to :func:`~amrc.criteria.family_means` and the
+one slab of parent rows at a time. Every family gets a candidate parent
+value, the mean of its data members, which is checked against the most
+restrictive bound of any error domain the parent meets. A cell that is not
+a leaf carries a ``+inf`` tracker, so an incomplete family fails its bound
+like any other: the bound check is the only reject. The sums, extremes and
+deviations are reduced elementwise across the children, in the order that
+makes them bit-identical to :func:`~amrc.criteria.family_means` and the
 ``batch_check_*`` functions of :mod:`amrc.criteria`, which
-``tests/oracle.py`` keeps as the reference. The
-relative check is evaluated member by member only where it has to be: two
-one-sided tests on a family's extremes, a certain reject and, for a family
-of one strict sign, a certain accept, decide most families, and they are
-exact because IEEE subtraction, addition and division round monotonically,
-so no member's term can fall outside the range the extremes give. Accepted
+``tests/oracle.py`` keeps as the reference. The relative check is
+evaluated member by member only where it has to be: two one-sided tests on
+a family's extremes, a certain reject and, for a family of one strict sign,
+a certain accept, decide most families, and they are exact because IEEE
+subtraction, addition and division round monotonically, so no member's
+term can fall outside the range the extremes give. Accepted
 parents become the leaves of the next level up; the leaves of rejected or
 incomplete families stay in the final mesh. The pass stops at the first
 level that accepts nothing.
@@ -124,13 +125,14 @@ class CompressStats:
     max_tracker: float
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class CompressedVariable:
     """One compressed variable: encoded mesh plus non-dummy leaf payload.
 
     The payload's dtype must be of the variable's value kind, in either byte
     order; it is kept as the format writes it, little-endian and contiguous.
     Immutable: build a changed variable with :func:`dataclasses.replace`.
+    Variables compare and hash by identity.
     """
 
     shape: GridShape
@@ -257,9 +259,7 @@ def _relative_accept(members, trks, cand, vmin, vmax, tmax, ntr, bounds, tmp):
 
     worst = _worst([np.asarray(undecided(v), np.float64) for v in members],
                    [t if np.isscalar(t) else undecided(t) for t in trks], undecided(cand))
-    # a broadcast bound (no domains) is one value, which reshape(-1) would copy out
-    bound = bounds.flat[0] if not any(bounds.strides) else undecided(bounds)
-    np.put(accept, at, ~(worst > bound))
+    np.put(accept, at, ~(worst > undecided(bounds)))
     return accept
 
 
@@ -337,26 +337,23 @@ def _gather(bufs, grid, children, shape):
     pad, copied as ``None``), and ``shape`` is their block's shape.
     """
     n = math.prod(shape)
-    out = []
-    for buf, sl in zip(bufs, children):
-        dst = None
+    out = [None if sl is None else buf[:n].reshape(shape) for buf, sl in zip(bufs, children)]
+    for dst, sl in zip(out, children):
         if sl is not None:
-            dst = buf[:n].reshape(shape)
             dst[...] = grid[sl]
-        out.append(dst)
     return out
 
 
-def _check_level(vals, trks, leaf, bounds, kind: str, value_kind: str):
+def _check_level(vals, trks, bounds, kind: str, value_kind: str):
     """Check every family of one level grid for every variable.
 
     ``vals`` and ``trks`` hold one level grid per variable (``trks`` entries
-    may be the scalar ``0.0``), ``leaf`` flags the leaf cells (``None``: all
-    are leaves) and ``bounds`` holds each parent's bound, on the parent
-    grid. Returns the parent-grid accept flags (set where the family is
-    complete and every variable accepts) and each variable's candidate and
-    tracker grids. The candidate and tracker of a family that is not
-    accepted are arbitrary.
+    may be the scalar ``0.0``) and ``bounds`` holds each parent's bound, on
+    the parent grid. A cell that is not a leaf carries a ``+inf`` tracker,
+    so an incomplete family fails its bound (``ntr <= bound`` under abs, the
+    certain reject of :func:`_relative_accept` under rel). Returns the
+    parent-grid accept flags and each variable's candidate and tracker
+    grids; those of a family that is not accepted are arbitrary.
 
     The level is worked through in slabs of whole parent rows along axis 0,
     at most ``_SLAB`` families each unless one row holds more. The level
@@ -388,10 +385,6 @@ def _check_level(vals, trks, leaf, bounds, kind: str, value_kind: str):
         for pslices, children in _blocks(vals[0][cells].shape):
             shape = tuple(s.stop - s.start for s in pslices)
             acc = ok[at][pslices]  # a view: clearing it clears ok
-            if leaf is not None:
-                for sl in children:
-                    if sl is not None:
-                        acc &= leaf[cells][sl]
             block = [None if s is None else s[:math.prod(shape)].reshape(shape) for s in scratch]
             for v, t, cand, ntr in zip(vals, trks, cands, ntrs):
                 members = _gather(copies, v[cells], children, shape)
@@ -408,7 +401,7 @@ def _level_pass(arrays, shape: GridShape, spec: ErrorSpec, value_kind: str):
     as ``(leaf, values, trackers)``: the leaf flags (``None``: all cells) and
     one value and one tracker grid per variable. The initial level holds the
     caller's arrays in their own dtype and ``0.0`` trackers. Cells that are
-    not leaves hold rejected candidates, which nothing reads. Each level is
+    not leaves hold rejected candidates and ``+inf`` trackers. Each level is
     computed when asked for, and the arguments are checked at the first one.
     """
     if any(len(dom.box) != shape.dim for dom in spec.domains):
@@ -426,14 +419,16 @@ def _level_pass(arrays, shape: GridShape, spec: ErrorSpec, value_kind: str):
         if arr.size != shape.npoints:
             raise ShapeError(f"expected {shape.npoints} values, got {arr.size}")
 
-    leaf, vals, trks = None, [arr.reshape(shape.extents) for arr in arrays], [0.0] * len(arrays)
-    yield leaf, vals, trks
+    vals, trks = [arr.reshape(shape.extents) for arr in arrays], [0.0] * len(arrays)
+    yield None, vals, trks
     for h in range(1, shape.initial_level + 1):
         parents = tuple((e + 1) // 2 for e in vals[0].shape)
         bounds = _parent_bounds(spec, parents, 1 << h)
-        leaf, vals, trks = _check_level(vals, trks, leaf, bounds, spec.kind, value_kind)
+        leaf, vals, trks = _check_level(vals, trks, bounds, spec.kind, value_kind)
         if not leaf.any():
             return
+        for t in trks:  # an incomplete family of the next level fails its bound
+            np.copyto(t, np.inf, where=~leaf)
         yield leaf, vals, trks
 
 

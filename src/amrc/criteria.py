@@ -18,7 +18,8 @@ Relative criterion: the point-wise relative error is estimated as
 
 which is valid as long as every bound is <= 1 (100%); the parent's stored
 tracker is again the absolute form ``max_i(|c - v_i| + t_i)``. A zero
-denominator with a nonzero numerator rejects the collapse.
+denominator with a nonzero numerator rejects the collapse. A cell that is
+not a leaf carries a ``+inf`` tracker, so an incomplete family never passes.
 
 The scalar per-family checks that define this contract live in
 ``tests/oracle.py``. :func:`family_means` and the ``batch_check_*``

@@ -414,6 +414,18 @@ class TestSweep:
         assert exc.value.code == 2
         assert f"argument {option}" in capsys.readouterr().err
 
+    def test_field_larger_than_memory_is_refused_before_generation(self, monkeypatch, capsys):
+        # 2^40 float64 values are 8 TiB, more than any host this runs on
+        def never(*args, **kwargs):
+            raise AssertionError("the generator ran")
+
+        monkeypatch.setitem(cli.GENERATORS, "noise", never)
+        assert main(["sweep", "--generator", "noise", "--dims", "1048576,1048576",
+                     "--errors", "0.1", "--criterion", "abs"]) == 3
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("amrc: error: ") and "physical memory" in captured.err
+
     def test_huge_dims_is_data_error(self):
         # the child caps its own address space, so the field fails to allocate
         # at once instead of filling the host's memory

@@ -255,6 +255,17 @@ class TestValidation:
                 with pytest.raises(dataclasses.FrozenInstanceError):
                     setattr(record, field.name, getattr(record, field.name))
 
+    def test_variables_compare_by_identity(self):
+        # the payload arrays cannot be compared to one bool nor hashed, so
+        # variables compare and hash as objects
+        field, shape = smooth((8, 8), seed=1).reshape(-1), GridShape((8, 8))
+        config = CompressionConfig(ErrorSpec(Criterion("abs", 0.1)))
+        a, b = compress(field, shape, config), compress(field, shape, config)
+        assert a.payload.tobytes() == b.payload.tobytes() and a.mesh_bits == b.mesh_bits
+        assert a != b
+        assert a == a
+        assert len({a, b}) == 2
+
 
 # in a 2D header: magic, version, dim, two extents, then the fields after them
 LEVEL_AT = 4 + 1 + 1 + 2 * 8

@@ -13,6 +13,7 @@ from amrc.criteria import (
 )
 from amrc import codec
 from amrc.codec import _check_level, _row_sum
+from amrc.fields import smooth
 from oracle import (
     check_absolute,
     check_relative,
@@ -405,7 +406,7 @@ class TestLevelKernelMatchesBatch:
                         assert not (want[0] & (worst > 0.0)).any()
                     for slab in slabs:
                         monkeypatch.setattr(codec, "_SLAB", slab)
-                        ok, cands, ntrs = _check_level([level], [trks], None, b.reshape(
+                        ok, cands, ntrs = _check_level([level], [trks], b.reshape(
                             [(n + 1) // 2 for n in vals.shape]), kind, value_kind)
                         got = ok.reshape(-1), cands[0].reshape(-1), ntrs[0].reshape(-1)
                         for name, g, w in zip(("accept", "candidate", "tracker"), got, want):
@@ -446,6 +447,63 @@ class TestLevelKernelMatchesBatch:
                 _, cand, _ = reference_check(fvals, ftrks, dmask, np.zeros(len(fvals)),
                                              "rel", "f64")
             worst = reference_worst(fvals, ftrks, dmask, cand)
-            ok, _, _ = _check_level([grid], [trks], None, worst.reshape((side,) * dim),
+            ok, _, _ = _check_level([grid], [trks], worst.reshape((side,) * dim),
                                     "rel", "f64")
             assert ok.all() and seen == []
+
+
+class TestIncompleteFamiliesFail:
+    """A cell that is not a leaf carries a ``+inf`` tracker, and that alone
+    makes its family fail the bound check: the level kernel has no other
+    reject."""
+
+    @pytest.mark.parametrize("dim", [2, 3])
+    @pytest.mark.parametrize("kind", ["abs", "rel"])
+    @pytest.mark.parametrize("value_kind", ["f64", "f32"])
+    def test_infinite_tracker_rejects_its_family(self, rng, monkeypatch, dim, kind, value_kind):
+        parents = (4,) * dim
+        # families of one sign each, within 1 % of it, so every family
+        # passes either bound with finite trackers
+        sign = np.kron(rng.choice([-1.0, 1.0], size=parents), np.ones((2,) * dim))
+        grid = sign * (1.0 + 0.01 * rng.random(sign.shape))
+        if value_kind == "f32":  # above the initial level, f32 values sit in float64 grids
+            grid = grid.astype(np.float32).astype(np.float64)
+        trks = np.full(grid.shape, 1e-4)
+        for crop in (0, 1):  # 1: the last parent row along axis 0 holds pad members
+            vals, t = grid[:len(grid) - crop], trks[:len(grid) - crop]
+            bounds = np.full(tuple((n + 1) // 2 for n in vals.shape), 0.5)
+            for slab in (codec._SLAB, 1):
+                monkeypatch.setattr(codec, "_SLAB", slab)
+                ok, cands, ntrs = _check_level([vals], [t], bounds, kind, value_kind)
+                assert ok.all()
+                # one member of about half the families, at a random child, is not a leaf
+                hit = rng.random(bounds.shape) < 0.5
+                inf = t.copy()
+                for p in zip(*np.nonzero(hit)):
+                    cell = tuple(min(2 * i + int(rng.integers(2)), n - 1)
+                                 for i, n in zip(p, vals.shape))
+                    inf[cell] = np.inf
+                got, gcands, gntrs = _check_level([vals], [inf], bounds, kind, value_kind)
+                assert (got == ~hit).all(), f"crop {crop}, slabs of {slab} families"
+                # the other families are checked as before, bit for bit
+                assert gcands[0][~hit].tobytes() == cands[0][~hit].tobytes()
+                assert gntrs[0][~hit].tobytes() == ntrs[0][~hit].tobytes()
+
+    @pytest.mark.parametrize("value_kind", ["f32", "f64"])
+    def test_level_pass_marks_non_leaves_infinite(self, value_kind):
+        # three variables on one mesh (one-for-all) under nested domains
+        extents = (96, 120)
+        dtype = codec.VALUE_KIND_DTYPES[value_kind]
+        arrays = [smooth(extents, seed=s).astype(dtype).reshape(-1) for s in range(3)]
+        spec = ErrorSpec(Criterion("abs", 0.5), (
+            ErrorDomain(((24, 72), (30, 90)), Criterion("abs", 0.05)),
+            ErrorDomain(((46, 50), (58, 62)), Criterion("abs", 0.0))))
+        levels = list(codec._level_pass(arrays, GridShape(extents), spec, value_kind))
+        assert len(levels) > 2 and levels[0][0] is None
+        partial_levels = 0
+        for leaf, _, trks in levels[1:]:
+            assert len(trks) == len(arrays)
+            for t in trks:
+                assert np.isinf(t[~leaf]).all() and np.isfinite(t[leaf]).all()
+            partial_levels += bool((~leaf).any())
+        assert partial_levels > 1
