@@ -30,10 +30,10 @@ from .codec import (
     VALUE_KIND_DTYPES,
     CompressionConfig,
     Packing,
+    _slices,
     compress_many,
     decompress_many,
     packed_bound,
-    split_axis,
     stack_axis,
 )
 from .container import read_artifact, write_artifact
@@ -124,8 +124,8 @@ def _check_domain_in_grid(box, shape: GridShape) -> None:
 
 
 def _compress(field: np.ndarray, config: CompressionConfig, axis: int | None):
-    """Compress ``field`` as one variable, or as its 2D slices along ``axis``."""
-    arrays = [field] if axis is None else split_axis(field, axis)
+    """Compress ``field`` as one variable, or as its 2D slices (views) along ``axis``."""
+    arrays = [field] if axis is None else _slices(field, axis)
     return compress_many(arrays, GridShape(arrays[0].shape), config)
 
 

@@ -541,14 +541,17 @@ def decompress_many(variables) -> list[np.ndarray]:
     return out
 
 
-def split_axis(values: np.ndarray, axis: int) -> list[np.ndarray]:
-    """Slice a 3D array into independent 2D arrays along ``axis``."""
+def _slices(values: np.ndarray, axis: int) -> list[np.ndarray]:
+    """The 2D slices of a 3D array along ``axis``, as views of it."""
     arr = np.asarray(values)
-    if arr.ndim != 3:
-        raise ShapeError(f"split_axis needs a 3D array, got {arr.ndim}D")
-    if not 0 <= axis < 3:
-        raise ShapeError(f"axis {axis} out of range for 3D data")
-    return [np.ascontiguousarray(np.take(arr, i, axis=axis)) for i in range(arr.shape[axis])]
+    if arr.ndim != 3 or not 0 <= axis < 3:
+        raise ShapeError(f"split_axis needs 3D data and an axis in 0..2, got {arr.ndim}D, {axis}")
+    return list(np.moveaxis(arr, axis, 0))
+
+
+def split_axis(values: np.ndarray, axis: int) -> list[np.ndarray]:
+    """Slice a 3D array into independent 2D arrays along ``axis``, each a copy."""
+    return [s.copy() for s in _slices(values, axis)]
 
 
 def stack_axis(slices, axis: int) -> np.ndarray:

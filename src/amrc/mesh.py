@@ -58,8 +58,11 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from . import morton
 from .errors import CorruptArtifactError, ShapeError
+
+# The deepest initial level: a level-l Morton code takes dim*l bits of one
+# 64-bit word, so this cap on the code width fixes a grid's largest extent.
+MAX_LEVEL = {2: 31, 3: 20}
 
 
 @dataclass(frozen=True)
@@ -78,10 +81,10 @@ class GridShape:
             raise ShapeError(f"grid must be 2D or 3D, got {len(self.extents)} axes")
         if any(e < 1 for e in self.extents):
             raise ShapeError(f"every extent must be >= 1, got {self.extents}")
-        if self.initial_level > morton.MAX_LEVEL[self.dim]:
+        if self.initial_level > MAX_LEVEL[self.dim]:
             raise ShapeError(
                 f"extent {max(self.extents)} needs level {self.initial_level}, "
-                f"maximum is {morton.MAX_LEVEL[self.dim]} in {self.dim}D"
+                f"maximum is {MAX_LEVEL[self.dim]} in {self.dim}D"
             )
 
     @property

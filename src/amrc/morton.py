@@ -1,77 +1,41 @@
 """Morton (Z-order) codes of quadtree/octree elements.
 
 An element at refinement depth ``level`` (root = level 0) is identified by
-its level and its code, the bit-interleaved cell coordinate at that level.
-Axis 0 is the least significant interleaved axis: bit ``i`` of the axis-0
-coordinate lands in code bit ``dim*i``, axis 1 in ``dim*i + 1``, axis 2 in
-``dim*i + 2``. The mesh keeps codes and levels as parallel arrays; the
-artifact format never stores a code.
+its level and its code, the bit-interleaved cell coordinate at that level:
+bit ``i`` of the axis-``a`` coordinate is code bit ``dim*i + a``, for
+``i < MAX_LEVEL[dim]``. The artifact format never stores a code.
 
-Both helpers accept plain Python ints or ``uint64`` numpy arrays.
+No round trip calls this coder: compression and decompression walk the
+level grids in Morton child order instead (``mesh._walk``). Its callers
+are ``criteria.resolve_bounds_batch``, ``tests/oracle.py`` and the
+benchmark's per-layer probes, so it places the bits by a plain loop over
+bit positions. Both helpers take Python ints or ``uint64`` numpy arrays.
 """
 
 from __future__ import annotations
 
-# Codes must fit one 64-bit word: dim * level <= 62 (2D) / 60 (3D).
-MAX_LEVEL = {2: 31, 3: 20}
+from .mesh import MAX_LEVEL
 
 
-def _part1by1(x):
-    # spread a 32-bit value so its bits occupy even positions of 64
-    x = (x | (x << 16)) & 0x0000FFFF0000FFFF
-    x = (x | (x << 8)) & 0x00FF00FF00FF00FF
-    x = (x | (x << 4)) & 0x0F0F0F0F0F0F0F0F
-    x = (x | (x << 2)) & 0x3333333333333333
-    x = (x | (x << 1)) & 0x5555555555555555
-    return x
-
-
-def _compact1by1(x):
-    x = x & 0x5555555555555555
-    x = (x ^ (x >> 1)) & 0x3333333333333333
-    x = (x ^ (x >> 2)) & 0x0F0F0F0F0F0F0F0F
-    x = (x ^ (x >> 4)) & 0x00FF00FF00FF00FF
-    x = (x ^ (x >> 8)) & 0x0000FFFF0000FFFF
-    x = (x ^ (x >> 16)) & 0x00000000FFFFFFFF
-    return x
-
-
-def _part1by2(x):
-    # spread a 21-bit value so its bits occupy every third position of 64
-    x = (x | (x << 32)) & 0x001F00000000FFFF
-    x = (x | (x << 16)) & 0x001F0000FF0000FF
-    x = (x | (x << 8)) & 0x100F00F00F00F00F
-    x = (x | (x << 4)) & 0x10C30C30C30C30C3
-    x = (x | (x << 2)) & 0x1249249249249249
-    return x
-
-
-def _compact1by2(x):
-    x = x & 0x1249249249249249
-    x = (x ^ (x >> 2)) & 0x10C30C30C30C30C3
-    x = (x ^ (x >> 4)) & 0x100F00F00F00F00F
-    x = (x ^ (x >> 8)) & 0x001F0000FF0000FF
-    x = (x ^ (x >> 16)) & 0x001F00000000FFFF
-    x = (x ^ (x >> 32)) & 0x00000000001FFFFF
-    return x
+def _levels(dim: int) -> int:
+    if dim not in MAX_LEVEL:
+        raise ValueError(f"dim must be 2 or 3, got {dim}")
+    return MAX_LEVEL[dim]
 
 
 def interleave(coords, dim: int):
     """Interleave per-axis coordinates (ints or uint64 arrays) into a code."""
-    if dim == 2:
-        x, y = coords
-        return _part1by1(x) | (_part1by1(y) << 1)
-    if dim == 3:
-        x, y, z = coords
-        return _part1by2(x) | (_part1by2(y) << 1) | (_part1by2(z) << 2)
-    raise ValueError(f"dim must be 2 or 3, got {dim}")
+    code = 0
+    for i in range(_levels(dim)):
+        for a in range(dim):
+            code |= ((coords[a] >> i) & 1) << (dim * i + a)
+    return code
 
 
 def deinterleave(code, dim: int):
     """Inverse of :func:`interleave`; returns a tuple of per-axis coordinates."""
-    if dim == 2:
-        return _compact1by1(code), _compact1by1(code >> 1)
-    if dim == 3:
-        return _compact1by2(code), _compact1by2(code >> 1), _compact1by2(code >> 2)
-    raise ValueError(f"dim must be 2 or 3, got {dim}")
-
+    coords = [0] * dim
+    for i in range(_levels(dim)):
+        for a in range(dim):
+            coords[a] |= ((code >> (dim * i + a)) & 1) << i
+    return tuple(coords)

@@ -2,6 +2,7 @@ import os
 import struct
 import subprocess
 import sys
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -110,6 +111,27 @@ class TestCompressDecompress:
                      "--split-axis", "0"]) == 0
         got = np.fromfile(back, dtype="<f8").reshape(6, 16, 16)
         assert np.abs(got - field).max() <= 1.0
+
+    @pytest.mark.parametrize("mode, bound", [("one-for-all", 2.5), ("one-for-one", 1.3)])
+    def test_split_compress_peak_is_bounded_by_the_input(self, tmp_path, capsys, mode, bound):
+        """Compressing the axis-0 slices holds under a small multiple of the input bytes.
+
+        The slices are views of the input: one-for-all peaks at 2.33 times the
+        input and one-for-one at 1.14 times. With a copy per slice they were
+        3.33 and 2.14 times."""
+        field = layered((32, 256, 256)).astype(np.float32)
+        raw, meta = write_inputs(tmp_path, field, field.shape, "f32")
+        del field
+        tracemalloc.start()
+        try:
+            assert main(["compress", "--input", str(raw), "--meta", str(meta), "--abs", "0.5",
+                         "--mode", mode, "--split-axis", "0",
+                         "--output", str(tmp_path / "a.amrc")]) == 0
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        nbytes = raw.stat().st_size
+        assert peak < bound * nbytes, f"peak {peak / nbytes:.2f} x the input bytes"
 
     def test_packed_sidecar(self, tmp_path, capsys):
         rng = np.random.default_rng(8)
@@ -248,6 +270,16 @@ class TestErrorPaths:
         rc = main(["compress", "--input", str(raw), "--meta", str(meta), "--abs", "1",
                    "--output", str(out)] + extra)
         assert_one_error_line(rc, capsys.readouterr().err, fragment)
+        assert not out.exists()
+
+    @pytest.mark.parametrize("dims, axis", [((4, 4), "0"), ((2, 4, 4), "3"), ((2, 4, 4), "-1")],
+                             ids=["2d-input", "axis-3", "axis-minus-1"])
+    def test_bad_split_axis(self, tmp_path, capsys, dims, axis):
+        raw, meta = write_inputs(tmp_path, np.ones(dims, np.float32), dims, "f32")
+        out = tmp_path / "a.amrc"
+        rc = main(["compress", "--input", str(raw), "--meta", str(meta), "--abs", "1",
+                   "--split-axis", axis, "--output", str(out)])
+        assert_one_error_line(rc, capsys.readouterr().err, "split_axis needs 3D data")
         assert not out.exists()
 
 

@@ -1,4 +1,5 @@
 import dataclasses
+import sys
 import tracemalloc
 
 import numpy as np
@@ -29,7 +30,8 @@ from amrc import (
     stack_axis,
     write_artifact,
 )
-from amrc import codec, mesh
+from amrc import codec, mesh, morton
+from amrc.cli import main
 from amrc.fields import layered, noise, smooth
 from conftest import huge_root_artifact
 from oracle import exact_leaf_deviations
@@ -574,6 +576,36 @@ def test_slabs_leave_the_artifacts_unchanged(monkeypatch, slab):
     for case, before in zip(cases, want):
         for got, w in zip(compress_many(*case), before):
             assert got.mesh_bits == w.mesh_bits and got.payload.tobytes() == w.payload.tobytes()
+
+
+def test_no_round_trip_calls_the_morton_coder(monkeypatch, tmp_path, capsys):
+    """Compression, the container, decompression and ``amrc info`` compute no
+    Morton code, so the coder's speed is off every timed path."""
+
+    def refuse(*args):
+        raise AssertionError("the Morton coder was called")
+
+    coder = (morton.interleave, morton.deinterleave)
+    held = [f"{name}.{attr}" for name, module in sys.modules.items()
+            if name.startswith("amrc.") and name != "amrc.morton"
+            for attr, value in vars(module).items() if any(value is f for f in coder)]
+    assert not held, f"modules that bind the coder past a patch: {held}"
+    monkeypatch.setattr(morton, "interleave", refuse)
+    monkeypatch.setattr(morton, "deinterleave", refuse)
+    # a 2D f32 field with nested domains, a zero-mean 3D f64 field under rel
+    # and one-for-all slices
+    for arrays, shape, config in _slab_cases():
+        blob = write_artifact(compress_many(arrays, shape, config))
+        outs = decompress_many(read_artifact(blob)[0])
+        bound = config.spec.default.bound
+        for a, out in zip(arrays, outs):
+            dev = np.abs(out.reshape(a.shape).astype(np.float64) - a)
+            scale = np.abs(a) if config.spec.default.kind == "rel" else 1.0
+            assert (dev <= bound * scale).all()
+    path = tmp_path / "shared.amrc"
+    path.write_bytes(blob)
+    assert main(["info", "--input", str(path)]) == 0
+    assert "variable 2: levels:" in capsys.readouterr().out
 
 
 PUBLIC_API = {

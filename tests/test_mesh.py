@@ -20,7 +20,7 @@ from amrc import (
     map_data,
     serialize_refinement,
 )
-from amrc import codec, mesh
+from amrc import codec, mesh, morton
 from amrc.fields import smooth
 from amrc.mesh import _blocks, _children
 from conftest import random_mesh
@@ -84,6 +84,13 @@ class TestGridShape:
             GridShape((2 ** 31 + 1, 2))
         with pytest.raises(ShapeError):
             GridShape((2 ** 20 + 1, 2, 2))
+
+    def test_3d_level_cap(self):
+        assert GridShape((2 ** 20, 1, 1)).initial_level == mesh.MAX_LEVEL[3] == 20
+        with pytest.raises(ShapeError, match="maximum is 20 in 3D"):
+            GridShape((2 ** 20 + 1, 1, 1))
+        # the coder reads the cap that the shape check enforces
+        assert morton.MAX_LEVEL is mesh.MAX_LEVEL
 
 
 class TestBuildInitialMesh:
