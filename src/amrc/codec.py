@@ -45,11 +45,11 @@ inaccuracy trackers stand in for it, and they guarantee the end-to-end
 point-wise bound of the decompressed output.
 
 The initial level is read in the caller's storage dtype, with no float64
-copy, and each level is checked in cache-sized slabs (:func:`_check_level`).
-A level without error domains reads one broadcast bound. Candidate values
-are rounded into the storage type (f32, or nearest-even for integer kinds)
-*before* the compliance check, so the tracker bounds the deviation of the
-value that is actually stored.
+copy, and each level is checked in cache-sized slabs (:func:`_check_level`),
+whose domain bounds are made a slab at a time. Candidate values are rounded
+into the storage type (f32, or nearest-even for integer kinds) *before* the
+compliance check, so the tracker bounds the deviation of the value that is
+actually stored, and f32 candidates are kept in float32 grids.
 """
 
 from __future__ import annotations
@@ -67,7 +67,8 @@ from .mesh import ForestMesh, GridShape, _blocks, _fill_grids, _fill_leaves, _me
 ONE_FOR_ONE = "one-for-one"
 ONE_FOR_ALL = "one-for-all"
 
-# storage kinds: little-endian on disk; float64 above the initial level
+# storage kinds: little-endian on disk; above the initial level, f32 values
+# stay float32 and the others are float64
 VALUE_KIND_DTYPES = {"f32": "<f4", "f64": "<f8", "i16": "<i2", "i32": "<i4"}
 _KIND_BY_DTYPE = {("f", 4): "f32", ("f", 8): "f64", ("i", 2): "i16", ("i", 4): "i32"}
 
@@ -168,20 +169,31 @@ def packed_bound(eps_unpacked: float, scale_factor: float) -> float:
     return eps_unpacked / scale_factor
 
 
-def _parent_bounds(spec: ErrorSpec, parents: tuple[int, ...], size: int) -> np.ndarray:
-    """Most restrictive bound per parent of ``size`` cells per axis.
+@dataclass(frozen=True)
+class _LevelBounds:
+    """Most restrictive bound per parent of ``size`` cells per axis, made a slab at a time.
 
-    Parent ``p`` meets a domain box iff ``p*size < hi`` and
+    ``bounds[a:b]`` holds those of parent rows ``a:b`` of the parent grid
+    ``shape``. Parent ``p`` meets a domain box iff ``p*size < hi`` and
     ``p*size + size > lo`` on every axis, a box slice of the parent grid.
-    Without domains the grid is a read-only broadcast of the default bound.
+    Without domains a slab is a read-only broadcast of the default bound.
     """
-    if not spec.domains:
-        return np.broadcast_to(np.float64(spec.default.bound), parents)
-    bounds = np.full(parents, spec.default.bound)
-    for dom in spec.domains:
-        box = tuple(slice(max(lo // size, 0), max(-(-hi // size), 0)) for lo, hi in dom.box)
-        bounds[box] = np.minimum(bounds[box], dom.criterion.bound)
-    return bounds
+
+    spec: ErrorSpec
+    shape: tuple[int, ...]
+    size: int
+
+    def __getitem__(self, rows: slice) -> np.ndarray:
+        a, b, _ = rows.indices(self.shape[0])
+        slab, spec = (b - a,) + self.shape[1:], self.spec
+        if not spec.domains:
+            return np.broadcast_to(np.float64(spec.default.bound), slab)
+        bounds = np.full(slab, spec.default.bound)
+        for dom in spec.domains:
+            box = tuple(slice(max(lo // self.size - o, 0), max(-(-hi // self.size) - o, 0))
+                        for (lo, hi), o in zip(dom.box, (a,) + (0,) * (len(slab) - 1)))
+            bounds[box] = np.minimum(bounds[box], dom.criterion.bound)
+        return bounds
 
 
 def _row_sum(terms, out, a, b):
@@ -239,8 +251,9 @@ def _relative_accept(members, trks, cand, vmin, vmax, tmax, ntr, bounds, tmp):
       term is NaN.
 
     The rest (zero or NaN ratios, mixed signs, the band between the tests)
-    takes the exact per-member pass of :func:`_worst`, gathered by flat
-    index from the block's arrays.
+    takes the exact per-member pass of :func:`_worst`, gathered by flat index
+    from contiguous block arrays and by unravelled index from strided ones,
+    such as the tracker views, which ``reshape(-1)`` would copy whole.
     Values enter it as float64, where the magnitude of an integer minimum
     does not wrap; ``tmp`` is float64 scratch.
     """
@@ -252,14 +265,15 @@ def _relative_accept(members, trks, cand, vmin, vmax, tmax, ntr, bounds, tmp):
     decided = accept | reject
     if decided.all():
         return accept
-    at = np.flatnonzero(~decided)
+    flat = np.flatnonzero(~decided)
+    at = np.unravel_index(flat, decided.shape)
 
     def undecided(a):  # the undecided families of a block array
-        return a.reshape(-1).take(at)
+        return a.reshape(-1).take(flat) if a.flags.c_contiguous else a[at]
 
     worst = _worst([np.asarray(undecided(v), np.float64) for v in members],
                    [t if np.isscalar(t) else undecided(t) for t in trks], undecided(cand))
-    np.put(accept, at, ~(worst > undecided(bounds)))
+    np.put(accept, flat, ~(worst > undecided(bounds)))
     return accept
 
 
@@ -269,10 +283,10 @@ def _check_families(vals, trks, bounds, kind: str, value_kind: str, cand, ntr, s
     ``vals`` holds the family members in Morton child order, one contiguous
     array per child (a copy of its view of the level grid, of the block's
     shape), with ``None`` for a child that is a dummy throughout the block.
-    ``trks`` holds the trackers the same way, or is the scalar ``0.0`` on the
-    initial level, whose members are in their storage dtype. ``cand`` and
-    ``ntr`` are the block's float64 output, and ``scratch`` the block's share
-    of the level's slab buffers (:func:`_check_level`). Computes
+    ``trks`` holds the float64 child views of the trackers the same way, or
+    is the scalar ``0.0`` on the initial level. ``cand`` and ``ntr`` are the
+    block's float64 output, and ``scratch`` the block's share of the
+    level's slab buffers (:func:`_check_level`). Computes
     :func:`family_means`, the rounding into the storage type and
     ``batch_check_*`` with the directed rounding of later levels,
     elementwise across the children: the same values bit for bit, without
@@ -330,46 +344,36 @@ def _check_families(vals, trks, bounds, kind: str, value_kind: str, cand, ntr, s
         return ntr <= bounds if accept is None else accept
 
 
-def _gather(bufs, grid, children, shape):
-    """Contiguous copies of the child views ``grid[sl]``, carved out of ``bufs``.
-
-    ``children`` are child slices of :func:`amrc.mesh._blocks` (``None``: a
-    pad, copied as ``None``), and ``shape`` is their block's shape.
-    """
-    n = math.prod(shape)
-    out = [None if sl is None else buf[:n].reshape(shape) for buf, sl in zip(bufs, children)]
-    for dst, sl in zip(out, children):
-        if sl is not None:
-            dst[...] = grid[sl]
-    return out
-
-
 def _check_level(vals, trks, bounds, kind: str, value_kind: str):
     """Check every family of one level grid for every variable.
 
     ``vals`` and ``trks`` hold one level grid per variable (``trks`` entries
-    may be the scalar ``0.0``) and ``bounds`` holds each parent's bound, on
-    the parent grid. A cell that is not a leaf carries a ``+inf`` tracker,
-    so an incomplete family fails its bound (``ntr <= bound`` under abs, the
-    certain reject of :func:`_relative_accept` under rel). Returns the
-    parent-grid accept flags and each variable's candidate and tracker
-    grids; those of a family that is not accepted are arbitrary.
+    may be the scalar ``0.0``) and ``bounds`` each parent's bound on the
+    parent grid, read only as ``.shape`` and slabs ``bounds[a:b]`` (a
+    :class:`_LevelBounds` makes them a slab at a time). A cell that is not a
+    leaf carries a ``+inf`` tracker, so an incomplete family fails its bound
+    (``ntr <= bound`` under abs, the certain reject of
+    :func:`_relative_accept` under rel). Returns the parent-grid accept
+    flags, each variable's candidate grid (float32 for f32 data, else
+    float64) and float64 tracker grid; those of a family that is not
+    accepted are arbitrary.
 
     The level is worked through in slabs of whole parent rows along axis 0,
     at most ``_SLAB`` families each unless one row holds more. The level
     grid of parent rows ``a:b`` is ``grid[2a:2b]``; its even start keeps the
     family layout, so each slab is cut into the :func:`~amrc.mesh._blocks`
     of its own shape. Every block's members are copied into contiguous
-    buffers in their dtype, and its trackers, above the initial level, in
-    float64. These copies and the scratch of :func:`_check_families` (the
-    extremes in the values' dtype, float64 scratch and tracker maxima) are
-    slab-sized buffers allocated once per level, so the kernel's passes run
-    on contiguous data that stays in cache. Only the accept flags, the
-    candidates and the trackers are parent-grid arrays.
+    buffers in their dtype; its trackers are read in place. These copies
+    and the scratch of :func:`_check_families` (the extremes in the values'
+    dtype, float64 scratch, tracker maxima, and an f32 variable's float64
+    candidates) are slab-sized buffers allocated once per level, so the
+    kernel's passes run on contiguous data that stays in cache. Only the
+    accept flags, the candidates and the trackers are parent-grid arrays.
     """
     parents = bounds.shape
     ok = np.ones(parents, dtype=bool)
-    cands = [np.empty(parents) for _ in vals]
+    narrow = value_kind == "f32"
+    cands = [np.empty(parents, np.float32 if narrow else np.float64) for _ in vals]
     ntrs = [np.empty(parents) for _ in vals]
     row = math.prod(parents[1:])  # families per parent row
     rows = max(_SLAB // row, 1)
@@ -377,20 +381,29 @@ def _check_level(vals, trks, bounds, kind: str, value_kind: str):
     dtype = np.result_type(*vals)
     initial = np.isscalar(trks[0])
     copies = [np.empty(size, dtype) for _ in range(1 << len(parents))]
-    tcopies = None if initial else [np.empty(size) for _ in copies]
     scratch = (np.empty(size, dtype), np.empty(size, dtype), np.empty(size),
-               None if initial else np.empty(size))
+               None if initial else np.empty(size), np.empty(size) if narrow else None)
     for a in range(0, parents[0], rows):
         at, cells = slice(a, a + rows), slice(2 * a, 2 * (a + rows))
+        slab = bounds[at]
         for pslices, children in _blocks(vals[0][cells].shape):
             shape = tuple(s.stop - s.start for s in pslices)
             acc = ok[at][pslices]  # a view: clearing it clears ok
-            block = [None if s is None else s[:math.prod(shape)].reshape(shape) for s in scratch]
+            n = math.prod(shape)
+            *block, wide = [None if s is None else s[:n].reshape(shape) for s in scratch]
             for v, t, cand, ntr in zip(vals, trks, cands, ntrs):
-                members = _gather(copies, v[cells], children, shape)
-                trackers = t if initial else _gather(tcopies, t[cells], children, shape)
-                acc &= _check_families(members, trackers, bounds[at][pslices], kind, value_kind,
-                                       cand[at][pslices], ntr[at][pslices], block)
+                members = [None if sl is None else c[:n].reshape(shape)
+                           for c, sl in zip(copies, children)]
+                for dst, sl in zip(members, children):
+                    if sl is not None:
+                        dst[...] = v[cells][sl]
+                trackers = t if initial else [None if sl is None else t[cells][sl]
+                                              for sl in children]
+                out = cand[at][pslices]
+                acc &= _check_families(members, trackers, slab[pslices], kind, value_kind,
+                                       out if wide is None else wide, ntr[at][pslices], block)
+                if wide is not None:  # f32-rounded already, so the narrowing is exact
+                    out[...] = wide
     return ok, cands, ntrs
 
 
@@ -400,9 +413,11 @@ def _level_pass(arrays, shape: GridShape, spec: ErrorSpec, value_kind: str):
     Yields the levels reached one at a time, the initial level first, each
     as ``(leaf, values, trackers)``: the leaf flags (``None``: all cells) and
     one value and one tracker grid per variable. The initial level holds the
-    caller's arrays in their own dtype and ``0.0`` trackers. Cells that are
-    not leaves hold rejected candidates and ``+inf`` trackers. Each level is
-    computed when asked for, and the arguments are checked at the first one.
+    caller's arrays in their own dtype and ``0.0`` trackers, later levels
+    the candidates of :func:`_check_level` and float64 trackers. Cells that
+    are not leaves hold rejected candidates and ``+inf`` trackers. Each
+    level is computed when asked for, and the arguments are checked at the
+    first one.
     """
     if any(len(dom.box) != shape.dim for dom in spec.domains):
         raise ConfigError(f"error-domain boxes need {shape.dim} ranges for {shape.dim}D data")
@@ -423,7 +438,7 @@ def _level_pass(arrays, shape: GridShape, spec: ErrorSpec, value_kind: str):
     yield None, vals, trks
     for h in range(1, shape.initial_level + 1):
         parents = tuple((e + 1) // 2 for e in vals[0].shape)
-        bounds = _parent_bounds(spec, parents, 1 << h)
+        bounds = _LevelBounds(spec, parents, 1 << h)
         leaf, vals, trks = _check_level(vals, trks, bounds, spec.kind, value_kind)
         if not leaf.any():
             return

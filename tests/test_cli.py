@@ -112,13 +112,14 @@ class TestCompressDecompress:
         got = np.fromfile(back, dtype="<f8").reshape(6, 16, 16)
         assert np.abs(got - field).max() <= 1.0
 
-    @pytest.mark.parametrize("mode, bound", [("one-for-all", 2.5), ("one-for-one", 1.3)])
+    @pytest.mark.parametrize("mode, bound", [("one-for-all", 2.2), ("one-for-one", 1.3)])
     def test_split_compress_peak_is_bounded_by_the_input(self, tmp_path, capsys, mode, bound):
         """Compressing the axis-0 slices holds under a small multiple of the input bytes.
 
-        The slices are views of the input: one-for-all peaks at 2.33 times the
+        The slices are views of the input: one-for-all peaks at 1.98 times the
         input and one-for-one at 1.14 times. With a copy per slice they were
-        3.33 and 2.14 times."""
+        3.33 and 2.14 times; one-for-all was 2.33 times while the level kernel
+        held float64 candidates for f32 data and slab copies of the trackers."""
         field = layered((32, 256, 256)).astype(np.float32)
         raw, meta = write_inputs(tmp_path, field, field.shape, "f32")
         del field

@@ -330,7 +330,8 @@ class TestLevelKernelMatchesBatch:
     level grid, a slab of parent rows at a time. With any slab size it must
     give the candidates, trackers and accept flags that ``family_means`` and
     ``batch_check_*`` give on ``families`` copies, bit for bit, or the
-    artifacts change."""
+    artifacts change. An f32 variable's candidates come in float32 grids,
+    which widen to the reference's float64 exactly."""
 
     @pytest.mark.parametrize("width", [4, 8])
     def test_row_sum_is_numpy_order(self, rng, width):
@@ -353,6 +354,7 @@ class TestLevelKernelMatchesBatch:
     def test_kernel_matches_batch_checks(self, rng, monkeypatch, dim, kind, value_kind):
         width = 1 << dim
         slabs = (codec._SLAB, 1)  # the whole level in one slab, and one parent row per slab
+        cand_dtype = np.float32 if value_kind == "f32" else np.float64
         rows = np.concatenate([adversarial_rows(width, rng), boundary_rows(width, rng)])
         with np.errstate(over="ignore"):
             if value_kind == "f32":  # f32 data stays in the f32 range
@@ -380,9 +382,12 @@ class TestLevelKernelMatchesBatch:
             bounds[::7] = 0.0
             if kind == "rel":
                 bounds = rng.random(dmask.shape[0])
-            feeds = [(vals, 0.0), (vals, prior[tuple(slice(0, n) for n in vals.shape)])]
+            later = prior[tuple(slice(0, n) for n in vals.shape)]
+            feeds = [(vals, 0.0), (vals, later)]
             if value_kind != "f64":  # the initial level reads the values in their own dtype
                 feeds.append((vals.astype(codec.VALUE_KIND_DTYPES[value_kind]), 0.0))
+            if value_kind == "f32":  # and later levels read the float32 candidate grids
+                feeds.append((vals.astype(np.float32), later))
             for level, trks in feeds:
                 # the values as the kernel gets them: an integer grid holds no -0.0
                 fvals = families(level.astype(np.float64), np.nan)
@@ -408,7 +413,10 @@ class TestLevelKernelMatchesBatch:
                         monkeypatch.setattr(codec, "_SLAB", slab)
                         ok, cands, ntrs = _check_level([level], [trks], b.reshape(
                             [(n + 1) // 2 for n in vals.shape]), kind, value_kind)
-                        got = ok.reshape(-1), cands[0].reshape(-1), ntrs[0].reshape(-1)
+                        assert cands[0].dtype == cand_dtype and ntrs[0].dtype == np.float64
+                        # float32 to float64 is exact, so the widened bytes must match
+                        got = (ok.reshape(-1), cands[0].reshape(-1).astype(np.float64),
+                               ntrs[0].reshape(-1))
                         for name, g, w in zip(("accept", "candidate", "tracker"), got, want):
                             assert g.tobytes() == w.tobytes(), (
                                 f"{name} differs with crop {crop}, {case} bounds, "
@@ -466,8 +474,8 @@ class TestIncompleteFamiliesFail:
         # passes either bound with finite trackers
         sign = np.kron(rng.choice([-1.0, 1.0], size=parents), np.ones((2,) * dim))
         grid = sign * (1.0 + 0.01 * rng.random(sign.shape))
-        if value_kind == "f32":  # above the initial level, f32 values sit in float64 grids
-            grid = grid.astype(np.float32).astype(np.float64)
+        if value_kind == "f32":  # above the initial level, f32 values sit in float32 grids
+            grid = grid.astype(np.float32)
         trks = np.full(grid.shape, 1e-4)
         for crop in (0, 1):  # 1: the last parent row along axis 0 holds pad members
             vals, t = grid[:len(grid) - crop], trks[:len(grid) - crop]
@@ -475,7 +483,7 @@ class TestIncompleteFamiliesFail:
             for slab in (codec._SLAB, 1):
                 monkeypatch.setattr(codec, "_SLAB", slab)
                 ok, cands, ntrs = _check_level([vals], [t], bounds, kind, value_kind)
-                assert ok.all()
+                assert ok.all() and cands[0].dtype == grid.dtype
                 # one member of about half the families, at a random child, is not a leaf
                 hit = rng.random(bounds.shape) < 0.5
                 inf = t.copy()
