@@ -37,8 +37,11 @@ bit-field and the payload straight from the grids and never sorts leaves
 or builds a :class:`ForestMesh`. Decompression runs
 the same walk on the stored bit-field, once for each run of variables that
 share it (:func:`decompress_many`), which gives each level's data-leaf
-cells, and writes the payload into the level grids top-down. Neither side
-of the round trip computes a Morton code.
+cells (the initial level's as whole families, one level-1 cell each), and
+writes the payload into the level grids top-down. Level 1 lies over the
+head of the output, so decoding holds the output, one index per
+initial-level family and the grids of levels 2 and up. Neither side of the
+round trip computes a Morton code.
 
 Levels above the initial one never read the initial data again; per-leaf
 inaccuracy trackers stand in for it, and they guarantee the end-to-end
@@ -57,6 +60,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from functools import partial, reduce
+from itertools import groupby
 
 import numpy as np
 
@@ -457,8 +461,10 @@ def coarsen_forest(variables, shape: GridShape, spec: ErrorSpec, value_kind: str
     leaves, vals, trks = zip(*_level_pass(variables, shape, spec, value_kind))
     _, key, cells = _walk(shape, leaves)
     n = len(key)
-    values = [_fill_leaves(np.full(n, np.nan), key, cells, grids) for grids in zip(*vals)]
-    trackers = [_fill_leaves(np.zeros(n), key, cells, grids) for grids in zip(*trks)]
+    values = _fill_leaves((np.full(n, np.nan) for _ in vals[0]), key, cells,
+                          [list(g) for g in zip(*vals)])
+    trackers = _fill_leaves((np.zeros(n) for _ in trks[0]), key, cells,
+                            [list(g) for g in zip(*trks)])
     return CoarsenResult(_mesh(shape, key), values, trackers, len(leaves) - 1)
 
 
@@ -467,7 +473,9 @@ def _compress(arrays, shape: GridShape, config: CompressionConfig,
     """Compress variables onto one shared mesh, straight from the level grids.
 
     A level's trackers go once read, the leaf keys once the data keys are
-    taken, and a variable's grids once its payload is written.
+    taken, and a variable's grids above the initial level once they are
+    written into its payload; the initial level is written last, for every
+    variable at once (:func:`~amrc.mesh._fill_leaves`).
     """
     leaves, grids, peaks = [], [], [0.0] * len(arrays)
     for leaf, vals, trks in _level_pass(arrays, shape, config.spec, value_kind):
@@ -484,14 +492,11 @@ def _compress(arrays, shape: GridShape, config: CompressionConfig,
     data = key[(key & 1) == 0]  # the keys of the data leaves, in curve order
     del key
     grids = [list(g) for g in zip(*grids)]  # per variable
-    out = []
-    for i, stat in enumerate(stats):
-        payload = _fill_leaves(np.empty(len(data), VALUE_KIND_DTYPES[value_kind]),
-                               data, cells, grids[i])
-        grids[i] = None
-        out.append(CompressedVariable(shape, value_kind, bits, payload, config.spec.default,
-                                      config.mode, config.packing, stat))
-    return out
+    payloads = _fill_leaves((np.empty(len(data), VALUE_KIND_DTYPES[value_kind]) for _ in stats),
+                            data, cells, grids)
+    return [CompressedVariable(shape, value_kind, bits, payload, config.spec.default,
+                               config.mode, config.packing, stat)
+            for payload, stat in zip(payloads, stats)]
 
 
 def compress(values, shape: GridShape, config: CompressionConfig) -> CompressedVariable:
@@ -523,9 +528,10 @@ def decompress(var: CompressedVariable) -> np.ndarray:
     Values are reported in stored (packed) space; unpacking via the affine
     record is the caller's transform. The decode walk reads the bit-field
     into each level's data-leaf cells, and the payload is written into the
-    level grids top-down. The output, in the storage dtype, is allocated
-    before any level grid, so a grid too large to allocate raises
-    :class:`CorruptArtifactError` before the expansion starts.
+    level grids top-down, level 1 in the head of the output. The output, in
+    the storage dtype, is allocated before any level grid, so a grid too
+    large to allocate raises :class:`CorruptArtifactError` before the
+    expansion starts.
     """
     return decompress_many([var])[0]
 
@@ -534,25 +540,31 @@ def decompress_many(variables) -> list[np.ndarray]:
     """:func:`decompress` of each variable, in order, walking a shared bit-field once.
 
     Consecutive variables with the same shape and bit-field, as all the
-    variables of a ``one-for-all`` artifact are, share one decode walk.
+    variables of a ``one-for-all`` artifact are, form a run: they share one
+    decode walk, which holds the initial level as one index per family, and
+    one fill (:func:`~amrc.mesh._fill_grids`), which makes the initial
+    level's cells once for the run. Every output of a run is allocated
+    before any level grid.
     """
-    out, run = [], None
-    for var in variables:
-        if run != (var.shape, var.mesh_bits):
-            run = (var.shape, var.mesh_bits)
-            _, key, cells = _walk(var.shape, bits=var.mesh_bits)
-            data = key[(key & 1) == 0]  # the keys of the data leaves, in curve order
-            del key
-        if len(var.payload) != len(data):
-            raise CorruptArtifactError(
-                f"payload holds {len(var.payload)} values, mesh has {len(data)} data leaves")
-        try:
-            grid = np.empty(var.shape.extents, var.payload.dtype)
-        except (MemoryError, ValueError):  # ValueError: the size overflows the address width
-            n = var.shape.npoints
-            raise CorruptArtifactError(f"grid of {n} points ({n * var.payload.itemsize} "
-                                       "bytes) cannot be allocated") from None
-        out.append(_fill_grids(grid, data, cells, var.payload).reshape(-1))
+    out = []
+    for (shape, bits), run in groupby(variables, lambda v: (v.shape, v.mesh_bits)):
+        run = list(run)
+        _, key, cells = _walk(shape, bits=bits)
+        data = key[(key & 1) == 0]  # the keys of the data leaves, in curve order
+        del key
+        grids = []
+        for var in run:
+            if len(var.payload) != len(data):
+                raise CorruptArtifactError(
+                    f"payload holds {len(var.payload)} values, mesh has {len(data)} data leaves")
+            try:
+                grids.append(np.empty(shape.extents, var.payload.dtype))
+            except (MemoryError, ValueError):  # ValueError: the size overflows the address width
+                n = shape.npoints
+                raise CorruptArtifactError(f"grid of {n} points ({n * var.payload.itemsize} "
+                                           "bytes) cannot be allocated") from None
+        grids = _fill_grids(grids, data, cells, [var.payload for var in run])
+        out += [g.reshape(-1) for g in grids]
     return out
 
 

@@ -36,13 +36,20 @@ depth are the bit-fields. On compression the leaves are the leaf-flag grids
 that the bottom-up level pass leaves, and the walk writes the bit-fields;
 on decoding it reads them. Either way it gives each leaf in curve order a
 key (its height above the initial level, and whether it is a dummy) and
-each level the cells of its data leaves. Compression gathers the payload
+each level above the initial one the cells of its data leaves. The initial
+level is final, so it is held as whole families, one refined level-1 cell
+each, and the walk stops after level 1. Compression gathers the payload
 from the level grids (:func:`_fill_leaves`), level by level and, within a
-level, a chunk of keys at a time, so it holds no level-sized temporary;
+level, a chunk of keys at a time, computing the initial level's cells from
+its families a chunk at a time, once for all the variables of a shared
+mesh, so it holds no level-sized temporary;
 decompression is the mirror image (:func:`_fill_grids`): top-down from the
 root, each parent's value is written into its present children, and each
-level's leaves are written in place. Neither side computes a Morton code.
-The grid shape alone decides the width of the cell indices (:func:`_walk`).
+level's leaves are written in place. Level 1 lies over the head of the
+output and is upsampled into the rest of it in place, so the output is the
+only grid decoding holds beyond the levels from 2 up. Neither side computes
+a Morton code. The grid shape alone decides the width of the cell indices
+(:func:`_walk`).
 A :class:`ForestMesh` is built from the keys alone, since the leaves tile
 the root in curve order. The initial mesh and its data mapping are the walk
 with nothing accepted. The same families as a padded ``(n_parents, 2^dim)``
@@ -51,6 +58,7 @@ copy, for the reference checks, are built in ``tests/oracle.py``.
 
 from __future__ import annotations
 
+import functools
 import itertools
 import math
 import operator
@@ -151,14 +159,17 @@ def _mesh(shape: GridShape, key: np.ndarray) -> ForestMesh:
     return ForestMesh(shape, codes, levels, (key & 1).astype(bool))
 
 
-def _blocks(extents: tuple[int, ...]):
+@functools.lru_cache(maxsize=128)
+def _blocks(extents: tuple[int, ...]) -> tuple:
     """The families of a level grid, as blocks of the parent grid and child slices.
 
     Splitting each odd axis into full parents and the last one, whose
     second child is the pad, cuts the parent grid into blocks in which
-    every child is present throughout or a pad throughout. Yields
+    every child is present throughout or a pad throughout. Returns
     ``(parent slices, child slices)`` per block, with the children in Morton
-    child order and ``None`` for a pad child.
+    child order and ``None`` for a pad child. The blocks are kept per shape:
+    the level kernel and the fills ask for the same few shapes over and
+    over, and building the slices costs more than copying a small level.
     """
     dim = len(extents)
     axes = []
@@ -168,12 +179,14 @@ def _blocks(extents: tuple[int, ...]):
         if e % 2:
             options.append((slice(h, h + 1), (slice(e - 1, e), None)))
         axes.append(options)
+    blocks = []
     for combo in itertools.product(*axes):
         children = []
         for k in range(1 << dim):
             sl = tuple(c[1][(k >> (dim - 1 - j)) & 1] for j, c in enumerate(combo))
             children.append(None if None in sl else sl)
-        yield tuple(c[0] for c in combo), children
+        blocks.append((tuple(c[0] for c in combo), tuple(children)))
+    return tuple(blocks)
 
 
 def _children(grid: tuple[int, ...], rows: np.ndarray):
@@ -211,6 +224,11 @@ def _children(grid: tuple[int, ...], rows: np.ndarray):
     return flat, pad
 
 
+# keys per chunk of a level's slots: bounds the mask, the values and the
+# initial level's cells that a fill holds at once
+_CHUNK = 1 << 16
+
+
 def _walk(shape: GridShape, leaves=None, bits: bytes | None = None):
     """Walk the mesh top-down from the root, from level grids or from a bit-field.
 
@@ -233,14 +251,22 @@ def _walk(shape: GridShape, leaves=None, bits: bytes | None = None):
     Returns the bit-field, a key per leaf of the mesh in curve order (``2h``
     for a data leaf ``h`` levels above the initial level, ``2h + 1`` for a
     dummy), and per level, the initial level first, the flat cell indices of
-    its data leaves in curve order.
+    its data leaves in curve order. The initial level is the exception: it
+    is final, so every child of a refined level-1 cell is a leaf there, a
+    data leaf or a pad, and the walk stops after level 1's refine flags. Its
+    entry holds the refined level-1 cells in curve order, one per family;
+    the fills compute the children a chunk at a time (:func:`_level_slots`).
+    A single-cell grid has no level 1, and its entry holds the one cell as
+    the family of row 0 of a one-cell parent grid. Initial-level families
+    hold pad children only where an extent is odd, and only then does the
+    walk compute their pad flags, a chunk of families at a time, to mark
+    them as dummies in the keys.
 
     The cell indices are ``int32`` when the finest grid, each odd extent
     rounded up to even, has fewer than ``2^31`` cells, and ``intp``
     otherwise; the grid shape alone decides. They are the largest arrays the
-    walk holds, one per data leaf, so their width sets its memory. Every
-    level grid, padded so, is no larger, so no index of :func:`_children`
-    overflows, pads included.
+    walk holds, so their width sets its memory. Every level grid, padded so,
+    is no larger, so no index of :func:`_children` overflows, pads included.
     """
     l0, fam = shape.initial_level, 1 << shape.dim
     padded = math.prod(e + e % 2 for e in shape.extents)
@@ -248,14 +274,16 @@ def _walk(shape: GridShape, leaves=None, bits: bytes | None = None):
     key = np.full(1, 2 * l0, dtype=np.uint8)  # an element not yet classified at h holds 2h
     cells, pad = np.zeros(1, dtype=index), np.zeros(1, dtype=bool)
     out, found = bytearray(), [cells[:0]] * (l0 + 1)
-    for h in range(l0, -1, -1):
+    if l0 == 0:
+        found[0] = cells
+    for h in range(l0, 0, -1):
         opened = None  # positions of the keys 2h, found once per level
         if bits is not None:
             level = bits[len(out):len(out) + (len(key) + 7) // 8]
             # len(level) is load-bearing: an empty slice reads as all leaves,
             # and np.unpackbits of an empty buffer with a count returns
             # uninitialized bytes, not zeros (numpy 2.4.6)
-            if h and len(level):
+            if len(level):
                 opened = np.flatnonzero(key == 2 * h)
                 flags = np.unpackbits(np.frombuffer(level, dtype=np.uint8),
                                       count=len(key), bitorder="little")
@@ -270,7 +298,7 @@ def _walk(shape: GridShape, leaves=None, bits: bytes | None = None):
             leaf = pad | leaves[h].reshape(-1)[cells]
         data = leaf & ~pad
         found[h] = cells if data.all() else cells[data]
-        if data.all():  # nothing to mark or refine, mostly the initial level
+        if data.all():  # nothing to mark or refine
             break
         if opened is None:
             opened = np.flatnonzero(key == 2 * h)
@@ -282,9 +310,27 @@ def _walk(shape: GridShape, leaves=None, bits: bytes | None = None):
         out += np.packbits(refine, bitorder="little").tobytes()
         key[refine] -= 2
         key = np.repeat(key, np.where(refine, fam, 1))
-        grid = tuple(-(-e >> (h - 1)) for e in shape.extents)
         rows, cells = cells[~leaf], None  # this level's cells go before the next level's come
-        cells, pad = (a.reshape(-1) for a in _children(grid, rows))
+        if h > 1:
+            grid = tuple(-(-e >> (h - 1)) for e in shape.extents)
+            cells, pad = (a.reshape(-1) for a in _children(grid, rows))
+            continue
+        found[0] = rows
+        if any(e % 2 for e in shape.extents):
+            # only a family on the last parent of an odd axis holds pads; the
+            # j-th refined family starts at pos[j] + (fam - 1) * j of the new keys
+            pos, step = opened[~leaf], max(_CHUNK // fam, 1)
+            parents = tuple((e + 1) // 2 for e in shape.extents)
+            for a in range(0, len(rows), step):
+                r, stride = rows[a:a + step], 1
+                edge = np.zeros(len(r), dtype=bool)
+                for e, p in zip(shape.extents[::-1], parents[::-1]):
+                    if e % 2:
+                        edge |= r // stride % p == p - 1
+                    stride *= p
+                j = a + np.flatnonzero(edge)
+                i, k = np.nonzero(_children(shape.extents, rows[j])[1])
+                key[pos[j[i]] + (fam - 1) * j[i] + k] += 1
     if bits is not None and out != bits:
         at = next((i for i, (a, b) in enumerate(zip(out, bits)) if a != b),
                   min(len(out), len(bits)))
@@ -294,66 +340,140 @@ def _walk(shape: GridShape, leaves=None, bits: bytes | None = None):
     return bytes(out), key, found
 
 
-# keys per chunk of a level's slots: bounds the mask and the values a fill holds
-_CHUNK = 1 << 16
+def _level_slots(key: np.ndarray, h: int, cells: np.ndarray, extents=None):
+    """The slots of key ``2h`` (data leaves ``h`` levels up) and their cells, by chunk of keys.
 
-
-def _level_slots(key: np.ndarray, h: int, count: int):
-    """The ``count`` slots of key ``2h`` (data leaves ``h`` levels up), by chunk of keys.
-
-    Yields ``(at, mask, rows)`` per chunk of ``_CHUNK`` keys that holds any:
-    the chunk's slice of ``key``, the slots' mask within it, and their slice
-    of the level's leaves in curve order, which indexes its :func:`_walk` cells.
+    Yields ``(at, mask, c)`` per chunk of ``_CHUNK`` keys that holds any:
+    the chunk's slice of ``key``, the slots' mask within it, and the flat
+    cells of those slots in the level grid, in curve order. Above the
+    initial level ``c`` is a slice of the level's :func:`_walk` cells. The
+    initial level's ``cells`` are whole families, one level-1 cell each:
+    ``c`` is made for the chunk from :func:`_children` of the families it
+    covers, with the pads dropped, and the data children of a family that
+    the chunk boundary cuts are carried into the next chunk. That takes the
+    grid's ``extents``; without them ``c`` is ``None`` on the initial level.
     """
-    s = 0
+    fam = 1 << len(extents or ())
+    s, left = 0, cells[:0]  # cells (above: leaves, initial: families) taken, data children left
     for a in range(0, len(key), _CHUNK):
-        if s == count:
+        if s == len(cells) and not len(left):
             break
         mask = key[a:a + _CHUNK] == 2 * h
         n = int(np.count_nonzero(mask))
-        if n:
-            yield slice(a, a + _CHUNK), mask, slice(s, s + n)
-            s += n
+        if not n:
+            continue
+        if h:
+            c, s = cells[s:s + n], s + n
+        elif extents:
+            # a family holds at most fam data children and at least one, so
+            # a second take, sized for one each, always makes up the pads
+            for per in (fam, 1):
+                if len(left) < n:
+                    k = -(-(n - len(left)) // per)
+                    flat, pad = _children(extents, cells[s:s + k])
+                    flat = flat[~pad] if pad.any() else flat.reshape(-1)
+                    del pad  # not held while the chunk is written
+                    left = np.concatenate((left, flat)) if len(left) else flat
+                    s += k
+            c, left = left[:n], left[n:]
+        else:
+            c = None
+        yield slice(a, a + _CHUNK), mask, c
 
 
-def _fill_leaves(out: np.ndarray, key: np.ndarray, cells, grids) -> np.ndarray:
-    """Write per-level grid values into ``out``, one slot per key of :func:`_walk`.
+def _fill_leaves(outs, key: np.ndarray, cells, grids) -> list[np.ndarray]:
+    """Write per-level grid values into one slot per key of :func:`_walk`, for variables
+    that share one mesh.
 
-    ``cells`` and ``grids`` run over the levels, the initial level first; a
-    grid may be a scalar. The levels are written top level first, as in
-    :func:`_fill_grids`, each a chunk of keys at a time
-    (:func:`_level_slots`), so no level's values are gathered at once.
-    Slots of other keys keep what ``out`` holds.
+    ``outs`` yields one output per variable and is read one variable at a
+    time, so a generator allocates each output only when its variable
+    starts. ``grids`` holds one list of level grids per variable, the
+    initial level first; a grid may be a scalar, and the initial level's
+    grids have the grid's extents. Each variable's levels above the initial
+    one are written top level first, as in :func:`_fill_grids`, each a
+    chunk of keys at a time (:func:`_level_slots`), and popped off its list
+    once written. The initial level is written last, for every variable at
+    once, so each chunk's cells are made once. No level's values or
+    initial-level cells are gathered at once. Slots of other keys keep what
+    an output holds. Returns the outputs.
     """
-    for h in range(len(grids) - 1, -1, -1):
-        grid, c = grids[h], cells[h]
-        for at, mask, rows in _level_slots(key, h, len(c)):
-            out[at][mask] = grid if np.isscalar(grid) else grid.reshape(-1)[c[rows]]
-    return out
+    done = []
+    for out, levels in zip(outs, grids):
+        for h in range(len(levels) - 1, 0, -1):
+            grid = levels.pop()
+            for at, mask, c in _level_slots(key, h, cells[h]):
+                out[at][mask] = grid if np.isscalar(grid) else grid.reshape(-1)[c]
+        done.append(out)
+    extents = None if np.isscalar(grids[0][0]) else grids[0][0].shape
+    for at, mask, c in _level_slots(key, 0, cells[0], extents):
+        for out, (grid,) in zip(done, grids):
+            out[at][mask] = grid if extents is None else grid.reshape(-1)[c]
+    return done
 
 
-def _fill_grids(out: np.ndarray, key: np.ndarray, cells, values) -> np.ndarray:
+def _upsample(parent: np.ndarray, child: np.ndarray) -> None:
+    """Write each cell of ``parent`` into its present children in ``child`` (:func:`_blocks`)."""
+    for parents, children in _blocks(child.shape):
+        for sl in children:
+            if sl is not None:
+                child[sl] = parent[parents]
+
+
+def _expand_head(head: np.ndarray, out: np.ndarray) -> None:
+    """:func:`_upsample` of the level-1 grid ``head``, the head of ``out``, into ``out`` in place.
+
+    With ``E1`` rows in ``head``, and ``R`` and ``R1`` cells per row of
+    ``out`` and of ``head``, rows ``a0:E1``, ``a0 = ceil(E1 * R1 / 2R)``,
+    go to output rows ``2*a0:``, which start past every cell of ``head``;
+    the even start keeps the family layout of :func:`_blocks`. Rows
+    ``0:a0`` are copied first and then go to output rows ``0:2*a0``. Where
+    ``E1`` is large the copy is about ``R1 / 2R`` of ``head``, a quarter in
+    2D and an eighth in 3D, the size of the level-2 grid, which is gone by
+    then; a grid of one level-1 row copies all of it, as much as a level-1
+    grid of its own would take.
+    """
+    r, r1 = math.prod(out.shape[1:]), math.prod(head.shape[1:])
+    a0 = -(-head.shape[0] * r1 // (2 * r))
+    _upsample(head[a0:], out[2 * a0:])
+    _upsample(head[:a0].copy(), out[:2 * a0])
+
+
+def _fill_grids(outs, key: np.ndarray, cells, values) -> list[np.ndarray]:
     """Mirror of :func:`_fill_leaves`: write one value per key into the level grids.
 
-    ``out`` is the grid of the initial level. Top-down from the ``(1,)*dim``
-    grid of the root, each parent's value is written into its present
-    children of :func:`_blocks`, and the values of the level's keys are
-    written at its ``cells``, a chunk of keys at a time
-    (:func:`_level_slots`); the initial level is ``out`` itself. Values of
-    odd keys are never read.
+    ``outs`` and ``values`` run over variables that share one mesh: each
+    ``out`` is a C-contiguous grid of the initial level, and its values
+    hold one per key. Top-down from the ``(1,)*dim`` grid of the root, each
+    parent's value is written into its present children of
+    :func:`_blocks`, and the values of the level's keys are written at its
+    cells, a chunk of keys at a time (:func:`_level_slots`). Levels 2 and up
+    have grids of their own, one variable at a time; level 1 lies over the
+    head of ``out`` and is upsampled into ``out`` in place
+    (:func:`_expand_head`). The initial level is written last, for every
+    variable at once, so each chunk's cells are made once. The last
+    variable pops each level's cells off the end of ``cells`` as it writes
+    the level, so they go once it is. Values of odd keys are never read.
     """
-    grid = None
-    for h in range(len(cells) - 1, -1, -1):
-        nxt = out if h == 0 else np.empty(tuple(-(-e >> h) for e in out.shape), out.dtype)
+    for i, (out, vals) in enumerate(zip(outs, values)):
+        levels = cells if i == len(outs) - 1 else list(cells)
+        head = tuple(-(-e >> 1) for e in out.shape)
+        grid = None
+        for h in range(len(levels) - 1, 0, -1):
+            if h > 1:
+                nxt = np.empty(tuple(-(-e >> h) for e in out.shape), out.dtype)
+            else:
+                nxt = out.reshape(-1)[:math.prod(head)].reshape(head)
+            if grid is not None:
+                _upsample(grid, nxt)
+            grid = nxt
+            for at, mask, c in _level_slots(key, h, levels.pop()):
+                grid.reshape(-1)[c] = vals[at][mask]
         if grid is not None:
-            for parents, children in _blocks(nxt.shape):
-                for sl in children:
-                    if sl is not None:
-                        nxt[sl] = grid[parents]
-        grid = nxt
-        for at, mask, rows in _level_slots(key, h, len(cells[h])):
-            grid.reshape(-1)[cells[h][rows]] = values[at][mask]
-    return out
+            _expand_head(grid, out)
+    for at, mask, c in _level_slots(key, 0, cells.pop(), outs[0].shape):
+        for out, vals in zip(outs, values):
+            out.reshape(-1)[c] = vals[at][mask]
+    return outs
 
 
 def build_initial_mesh(shape: GridShape) -> ForestMesh:
@@ -376,7 +496,7 @@ def map_data(shape: GridShape, values, mesh: ForestMesh | None = None) -> np.nda
     if arr.size != shape.npoints:
         raise ShapeError(f"expected {shape.npoints} values, got {arr.size}")
     _, key, cells = _walk(shape, [None])
-    return _fill_leaves(np.full(len(key), np.nan), key, cells, [arr])
+    return _fill_leaves([np.full(len(key), np.nan)], key, cells, [[arr.reshape(shape.extents)]])[0]
 
 
 def expand_to_uniform(mesh: ForestMesh, leaf_values) -> np.ndarray:
@@ -392,7 +512,7 @@ def expand_to_uniform(mesh: ForestMesh, leaf_values) -> np.ndarray:
     if vals.shape != (mesh.n_leaves,):
         raise ShapeError(f"expected {mesh.n_leaves} leaf values, got shape {vals.shape}")
     _, key, cells = _walk(mesh.shape, bits=serialize_refinement(mesh))
-    return _fill_grids(np.empty(mesh.shape.extents), key, cells, vals).reshape(-1)
+    return _fill_grids([np.empty(mesh.shape.extents)], key, cells, [vals])[0].reshape(-1)
 
 
 def complete_family_starts(mesh: ForestMesh) -> np.ndarray:

@@ -304,8 +304,10 @@ def capped_coarsen(variables, shape, spec, value_kind, cap) -> CoarsenResult:
     leaves, vals, trks = zip(*levels)
     _, key, cells = _walk(shape, leaves)
     n = len(key)
-    values = [_fill_leaves(np.full(n, np.nan), key, cells, grids) for grids in zip(*vals)]
-    trackers = [_fill_leaves(np.zeros(n), key, cells, grids) for grids in zip(*trks)]
+    values = _fill_leaves((np.full(n, np.nan) for _ in vals[0]), key, cells,
+                          [list(g) for g in zip(*vals)])
+    trackers = _fill_leaves((np.zeros(n) for _ in trks[0]), key, cells,
+                            [list(g) for g in zip(*trks)])
     return CoarsenResult(_mesh(shape, key), values, trackers, len(leaves) - 1)
 
 

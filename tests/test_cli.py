@@ -9,10 +9,10 @@ import numpy as np
 import pytest
 
 import amrc
-from amrc import cli, codec, decompress, read_artifact
+from amrc import GridShape, build_initial_mesh, cli, codec, decompress, read_artifact
 from amrc.cli import main, read_sidecar
 from amrc.errors import DataError
-from amrc.fields import layered, smooth
+from amrc.fields import layered, noise, smooth
 from conftest import huge_root_artifact
 
 
@@ -308,6 +308,29 @@ class TestInfoAndErrors:
         text = capsys.readouterr().out
         assert "variables: 3" in text
         assert text.count("variable ") == 3
+
+    @pytest.mark.parametrize("dims", [(23, 36), (5, 6, 8)])
+    def test_info_of_an_incompressible_odd_field_is_the_initial_mesh(self, tmp_path, capsys,
+                                                                     dims):
+        """Nothing coarsens, so the stored mesh is the initial one: every
+        initial-level leaf is kept, and every pad child of an initial-level
+        family is a dummy, which stores no value. One axis is odd: where
+        two are, the corner family has one data child, which is its own mean
+        and collapses under any bound."""
+        field = noise(dims).astype(np.float32)
+        raw, meta = write_inputs(tmp_path, field, dims, "f32")
+        out = tmp_path / "a.amrc"
+        assert main(["compress", "--input", str(raw), "--meta", str(meta),
+                     "--abs", "0", "--output", str(out)]) == 0
+        capsys.readouterr()
+        assert main(["info", "--input", str(out)]) == 0
+        line = next(t for t in capsys.readouterr().out.splitlines() if "leaves=" in t)
+        initial = build_initial_mesh(GridShape(dims))
+        levels, counts = np.unique(initial.levels, return_counts=True)
+        histogram = {int(a): int(b) for a, b in zip(levels, counts)}
+        assert f"levels: {histogram}  leaves={initial.n_leaves} " in line
+        assert f"payload_values={field.size} " in line
+        assert initial.n_leaves - int(initial.dummy.sum()) == field.size
 
     def test_shared_mesh_decoded_once(self, tmp_path, capsys, monkeypatch):
         field = layered((3, 16, 16), seed=2).astype(np.float32)
