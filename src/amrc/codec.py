@@ -30,11 +30,11 @@ can therefore only accept families whose parents sit at level ``l0 - i``,
 which is what the level pass checks at its ``i``-th level.
 ``CompressStats.iterations`` counts the levels that accepted something.
 Of the coarsening, this module decides only which families meet their
-bounds. The pass keeps each level's leaf flags, candidates and trackers as
-grids; :mod:`amrc.mesh` walks those grids top-down from the root into the
-refinement bit-field and the leaf order, so compression writes the
-bit-field and the payload straight from the grids and never sorts leaves
-or builds a :class:`ForestMesh`. Decompression runs
+bounds. The pass keeps each level's leaf flags and candidates as grids,
+and its trackers from level 2 up; :mod:`amrc.mesh` walks the leaf grids
+top-down from the root into the refinement bit-field and the leaf order,
+so compression writes the bit-field and the payload straight from the
+grids and never sorts leaves or builds a :class:`ForestMesh`. Decompression runs
 the same walk on the stored bit-field, once for each run of variables that
 share it (:func:`decompress_many`), which gives each level's data-leaf
 cells (the initial level's as whole families, one level-1 cell each), and
@@ -48,8 +48,11 @@ inaccuracy trackers stand in for it, and they guarantee the end-to-end
 point-wise bound of the decompressed output.
 
 The initial level is read in the caller's storage dtype, with no float64
-copy, and each level is checked in cache-sized slabs (:func:`_check_level`),
-whose domain bounds are made a slab at a time. Candidate values are rounded
+copy, and each level is checked in cache-sized slabs (:func:`_check_rows`),
+whose domain bounds are made a slab at a time. Heights 1 and 2 run
+together over one slab of level-2 rows at a time (:func:`_check_bottom`):
+level 1's float64 trackers live in one slab buffer, never as a whole grid,
+and both heights share one set of slab buffers. Candidate values are rounded
 into the storage type (f32, or nearest-even for integer kinds) *before* the
 compliance check, so the tracker bounds the deviation of the value that is
 actually stored, and f32 candidates are kept in float32 grids.
@@ -231,9 +234,9 @@ def _worst(members, trks, cand):
     fmax skips it, and a family of such members gets NaN, which the accept
     test ``~(worst > bound)`` passes like the 0 it stands for.
     """
-    return reduce(np.fmax, [
+    return reduce(np.fmax, (  # one member's term at a time
         (np.abs(cand - v) + t) / np.minimum(np.abs(v - t), np.minimum(np.abs(v), np.abs(v + t)))
-        for v, t in zip(members, trks)])
+        for v, t in zip(members, trks)))
 
 
 def _relative_accept(members, trks, cand, vmin, vmax, tmax, ntr, bounds, tmp):
@@ -348,6 +351,81 @@ def _check_families(vals, trks, bounds, kind: str, value_kind: str, cand, ntr, s
         return ntr <= bounds if accept is None else accept
 
 
+def _slab_rows(parents) -> int:
+    """Parent rows per slab of the level kernel: at most ``_SLAB`` families, or one row."""
+    return max(_SLAB // math.prod(parents[1:]), 1)
+
+
+def _arenas(dim: int, narrow: bool, *heights) -> list[np.ndarray]:
+    """Byte buffers for the slab buffers of :func:`_check_rows`, shared by ``heights``.
+
+    Each height is ``(families per slab, the values' dtype, initial)``. Each
+    buffer (member copies and extremes in the values' dtype, float64 scratch,
+    tracker maxima above the initial level, an f32 variable's float64
+    candidates) gets the bytes of the height that needs the most of it.
+    """
+    sizes = [0] * ((1 << dim) + 5)
+    for n, dtype, initial in heights:
+        item = np.dtype(dtype).itemsize
+        need = [n * item] * ((1 << dim) + 2) + [8 * n, 0 if initial else 8 * n, 8 * n * narrow]
+        sizes = [max(s, x) for s, x in zip(sizes, need)]
+    return [np.empty(s, np.uint8) for s in sizes]
+
+
+def _rows(grids, a: int, b: int) -> list:
+    """Rows ``a:b`` of each grid; a scalar stands for every row."""
+    return [g if np.isscalar(g) else g[a:b] for g in grids]
+
+
+def _check_rows(vals, trks, bounds, first: int, kind: str, value_kind: str,
+                ok, cands, ntrs, arenas):
+    """Check the families of parent rows ``first:first + len(ok)`` of one level, in slabs.
+
+    ``vals`` and ``trks`` hold each variable's level grid from row
+    ``2 * first`` on (a ``trks`` entry may be the scalar ``0.0``), and
+    ``ok``, ``cands`` and ``ntrs`` the parent rows from ``first`` on; ``ok``
+    must be all set, and is cleared where a family fails for some variable.
+    ``bounds`` is read as ``bounds[a:b]`` in the level's own rows. Each slab
+    of :func:`_slab_rows` parent rows ``a:b`` reads the level grid rows
+    ``2a:2b``, whose even start keeps the family layout, so it is cut into
+    the :func:`~amrc.mesh._blocks` of its own shape. Every block's members
+    are copied into contiguous buffers in their dtype, its trackers are
+    read in place, and all of the kernel's scratch lies in ``arenas``
+    (:func:`_arenas`), so its passes run on contiguous data that stays in
+    cache.
+    """
+    fam, dtype, rows = 1 << ok.ndim, np.result_type(*vals), _slab_rows(ok.shape)
+    initial = np.isscalar(trks[0])
+    for a in range(0, len(ok), rows):
+        at, n = slice(a, a + rows), ok[a:a + rows].size
+        slab, level = bounds[first + a:first + a + rows], _rows(vals, 2 * a, 2 * (a + rows))
+
+        def buf(k, dt):  # the first n cells of arena k, in dt
+            return arenas[k][:n * np.dtype(dt).itemsize].view(dt)
+
+        copies = [buf(k, dtype) for k in range(fam)]
+        scratch = (buf(fam, dtype), buf(fam + 1, dtype), buf(fam + 2, np.float64),
+                   None if initial else buf(fam + 3, np.float64),
+                   buf(fam + 4, np.float64) if value_kind == "f32" else None)
+        for pslices, children in _blocks(level[0].shape):
+            shape = tuple(s.stop - s.start for s in pslices)
+            acc = ok[at][pslices]  # a view: clearing it clears ok
+            m = math.prod(shape)
+            *block, wide = [None if s is None else s[:m].reshape(shape) for s in scratch]
+            for v, t, cand, ntr in zip(level, _rows(trks, 2 * a, 2 * (a + rows)), cands, ntrs):
+                members = [None if sl is None else c[:m].reshape(shape)
+                           for c, sl in zip(copies, children)]
+                for dst, sl in zip(members, children):
+                    if sl is not None:
+                        dst[...] = v[sl]
+                trackers = t if initial else [None if sl is None else t[sl] for sl in children]
+                out = cand[at][pslices]
+                acc &= _check_families(members, trackers, slab[pslices], kind, value_kind,
+                                       out if wide is None else wide, ntr[at][pslices], block)
+                if wide is not None:  # f32-rounded already, so the narrowing is exact
+                    out[...] = wide
+
+
 def _check_level(vals, trks, bounds, kind: str, value_kind: str):
     """Check every family of one level grid for every variable.
 
@@ -362,64 +440,106 @@ def _check_level(vals, trks, bounds, kind: str, value_kind: str):
     float64) and float64 tracker grid; those of a family that is not
     accepted are arbitrary.
 
-    The level is worked through in slabs of whole parent rows along axis 0,
-    at most ``_SLAB`` families each unless one row holds more. The level
-    grid of parent rows ``a:b`` is ``grid[2a:2b]``; its even start keeps the
-    family layout, so each slab is cut into the :func:`~amrc.mesh._blocks`
-    of its own shape. Every block's members are copied into contiguous
-    buffers in their dtype; its trackers are read in place. These copies
-    and the scratch of :func:`_check_families` (the extremes in the values'
-    dtype, float64 scratch, tracker maxima, and an f32 variable's float64
-    candidates) are slab-sized buffers allocated once per level, so the
-    kernel's passes run on contiguous data that stays in cache. Only the
-    accept flags, the candidates and the trackers are parent-grid arrays.
+    The level is checked in slabs of whole parent rows (:func:`_check_rows`)
+    that share one set of slab buffers. Only the accept flags, the
+    candidates and the trackers are parent-grid arrays. The level pass calls
+    it from height 3 up; heights 1 and 2 are :func:`_check_bottom`.
     """
     parents = bounds.shape
     ok = np.ones(parents, dtype=bool)
-    narrow = value_kind == "f32"
-    cands = [np.empty(parents, np.float32 if narrow else np.float64) for _ in vals]
+    cands = [np.empty(parents, np.float32 if value_kind == "f32" else np.float64) for _ in vals]
     ntrs = [np.empty(parents) for _ in vals]
-    row = math.prod(parents[1:])  # families per parent row
-    rows = max(_SLAB // row, 1)
-    size = min(rows, parents[0]) * row
-    dtype = np.result_type(*vals)
-    initial = np.isscalar(trks[0])
-    copies = [np.empty(size, dtype) for _ in range(1 << len(parents))]
-    scratch = (np.empty(size, dtype), np.empty(size, dtype), np.empty(size),
-               None if initial else np.empty(size), np.empty(size) if narrow else None)
-    for a in range(0, parents[0], rows):
-        at, cells = slice(a, a + rows), slice(2 * a, 2 * (a + rows))
-        slab = bounds[at]
-        for pslices, children in _blocks(vals[0][cells].shape):
-            shape = tuple(s.stop - s.start for s in pslices)
-            acc = ok[at][pslices]  # a view: clearing it clears ok
-            n = math.prod(shape)
-            *block, wide = [None if s is None else s[:n].reshape(shape) for s in scratch]
-            for v, t, cand, ntr in zip(vals, trks, cands, ntrs):
-                members = [None if sl is None else c[:n].reshape(shape)
-                           for c, sl in zip(copies, children)]
-                for dst, sl in zip(members, children):
-                    if sl is not None:
-                        dst[...] = v[cells][sl]
-                trackers = t if initial else [None if sl is None else t[cells][sl]
-                                              for sl in children]
-                out = cand[at][pslices]
-                acc &= _check_families(members, trackers, slab[pslices], kind, value_kind,
-                                       out if wide is None else wide, ntr[at][pslices], block)
-                if wide is not None:  # f32-rounded already, so the narrowing is exact
-                    out[...] = wide
+    n = min(_slab_rows(parents), parents[0]) * math.prod(parents[1:])
+    arenas = _arenas(len(parents), value_kind == "f32",
+                     (n, np.result_type(*vals), np.isscalar(trks[0])))
+    _check_rows(vals, trks, bounds, 0, kind, value_kind, ok, cands, ntrs, arenas)
     return ok, cands, ntrs
 
 
-def _level_pass(arrays, shape: GridShape, spec: ErrorSpec, value_kind: str):
+def _close(leaf, trks, peaks) -> None:
+    """Fold each variable's largest leaf tracker into ``peaks``, and give the other cells ``+inf``.
+
+    A stored tracker is >= its members', so the largest is a final leaf's;
+    the ``+inf`` fails an incomplete family of the next level.
+    """
+    for i, t in enumerate(trks):
+        peaks[i] = max(peaks[i], np.max(t, where=leaf, initial=0.0))
+        np.copyto(t, np.inf, where=~leaf)
+
+
+def _check_bottom(vals, spec: ErrorSpec, value_kind: str, top: int, whole: bool):
+    """Heights 1 to ``top`` (1 or 2) of the level pass, one slab of level-``top`` rows at a time.
+
+    Level-``top`` rows ``a:b`` cover rows ``a*2^(top-h):b*2^(top-h)`` of
+    level ``h``, so each height checks its share of a slab
+    (:func:`_check_rows`) before the next reads it. A slab holds about
+    ``_SLAB / 2`` families of height ``top``: smaller slabs pay the kernel's
+    fixed cost per call more often, larger ones hold more trackers. Leaf
+    flags, candidates and level ``top``'s trackers go into whole grids; the
+    trackers below live in one slab buffer that the next slab reuses,
+    unless ``whole`` is set. All heights share one set of slab buffers, and
+    a level's grids are made at its first slab, so a level that one slab
+    covers is checked before the next level's grids exist. Per slab, each
+    level's trackers get ``+inf`` where a cell is not a leaf and its
+    largest leaf tracker is folded. A slab in which a height accepts
+    nothing has only ``+inf`` trackers above it: its families above are
+    rejected unchecked, with ``0`` candidates, finite like every rejected
+    candidate and never read as a leaf's value.
+
+    Returns ``(leaf, candidates, trackers, peaks)`` per height, ``trackers``
+    ``None`` below ``top`` unless ``whole`` is set, and ``peaks`` each
+    variable's largest leaf tracker.
+    """
+    narrow = value_kind == "f32"
+    cdt = np.float32 if narrow else np.float64
+    grids = [vals[0].shape]
+    for _ in range(top):
+        grids.append(tuple((e + 1) // 2 for e in grids[-1]))
+    rows = max((_SLAB >> 1) // math.prod(grids[top][1:]), 1)  # level-top rows per slab
+    spans = [min(rows << (top - h), grids[h][0]) for h in range(1, top + 1)]  # level-h rows
+    arenas = _arenas(len(grids[0]), narrow, *[
+        (min(_slab_rows(g), span) * math.prod(g[1:]), cdt if h > 1 else np.result_type(*vals),
+         h == 1) for h, (g, span) in enumerate(zip(grids[1:], spans), 1)])
+    levels = []
+    for a in range(0, grids[top][0], rows):
+        below, trks, live = _rows(vals, a << top, (a + rows) << top), [0.0] * len(vals), True
+        for h in range(1, top + 1):
+            if len(levels) < h:  # at its first slab
+                g, keep = grids[h], whole or h == top
+                levels.append((np.ones(g, dtype=bool), [np.empty(g, cdt) for _ in vals],
+                               [np.empty(g if keep else (spans[h - 1],) + g[1:]) for _ in vals],
+                               _LevelBounds(spec, g, 1 << h), keep, [0.0] * len(vals)))
+            leaf, cands, ntrs, bounds, keep, peaks = levels[h - 1]
+            first = a << (top - h)
+            ok = leaf[first:(a + rows) << (top - h)]
+            cs = _rows(cands, first, first + len(ok))
+            ts = _rows(ntrs, first, first + len(ok)) if keep else _rows(ntrs, 0, len(ok))
+            if live:
+                _check_rows(below, trks, bounds, first, spec.kind, value_kind, ok, cs, ts, arenas)
+            else:
+                ok[...] = False
+                for c in cs:
+                    c[...] = 0
+            _close(ok, ts, peaks)
+            below, trks, live = cs, ts, live and ok.any()
+    return [(leaf, cands, ntrs if keep else None, peaks)
+            for leaf, cands, ntrs, _, keep, peaks in levels]
+
+
+def _level_pass(arrays, shape: GridShape, spec: ErrorSpec, value_kind: str, *,
+                whole_trackers: bool = False):
     """Coarsen bottom-up, one level grid at a time, until no family is accepted.
 
     Yields the levels reached one at a time, the initial level first, each
-    as ``(leaf, values, trackers)``: the leaf flags (``None``: all cells) and
-    one value and one tracker grid per variable. The initial level holds the
-    caller's arrays in their own dtype and ``0.0`` trackers, later levels
-    the candidates of :func:`_check_level` and float64 trackers. Cells that
-    are not leaves hold rejected candidates and ``+inf`` trackers. Each
+    as ``(leaf, values, trackers, peaks)``: the leaf flags (``None``: all
+    cells), one value and one tracker grid per variable, and each
+    variable's largest leaf tracker on the level. The initial level holds
+    the caller's arrays in their own dtype and ``0.0`` trackers, later
+    levels the candidates of the kernel and float64 trackers. Cells that
+    are not leaves hold rejected candidates and ``+inf`` trackers. Heights
+    1 and 2 are computed together, a slab at a time (:func:`_check_bottom`),
+    and level 1's trackers are ``None`` unless ``whole_trackers`` is set;
+    from level 2 up every level yields whole tracker grids. Each later
     level is computed when asked for, and the arguments are checked at the
     first one.
     """
@@ -439,16 +559,21 @@ def _level_pass(arrays, shape: GridShape, spec: ErrorSpec, value_kind: str):
             raise ShapeError(f"expected {shape.npoints} values, got {arr.size}")
 
     vals, trks = [arr.reshape(shape.extents) for arr in arrays], [0.0] * len(arrays)
-    yield None, vals, trks
+    yield None, vals, trks, [0.0] * len(arrays)
+    top = min(shape.initial_level, 2)
+    bottom = _check_bottom(vals, spec, value_kind, top, whole_trackers) if top else []
     for h in range(1, shape.initial_level + 1):
-        parents = tuple((e + 1) // 2 for e in vals[0].shape)
-        bounds = _LevelBounds(spec, parents, 1 << h)
-        leaf, vals, trks = _check_level(vals, trks, bounds, spec.kind, value_kind)
+        if h <= top:
+            leaf, vals, trks, peaks = bottom.pop(0)
+        else:
+            parents = tuple((e + 1) // 2 for e in vals[0].shape)
+            bounds = _LevelBounds(spec, parents, 1 << h)
+            leaf, vals, trks = _check_level(vals, trks, bounds, spec.kind, value_kind)
+            peaks = [0.0] * len(trks)
+            _close(leaf, trks, peaks)
         if not leaf.any():
             return
-        for t in trks:  # an incomplete family of the next level fails its bound
-            np.copyto(t, np.inf, where=~leaf)
-        yield leaf, vals, trks
+        yield leaf, vals, trks, peaks
 
 
 def coarsen_forest(variables, shape: GridShape, spec: ErrorSpec, value_kind: str) -> CoarsenResult:
@@ -458,7 +583,8 @@ def coarsen_forest(variables, shape: GridShape, spec: ErrorSpec, value_kind: str
     are maintained per variable. Pass a single-element list for solo
     compression. Dummy leaves hold NaN values and zero trackers.
     """
-    leaves, vals, trks = zip(*_level_pass(variables, shape, spec, value_kind))
+    leaves, vals, trks, _ = zip(*_level_pass(variables, shape, spec, value_kind,
+                                             whole_trackers=True))
     _, key, cells = _walk(shape, leaves)
     n = len(key)
     values = _fill_leaves((np.full(n, np.nan) for _ in vals[0]), key, cells,
@@ -478,12 +604,8 @@ def _compress(arrays, shape: GridShape, config: CompressionConfig,
     variable at once (:func:`~amrc.mesh._fill_leaves`).
     """
     leaves, grids, peaks = [], [], [0.0] * len(arrays)
-    for leaf, vals, trks in _level_pass(arrays, shape, config.spec, value_kind):
-        if leaf is not None:
-            # the largest tracker of an accepted family is that of a final leaf:
-            # a stored tracker is >= its members' (|c - v| >= 0, monotone
-            # rounding, a non-negative pad), and the initial level's are 0.0
-            peaks = [max(p, np.max(t, where=leaf, initial=0.0)) for p, t in zip(peaks, trks)]
+    for leaf, vals, trks, level_peaks in _level_pass(arrays, shape, config.spec, value_kind):
+        peaks = [max(p, q) for p, q in zip(peaks, level_peaks)]  # the leaves' largest tracker
         leaves.append(leaf)
         grids.append(vals)
     del leaf, vals, trks  # the last level's, which the loop leaves bound

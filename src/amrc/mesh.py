@@ -229,6 +229,42 @@ def _children(grid: tuple[int, ...], rows: np.ndarray):
 _CHUNK = 1 << 16
 
 
+def _refine(key: np.ndarray, refine: np.ndarray, fam: int, rows, extents) -> np.ndarray:
+    """The keys of the next depth: each key where ``refine`` is set, repeated ``fam`` times.
+
+    Works on ``_CHUNK / fam`` keys at a time, writing into one new ``uint8``
+    array, so the repeat counts (``np.repeat`` casts them to ``intp``) and a
+    chunk's new keys exist for one chunk only. ``rows``, if given, holds the
+    level-1 cells of the refined keys in order, and the keys of their
+    initial-level pad children are raised to the dummy key. Only a family
+    on the last parent of an odd axis holds pads, and the ``j``-th refined
+    family of a chunk starts at its key's position plus ``(fam - 1) * j``
+    among the chunk's new keys.
+    """
+    new = np.empty(len(key) + (fam - 1) * int(np.count_nonzero(refine)), dtype=np.uint8)
+    o = j0 = 0
+    step = max(_CHUNK // fam, 1)
+    for a in range(0, len(key), step):
+        mask = refine[a:a + step]
+        part = np.repeat(key[a:a + step], np.where(mask, fam, 1))
+        if rows is not None:
+            pos = np.flatnonzero(mask)
+            r, stride = rows[j0:j0 + len(pos)], 1
+            edge = np.zeros(len(r), dtype=bool)
+            for e in extents[::-1]:
+                p = (e + 1) // 2
+                if e % 2:
+                    edge |= r // stride % p == p - 1
+                stride *= p
+            j = np.flatnonzero(edge)
+            i, k = np.nonzero(_children(extents, r[j])[1])
+            part[pos[j[i]] + (fam - 1) * j[i] + k] += 1
+            j0 += len(pos)
+        new[o:o + len(part)] = part
+        o += len(part)
+    return new
+
+
 def _walk(shape: GridShape, leaves=None, bits: bytes | None = None):
     """Walk the mesh top-down from the root, from level grids or from a bit-field.
 
@@ -259,14 +295,19 @@ def _walk(shape: GridShape, leaves=None, bits: bytes | None = None):
     A single-cell grid has no level 1, and its entry holds the one cell as
     the family of row 0 of a one-cell parent grid. Initial-level families
     hold pad children only where an extent is odd, and only then does the
-    walk compute their pad flags, a chunk of families at a time, to mark
-    them as dummies in the keys.
+    walk compute their pad flags, a chunk at a time (:func:`_refine`), to
+    mark them as dummies in the keys.
 
-    The cell indices are ``int32`` when the finest grid, each odd extent
-    rounded up to even, has fewer than ``2^31`` cells, and ``intp``
-    otherwise; the grid shape alone decides. They are the largest arrays the
-    walk holds, so their width sets its memory. Every level grid, padded so,
-    is no larger, so no index of :func:`_children` overflows, pads included.
+    At each depth the elements met at that height are a bool mask over the
+    keys, which indexes the flags and the keys and then turns into the
+    refine flags in place; the walk holds no ``intp`` position per element,
+    and makes the next depth's keys a chunk at a time (:func:`_refine`).
+    Beside the ``uint8`` keys, the mask and the unpacked flags, one byte per
+    element each, the largest arrays it holds are the cell indices. They
+    are ``int32`` when the finest grid, each odd extent rounded up to even,
+    has fewer than ``2^31`` cells, and ``intp`` otherwise; the grid shape
+    alone decides. Every level grid, padded so, is no larger, so no index
+    of :func:`_children` overflows, pads included.
     """
     l0, fam = shape.initial_level, 1 << shape.dim
     padded = math.prod(e + e % 2 for e in shape.extents)
@@ -277,17 +318,17 @@ def _walk(shape: GridShape, leaves=None, bits: bytes | None = None):
     if l0 == 0:
         found[0] = cells
     for h in range(l0, 0, -1):
-        opened = None  # positions of the keys 2h, found once per level
+        sel = key == 2 * h  # the elements met at height h, in the order of cells
         if bits is not None:
             level = bits[len(out):len(out) + (len(key) + 7) // 8]
             # len(level) is load-bearing: an empty slice reads as all leaves,
             # and np.unpackbits of an empty buffer with a count returns
             # uninitialized bytes, not zeros (numpy 2.4.6)
             if len(level):
-                opened = np.flatnonzero(key == 2 * h)
                 flags = np.unpackbits(np.frombuffer(level, dtype=np.uint8),
                                       count=len(key), bitorder="little")
-                leaf = pad | (flags[opened] == 0)
+                leaf = pad | (flags[sel] == 0)
+                del flags  # not held while the next keys are made
             else:
                 leaf = np.ones(len(cells), dtype=bool)
         elif h >= len(leaves):
@@ -300,37 +341,21 @@ def _walk(shape: GridShape, leaves=None, bits: bytes | None = None):
         found[h] = cells if data.all() else cells[data]
         if data.all():  # nothing to mark or refine
             break
-        if opened is None:
-            opened = np.flatnonzero(key == 2 * h)
-        key[opened[pad]] += 1
+        if pad.any():
+            key[sel] += pad
         if leaf.all():
             break
-        refine = np.zeros(len(key), dtype=bool)
-        refine[opened[~leaf]] = True
-        out += np.packbits(refine, bitorder="little").tobytes()
-        key[refine] -= 2
-        key = np.repeat(key, np.where(refine, fam, 1))
+        sel[sel] = ~leaf  # now the refine flags
+        out += np.packbits(sel, bitorder="little").tobytes()
+        key[sel] -= 2
         rows, cells = cells[~leaf], None  # this level's cells go before the next level's come
+        odd = h == 1 and any(e % 2 for e in shape.extents)  # pads among the children
+        key = _refine(key, sel, fam, rows if odd else None, shape.extents)
         if h > 1:
             grid = tuple(-(-e >> (h - 1)) for e in shape.extents)
             cells, pad = (a.reshape(-1) for a in _children(grid, rows))
             continue
         found[0] = rows
-        if any(e % 2 for e in shape.extents):
-            # only a family on the last parent of an odd axis holds pads; the
-            # j-th refined family starts at pos[j] + (fam - 1) * j of the new keys
-            pos, step = opened[~leaf], max(_CHUNK // fam, 1)
-            parents = tuple((e + 1) // 2 for e in shape.extents)
-            for a in range(0, len(rows), step):
-                r, stride = rows[a:a + step], 1
-                edge = np.zeros(len(r), dtype=bool)
-                for e, p in zip(shape.extents[::-1], parents[::-1]):
-                    if e % 2:
-                        edge |= r // stride % p == p - 1
-                    stride *= p
-                j = a + np.flatnonzero(edge)
-                i, k = np.nonzero(_children(shape.extents, rows[j])[1])
-                key[pos[j[i]] + (fam - 1) * j[i] + k] += 1
     if bits is not None and out != bits:
         at = next((i for i, (a, b) in enumerate(zip(out, bits)) if a != b),
                   min(len(out), len(bits)))

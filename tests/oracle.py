@@ -300,8 +300,9 @@ def capped_coarsen(variables, shape, spec, value_kind, cap) -> CoarsenResult:
     finishes them as ``coarsen_forest`` does: the walk over their leaf flags,
     then the leaf values and trackers gathered from their grids.
     """
-    levels = itertools.islice(_level_pass(variables, shape, spec, value_kind), cap + 1)
-    leaves, vals, trks = zip(*levels)
+    levels = itertools.islice(_level_pass(variables, shape, spec, value_kind,
+                                          whole_trackers=True), cap + 1)
+    leaves, vals, trks, _ = zip(*levels)
     _, key, cells = _walk(shape, leaves)
     n = len(key)
     values = _fill_leaves((np.full(n, np.nan) for _ in vals[0]), key, cells,

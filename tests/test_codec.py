@@ -509,22 +509,29 @@ def _traced_peak(fn) -> int:
 def test_compress_peak_is_bounded_by_the_input():
     """Compressing and writing a field holds under a small multiple of its bytes.
 
-    3D f64 under rel, below 1.95 times: the walk keeps its cell indices in
-    int32, which gives 1.84 times. With intp indices it was 1.99 times; while
-    every level's trackers, grids and gathers lived until the payload was
-    written, and the writer copied the payload three times, it was 2.59.
+    3D f64 under rel, below 1.95 times: one fused slab of heights 1 and 2
+    covers this field, and level 2's grids are made only after height 1 has
+    run, so the level-1 kernel still sets the peak at 1.85 times. The walk
+    keeps its cell indices in int32, which gave 1.84 times. With intp
+    indices it was 1.99 times; while every level's trackers, grids and
+    gathers lived until the payload was written, and the writer copied the
+    payload three times, it was 2.59.
 
-    2D f32 under abs with a nested domain, below 1.7 times: above the
-    initial level the candidates are float32 grids, the trackers are read in
-    place and the domain bounds are made a slab at a time, which gives 1.56
-    times. With float64 candidates, slab copies of the trackers and a bound
-    grid of the whole level it was 2.26, and with parent-grid scratch 2.63.
+    2D f32 under abs with a nested domain, below 1.3 times: heights 1 and 2
+    run together a slab at a time, so level 1's float64 trackers never exist
+    as a whole grid, and the walk holds bool masks and a chunk of repeat
+    counts where it held an intp position per element, which gives 1.18
+    times. While the two heights ran one after the other and the walk held
+    those positions, it was 1.56 (bound 1.7); with float64 candidates, slab
+    copies of the trackers and a bound grid of the whole level it was 2.26,
+    and with parent-grid scratch 2.63.
 
-    The ERA5-shaped field, below 1.65 times, gives 1.56. The noise field,
-    below 2.1 times, gives 2.02 since the walk stops at level 1 and the
-    payload fill makes the initial level's cells a chunk at a time; while
-    the walk held a cell index per initial-level leaf it was 3.22."""
-    for (field, config), bound in zip(_peak_cases(), [1.95, 1.7, 1.65, 2.1], strict=True):
+    The ERA5-shaped field, below 1.3 times, gives 1.16 (1.56 before, bound
+    1.65). The noise field, below 2.1 times, gives 2.02 since the walk stops
+    at level 1 and the payload fill makes the initial level's cells a chunk
+    at a time; while the walk held a cell index per initial-level leaf it
+    was 3.22."""
+    for (field, config), bound in zip(_peak_cases(), [1.95, 1.3, 1.3, 2.1], strict=True):
         peak = _traced_peak(
             lambda: write_artifact(compress_many([field], GridShape(field.shape), config)))
         assert peak < bound * field.nbytes, (
@@ -540,11 +547,14 @@ def test_decompress_peak_is_bounded_by_the_output():
     output and drops each level's cells once written. The peaks are 1.56
     times the output for the 3D f64 field (bound 1.65), 1.33 for the
     1000 x 1000 f32 one (bound 1.4), 1.32 for the ERA5-shaped one (bound
-    1.4) and 1.97 for the noise field (bound 2.05), which now peaks in the
-    walk's level-1 step. While the walk held an index per initial-level leaf
-    and level 1 had a grid of its own, they were 1.74, 1.66, 1.61 and 3.36
-    times; before that, with intp indices, the first two were 2.14 and 1.99."""
-    for (field, config), bound in zip(_peak_cases(), [1.65, 1.4, 1.4, 2.05], strict=True):
+    1.4) and 1.77 for the noise field (bound 1.85), which peaks in the
+    walk's level-1 step. That step held an intp position and an intp repeat
+    count per level-1 element, 1.97 times (bound 2.05), before it took bool
+    masks and made the new keys a chunk at a time. While the walk held an
+    index per initial-level leaf and level 1 had a grid of its own, they
+    were 1.74, 1.66, 1.61 and 3.36 times; before that, with intp indices,
+    the first two were 2.14 and 1.99."""
+    for (field, config), bound in zip(_peak_cases(), [1.65, 1.4, 1.4, 1.85], strict=True):
         blob = write_artifact(compress_many([field], GridShape(field.shape), config))
         peak = _traced_peak(lambda: decompress_many(read_artifact(blob)[0]))
         assert peak < bound * field.nbytes, (
@@ -576,22 +586,30 @@ def test_fill_chunks_leave_the_round_trip_unchanged(monkeypatch, chunk):
 
 def _slab_cases():
     """Inputs for slab sizes: odd extents, domain boxes across slab edges, the
-    per-member relative check and a shared mesh."""
+    per-member relative check, a band of noise rows, and a shared mesh last."""
     plane = smooth((37, 53)).astype(np.float32)
     nested = ErrorSpec(Criterion("abs", 0.05),
                        (ErrorDomain(((3, 37), (10, 41)), Criterion("abs", 0.01)),
                         ErrorDomain(((5, 19), (20, 24)), Criterion("abs", 0.0))))
     volume = smooth((9, 13, 17))
     shared = [np.rint(v * 1000.0).astype(np.int16) for v in layered((3, 45, 50))]
+    band = smooth((40, 61))
+    band[12:20] = 100.0 * noise((8, 61))
     return [([plane], GridShape(plane.shape), CompressionConfig(nested)),
             ([volume - volume.mean()], GridShape(volume.shape), rel_config(0.5)),
+            ([band], GridShape(band.shape), abs_config(0.2)),
             (shared, GridShape((45, 50)), abs_config(200.0, mode=ONE_FOR_ALL))]
 
 
-@pytest.mark.parametrize("slab", [1, 7, 500])
+@pytest.mark.parametrize("slab", [1, 7, 500, codec._SLAB])
 def test_slabs_leave_the_artifacts_unchanged(monkeypatch, slab):
-    """The bit-field and the payload do not depend on how many families a slab
-    of the level kernel takes."""
+    """The bit-field, the payload and the stats do not depend on how many
+    families a slab of the level kernel takes, nor on how many level-2 rows a
+    slab of the fused heights 1 and 2 takes. At the default size one fused
+    slab covers each of these levels whole; at 1 and 7 each fused slab is one
+    level-2 row, so on the 37 x 53 field, whose level-1 grid has 19 rows, the
+    last one ends on a single level-1 row, and on the field with a band of
+    noise rows the fused slabs inside the band accept nothing at height 1."""
     calls = []
     per_member = codec._worst
     monkeypatch.setattr(codec, "_worst", lambda *args: calls.append(1) or per_member(*args))
@@ -600,10 +618,33 @@ def test_slabs_leave_the_artifacts_unchanged(monkeypatch, slab):
     # the zero-mean field takes the per-member relative check, and every
     # input coarsens past its finest level
     assert calls and all(v[0].stats.iterations >= 2 for v in want)
+    assert (cases[0][1].extents[0] + 1) // 2 % 2 == 1
+    arrays, shape, config = cases[2]
+    leaf = list(codec._level_pass(arrays, shape, config.spec, "f64"))[1][0]
+    pairs = leaf[:len(leaf) // 2 * 2].reshape(-1, 2 * leaf.shape[1]).any(axis=1)
+    assert pairs.any() and not pairs.all()  # level-2 rows whose height 1 accepts nothing
     monkeypatch.setattr(codec, "_SLAB", slab)
     for case, before in zip(cases, want):
         for got, w in zip(compress_many(*case), before):
             assert got.mesh_bits == w.mesh_bits and got.payload.tobytes() == w.payload.tobytes()
+            assert got.stats == w.stats
+
+
+@pytest.mark.parametrize("slab", [1, codec._SLAB])
+def test_stats_are_those_of_the_leaves(monkeypatch, slab):
+    """``CompressStats`` counts the accepting levels and the leaves, and takes
+    the largest tracker of a final leaf, which the level pass folds a slab at
+    a time; ``coarsen_forest`` reads the same trackers from whole grids."""
+    monkeypatch.setattr(codec, "_SLAB", slab)
+    for arrays, shape, config in _slab_cases():
+        kind = codec.value_kind_of(arrays[0].dtype)
+        res = coarsen_forest(arrays, shape, config.spec, kind)
+        variables = compress_many(arrays, shape, config)
+        assert len(variables) == len(res.trackers)
+        for var, trackers in zip(variables, res.trackers):
+            assert var.stats.iterations == res.iterations >= 2
+            assert var.stats.leaf_count == res.mesh.n_leaves
+            assert var.stats.max_tracker == trackers.max() > 0.0
 
 
 def _random_spec(rng, extents, kind, default, tight):
@@ -679,8 +720,8 @@ def test_no_round_trip_calls_the_morton_coder(monkeypatch, tmp_path, capsys):
     assert not held, f"modules that bind the coder past a patch: {held}"
     monkeypatch.setattr(morton, "interleave", refuse)
     monkeypatch.setattr(morton, "deinterleave", refuse)
-    # a 2D f32 field with nested domains, a zero-mean 3D f64 field under rel
-    # and one-for-all slices
+    # a 2D f32 field with nested domains, a zero-mean 3D f64 field under rel,
+    # a field with a band of noise rows and one-for-all slices
     for arrays, shape, config in _slab_cases():
         blob = write_artifact(compress_many(arrays, shape, config))
         outs = decompress_many(read_artifact(blob)[0])

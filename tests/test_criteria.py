@@ -506,10 +506,11 @@ class TestIncompleteFamiliesFail:
         spec = ErrorSpec(Criterion("abs", 0.5), (
             ErrorDomain(((24, 72), (30, 90)), Criterion("abs", 0.05)),
             ErrorDomain(((46, 50), (58, 62)), Criterion("abs", 0.0))))
-        levels = list(codec._level_pass(arrays, GridShape(extents), spec, value_kind))
+        levels = list(codec._level_pass(arrays, GridShape(extents), spec, value_kind,
+                                        whole_trackers=True))
         assert len(levels) > 2 and levels[0][0] is None
         partial_levels = 0
-        for leaf, _, trks in levels[1:]:
+        for leaf, _, trks, _ in levels[1:]:
             assert len(trks) == len(arrays)
             for t in trks:
                 assert np.isinf(t[~leaf]).all() and np.isfinite(t[leaf]).all()

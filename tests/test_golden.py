@@ -59,6 +59,16 @@ def slices_shared(extents):
     return [write_artifact(compress_many(split_axis(field, 0), GridShape(extents[1:]), cfg))]
 
 
+def era5_domain():
+    """The ERA5-shaped field of the CI round trip: an odd first axis, many slabs
+    of the level kernel, and a domain box that crosses slab edges."""
+    field = smooth((721, 1440), seed=0).astype(np.float32)
+    spec = ErrorSpec(Criterion("abs", 0.05),
+                     (ErrorDomain(((181, 541), (361, 1081)), Criterion("abs", 0.005)),))
+    cfg = CompressionConfig(spec)
+    return [write_artifact(compress_many([field], GridShape(field.shape), cfg))]
+
+
 def corpus(seed, n):
     """Smooth, layered and noisy fields of random 2D and 3D shapes, plus the
     degenerate 1xN and 1x1xN shapes."""
@@ -166,6 +176,9 @@ CASES = {
     "volume3d-rel-seed0": (
         lambda: volume3d_rel((100, 120, 128)),
         "fab2edb87c541bf2242dae58bc520fd10f489e842b7fe3b00842c2b7f809222e"),
+    "era5-domain": (
+        era5_domain,
+        "b3805ff5a108a619b01c66b11e1d2d92a3ab07f4e51cae06a3ff410d21a5706a"),
     "corpus-abs": (
         corpus_abs,
         "7b493205e21dbdb24e43d7cf2fff01db2e47a088fde6fa539df7ff8e229b3287"),

@@ -21,7 +21,7 @@ from amrc import (
     serialize_refinement,
 )
 from amrc import codec, mesh, morton
-from amrc.fields import smooth
+from amrc.fields import noise, smooth
 from amrc.mesh import _blocks, _children
 from conftest import random_mesh
 from oracle import (
@@ -277,6 +277,68 @@ class TestRefinementBits:
     def test_nonzero_padding_rejected(self):
         with pytest.raises(CorruptArtifactError):
             deserialize_refinement(bytes([0x03]), GridShape((4, 4)))
+
+
+def _walk_cases():
+    """Level-pass leaf grids for the walk: odd-extent 2D and 3D meshes whose
+    initial-level families hold pad children, an incompressible-noise mesh,
+    whose walk refines every level-1 cell but one, and the single-cell grid."""
+    cases = []
+    for extents, spec, field in (
+            ((37, 53), ErrorSpec(Criterion("abs", 0.05)), smooth((37, 53))),
+            ((9, 13, 17), ErrorSpec(Criterion("rel", 0.5)), smooth((9, 13, 17)) + 4.0),
+            ((31, 23), ErrorSpec(Criterion("abs", 1e-9)), noise((31, 23))),
+            ((1, 1), ErrorSpec(Criterion("abs", 0.0)), np.ones((1, 1)))):
+        shape = GridShape(extents)
+        leaves = [leaf for leaf, *_ in codec._level_pass([field], shape, spec, "f64")]
+        cases.append((shape, leaves))
+    return cases
+
+
+@pytest.mark.parametrize("chunk", [1, 7, 500])
+def test_walk_chunks_leave_the_walk_unchanged(monkeypatch, chunk):
+    """The walk makes each depth's keys a chunk at a time; neither the chunk
+    size nor the direction changes the bits, the keys or the cells, and a
+    corrupt bit-field fails at the same offset."""
+    cases = _walk_cases()
+    want = [mesh._walk(shape, leaves) for shape, leaves in cases]
+    for (shape, _), (_, key, found) in zip(cases, want):
+        if shape.npoints > 1:
+            assert (key[1:] != key[:-1]).any() and len(found[0])
+        if any(e % 2 for e in shape.extents):  # pads among the initial-level children
+            assert _children(shape.extents, found[0])[1].any()
+    assert len(want[2][2][0]) >= 16 * 12 - 1 and len(want[3][1]) == 1
+
+    def outcomes(shape, blobs):  # the error offset, or what the walk returns
+        out = []
+        for blob in blobs:
+            try:
+                bits, key, found = mesh._walk(shape, bits=blob)
+            except CorruptArtifactError as err:
+                out.append(err.offset)
+            else:
+                out.append((bits, key.tobytes(), [c.tobytes() for c in found]))
+        return out
+
+    corrupt = []
+    for (shape, _), (bits, _, _) in zip(cases[:3], want):
+        # truncated, over-long, and each clear bit of a middle and of the last
+        # byte set: that refines a leaf into another mesh, or a dummy, a cell
+        # of the initial level or a padding bit, which is corrupt
+        blobs = [bits[:-1], bits + b"\x00"] + [
+            bits[:i] + bytes([bits[i] | 1 << k]) + bits[i + 1:]
+            for i in (len(bits) // 2, len(bits) - 1) for k in range(8) if not bits[i] >> k & 1]
+        at = outcomes(shape, blobs)
+        assert all(isinstance(o, int) for o in at[:2])
+        assert any(isinstance(o, int) for o in at[2:])
+        corrupt.append((shape, blobs, at))
+    monkeypatch.setattr(mesh, "_CHUNK", chunk)
+    for (shape, leaves), (bits, key, found) in zip(cases, want):
+        for got in (mesh._walk(shape, leaves), mesh._walk(shape, bits=bits)):
+            assert got[0] == bits and got[1].tobytes() == key.tobytes()
+            assert [c.tobytes() for c in got[2]] == [c.tobytes() for c in found]
+    for shape, blobs, at in corrupt:
+        assert outcomes(shape, blobs) == at
 
 
 class TestExpand:
