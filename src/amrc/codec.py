@@ -31,10 +31,11 @@ which is what the level pass checks at its ``i``-th level.
 ``CompressStats.iterations`` counts the levels that accepted something.
 Of the coarsening, this module decides only which families meet their
 bounds. The pass keeps each level's leaf flags and candidates as grids,
-and its trackers from level 2 up; :mod:`amrc.mesh` walks the leaf grids
-top-down from the root into the refinement bit-field and the leaf order,
-so compression writes the bit-field and the payload straight from the
-grids and never sorts leaves or builds a :class:`ForestMesh`. Decompression runs
+and the trackers of the upper height of each pair (below) as whole grids;
+:mod:`amrc.mesh` walks the leaf grids top-down from the root into the
+refinement bit-field and the leaf order, so compression writes the
+bit-field and the payload straight from the grids and never sorts leaves
+or builds a :class:`ForestMesh`. Decompression runs
 the same walk on the stored bit-field, once for each run of variables that
 share it (:func:`decompress_many`), which gives each level's data-leaf
 cells (the initial level's as whole families, one level-1 cell each), and
@@ -49,13 +50,14 @@ point-wise bound of the decompressed output.
 
 The initial level is read in the caller's storage dtype, with no float64
 copy, and each level is checked in cache-sized slabs (:func:`_check_rows`),
-whose domain bounds are made a slab at a time. Heights 1 and 2 run
-together over one slab of level-2 rows at a time (:func:`_check_bottom`):
-level 1's float64 trackers live in one slab buffer, never as a whole grid,
-and both heights share one set of slab buffers. Candidate values are rounded
-into the storage type (f32, or nearest-even for integer kinds) *before* the
-compliance check, so the tracker bounds the deviation of the value that is
-actually stored, and f32 candidates are kept in float32 grids.
+whose domain bounds are made a slab at a time. Heights run in pairs,
+``(1, 2), (3, 4), ...``, over one slab of the upper level's rows at a time
+(:func:`_check_bottom`): the lower height's float64 trackers live in one
+slab buffer, never as a whole grid, and both heights share one set of slab
+buffers. Candidate values are rounded into the storage type (f32, or
+nearest-even for integer kinds) *before* the compliance check, so the
+tracker bounds the deviation of the value that is actually stored, and f32
+candidates are kept in float32 grids.
 """
 
 from __future__ import annotations
@@ -79,7 +81,7 @@ ONE_FOR_ALL = "one-for-all"
 VALUE_KIND_DTYPES = {"f32": "<f4", "f64": "<f8", "i16": "<i2", "i32": "<i4"}
 _KIND_BY_DTYPE = {("f", 4): "f32", ("f", 8): "f64", ("i", 2): "i16", ("i", 4): "i32"}
 
-# families per slab of a level in _check_level: small enough that a slab's
+# families per slab of a level in _check_rows: small enough that a slab's
 # member copies and scratch stay in L2
 _SLAB = 1 << 15
 
@@ -226,7 +228,7 @@ def _row_sum(terms, out, a, b):
 def _worst(members, trks, cand):
     """Relative error estimate of each family, member by member.
 
-    ``members`` holds one float64 array per data member and ``trks`` one
+    ``members`` yields one float64 array per data member and ``trks`` one
     array of its trackers, or the scalar ``0.0`` on the initial level. A zero
     tracker leaves every term bit for bit what ``|cand - v| / |v|`` gives.
     ``batch_check_relative`` reads a zero denominator as 0 or inf; ``d / den``
@@ -258,9 +260,10 @@ def _relative_accept(members, trks, cand, vmin, vmax, tmax, ntr, bounds, tmp):
       term is NaN.
 
     The rest (zero or NaN ratios, mixed signs, the band between the tests)
-    takes the exact per-member pass of :func:`_worst`, gathered by flat index
-    from contiguous block arrays and by unravelled index from strided ones,
-    such as the tracker views, which ``reshape(-1)`` would copy whole.
+    takes the exact per-member pass of :func:`_worst`, which gathers one
+    member at a time, by flat index from contiguous block arrays and by
+    unravelled index from strided ones, such as the tracker views, which
+    ``reshape(-1)`` would copy whole.
     Values enter it as float64, where the magnitude of an integer minimum
     does not wrap; ``tmp`` is float64 scratch.
     """
@@ -278,8 +281,8 @@ def _relative_accept(members, trks, cand, vmin, vmax, tmax, ntr, bounds, tmp):
     def undecided(a):  # the undecided families of a block array
         return a.reshape(-1).take(flat) if a.flags.c_contiguous else a[at]
 
-    worst = _worst([np.asarray(undecided(v), np.float64) for v in members],
-                   [t if np.isscalar(t) else undecided(t) for t in trks], undecided(cand))
+    worst = _worst((np.asarray(undecided(v), np.float64) for v in members),
+                   (t if np.isscalar(t) else undecided(t) for t in trks), undecided(cand))
     np.put(accept, flat, ~(worst > undecided(bounds)))
     return accept
 
@@ -293,7 +296,7 @@ def _check_families(vals, trks, bounds, kind: str, value_kind: str, cand, ntr, s
     ``trks`` holds the float64 child views of the trackers the same way, or
     is the scalar ``0.0`` on the initial level. ``cand`` and ``ntr`` are the
     block's float64 output, and ``scratch`` the block's share of the
-    level's slab buffers (:func:`_check_level`). Computes
+    level's slab buffers (:func:`_check_rows`). Computes
     :func:`family_means`, the rounding into the storage type and
     ``batch_check_*`` with the directed rounding of later levels,
     elementwise across the children: the same values bit for bit, without
@@ -426,36 +429,6 @@ def _check_rows(vals, trks, bounds, first: int, kind: str, value_kind: str,
                     out[...] = wide
 
 
-def _check_level(vals, trks, bounds, kind: str, value_kind: str):
-    """Check every family of one level grid for every variable.
-
-    ``vals`` and ``trks`` hold one level grid per variable (``trks`` entries
-    may be the scalar ``0.0``) and ``bounds`` each parent's bound on the
-    parent grid, read only as ``.shape`` and slabs ``bounds[a:b]`` (a
-    :class:`_LevelBounds` makes them a slab at a time). A cell that is not a
-    leaf carries a ``+inf`` tracker, so an incomplete family fails its bound
-    (``ntr <= bound`` under abs, the certain reject of
-    :func:`_relative_accept` under rel). Returns the parent-grid accept
-    flags, each variable's candidate grid (float32 for f32 data, else
-    float64) and float64 tracker grid; those of a family that is not
-    accepted are arbitrary.
-
-    The level is checked in slabs of whole parent rows (:func:`_check_rows`)
-    that share one set of slab buffers. Only the accept flags, the
-    candidates and the trackers are parent-grid arrays. The level pass calls
-    it from height 3 up; heights 1 and 2 are :func:`_check_bottom`.
-    """
-    parents = bounds.shape
-    ok = np.ones(parents, dtype=bool)
-    cands = [np.empty(parents, np.float32 if value_kind == "f32" else np.float64) for _ in vals]
-    ntrs = [np.empty(parents) for _ in vals]
-    n = min(_slab_rows(parents), parents[0]) * math.prod(parents[1:])
-    arenas = _arenas(len(parents), value_kind == "f32",
-                     (n, np.result_type(*vals), np.isscalar(trks[0])))
-    _check_rows(vals, trks, bounds, 0, kind, value_kind, ok, cands, ntrs, arenas)
-    return ok, cands, ntrs
-
-
 def _close(leaf, trks, peaks) -> None:
     """Fold each variable's largest leaf tracker into ``peaks``, and give the other cells ``+inf``.
 
@@ -467,24 +440,26 @@ def _close(leaf, trks, peaks) -> None:
         np.copyto(t, np.inf, where=~leaf)
 
 
-def _check_bottom(vals, spec: ErrorSpec, value_kind: str, top: int, whole: bool):
-    """Heights 1 to ``top`` (1 or 2) of the level pass, one slab of level-``top`` rows at a time.
+def _check_bottom(vals, trks, spec: ErrorSpec, value_kind: str, h0: int, top: int, whole: bool):
+    """Heights ``h0`` to ``top`` (``h0`` or ``h0 + 1``) of the level pass, a slab at a time.
 
-    Level-``top`` rows ``a:b`` cover rows ``a*2^(top-h):b*2^(top-h)`` of
-    level ``h``, so each height checks its share of a slab
-    (:func:`_check_rows`) before the next reads it. A slab holds about
-    ``_SLAB / 2`` families of height ``top``: smaller slabs pay the kernel's
-    fixed cost per call more often, larger ones hold more trackers. Leaf
-    flags, candidates and level ``top``'s trackers go into whole grids; the
-    trackers below live in one slab buffer that the next slab reuses,
-    unless ``whole`` is set. All heights share one set of slab buffers, and
-    a level's grids are made at its first slab, so a level that one slab
-    covers is checked before the next level's grids exist. Per slab, each
-    level's trackers get ``+inf`` where a cell is not a leaf and its
-    largest leaf tracker is folded. A slab in which a height accepts
-    nothing has only ``+inf`` trackers above it: its families above are
-    rejected unchecked, with ``0`` candidates, finite like every rejected
-    candidate and never read as a leaf's value.
+    ``vals`` and ``trks`` are the grids and trackers of level ``h0 - 1``, the
+    trackers the scalar ``0.0`` on the initial level. Level-``top`` rows
+    ``a:b`` cover rows ``a*2^(top-h):b*2^(top-h)`` of level ``h``, so each
+    height checks its share of a slab (:func:`_check_rows`) before the next
+    reads it. A slab holds about ``_SLAB / 2`` families of height ``top``:
+    smaller slabs pay the kernel's fixed cost per call more often, larger
+    ones hold more trackers. Leaf flags, candidates and level ``top``'s
+    trackers go into whole grids; level ``h0``'s trackers, below ``top``,
+    live in one slab buffer that the next slab reuses, unless ``whole`` is
+    set. Both heights share one set of slab buffers, and a level's grids
+    are made at its first slab, so a level that one slab covers is checked
+    before the next level's grids exist. Per slab, each level's trackers
+    get ``+inf`` where a cell is not a leaf and its largest leaf tracker is
+    folded. A slab in which height ``h0`` accepts nothing has only ``+inf``
+    trackers above it: its families of height ``top`` are rejected
+    unchecked, with ``0`` candidates, finite like every rejected candidate
+    and never read as a leaf's value.
 
     Returns ``(leaf, candidates, trackers, peaks)`` per height, ``trackers``
     ``None`` below ``top`` unless ``whole`` is set, and ``peaks`` each
@@ -492,36 +467,37 @@ def _check_bottom(vals, spec: ErrorSpec, value_kind: str, top: int, whole: bool)
     """
     narrow = value_kind == "f32"
     cdt = np.float32 if narrow else np.float64
-    grids = [vals[0].shape]
-    for _ in range(top):
+    grids = [vals[0].shape]  # levels h0 - 1 to top
+    for _ in range(h0, top + 1):
         grids.append(tuple((e + 1) // 2 for e in grids[-1]))
-    rows = max((_SLAB >> 1) // math.prod(grids[top][1:]), 1)  # level-top rows per slab
-    spans = [min(rows << (top - h), grids[h][0]) for h in range(1, top + 1)]  # level-h rows
+    rows = max((_SLAB >> 1) // math.prod(grids[-1][1:]), 1)  # level-top rows per slab
+    spans = [min(rows << (top - h), g[0]) for h, g in enumerate(grids[1:], h0)]  # level-h rows
     arenas = _arenas(len(grids[0]), narrow, *[
-        (min(_slab_rows(g), span) * math.prod(g[1:]), cdt if h > 1 else np.result_type(*vals),
-         h == 1) for h, (g, span) in enumerate(zip(grids[1:], spans), 1)])
+        (min(_slab_rows(g), span) * math.prod(g[1:]), cdt if h > h0 else np.result_type(*vals),
+         h == 1) for h, (g, span) in enumerate(zip(grids[1:], spans), h0)])
     levels = []
-    for a in range(0, grids[top][0], rows):
-        below, trks, live = _rows(vals, a << top, (a + rows) << top), [0.0] * len(vals), True
-        for h in range(1, top + 1):
-            if len(levels) < h:  # at its first slab
-                g, keep = grids[h], whole or h == top
+    for a in range(0, grids[-1][0], rows):
+        lo, hi = a << (top - h0 + 1), (a + rows) << (top - h0 + 1)  # level h0 - 1 rows
+        below, ts, live = _rows(vals, lo, hi), _rows(trks, lo, hi), True
+        for k, h in enumerate(range(h0, top + 1)):
+            if len(levels) == k:  # at its first slab
+                g, keep = grids[k + 1], whole or h == top
                 levels.append((np.ones(g, dtype=bool), [np.empty(g, cdt) for _ in vals],
-                               [np.empty(g if keep else (spans[h - 1],) + g[1:]) for _ in vals],
+                               [np.empty(g if keep else (spans[k],) + g[1:]) for _ in vals],
                                _LevelBounds(spec, g, 1 << h), keep, [0.0] * len(vals)))
-            leaf, cands, ntrs, bounds, keep, peaks = levels[h - 1]
+            leaf, cands, ntrs, bounds, keep, peaks = levels[k]
             first = a << (top - h)
             ok = leaf[first:(a + rows) << (top - h)]
             cs = _rows(cands, first, first + len(ok))
-            ts = _rows(ntrs, first, first + len(ok)) if keep else _rows(ntrs, 0, len(ok))
+            rs = _rows(ntrs, first, first + len(ok)) if keep else _rows(ntrs, 0, len(ok))
             if live:
-                _check_rows(below, trks, bounds, first, spec.kind, value_kind, ok, cs, ts, arenas)
+                _check_rows(below, ts, bounds, first, spec.kind, value_kind, ok, cs, rs, arenas)
             else:
                 ok[...] = False
                 for c in cs:
                     c[...] = 0
-            _close(ok, ts, peaks)
-            below, trks, live = cs, ts, live and ok.any()
+            _close(ok, rs, peaks)
+            below, ts, live = cs, rs, live and ok.any()
     return [(leaf, cands, ntrs if keep else None, peaks)
             for leaf, cands, ntrs, _, keep, peaks in levels]
 
@@ -537,11 +513,12 @@ def _level_pass(arrays, shape: GridShape, spec: ErrorSpec, value_kind: str, *,
     the caller's arrays in their own dtype and ``0.0`` trackers, later
     levels the candidates of the kernel and float64 trackers. Cells that
     are not leaves hold rejected candidates and ``+inf`` trackers. Heights
-    1 and 2 are computed together, a slab at a time (:func:`_check_bottom`),
-    and level 1's trackers are ``None`` unless ``whole_trackers`` is set;
-    from level 2 up every level yields whole tracker grids. Each later
-    level is computed when asked for, and the arguments are checked at the
-    first one.
+    are computed in pairs, ``(1, 2), (3, 4), ...``, a slab at a time
+    (:func:`_check_bottom`), with one height in the last pair when the
+    initial level is odd. The lower height of a pair yields ``None``
+    trackers unless ``whole_trackers`` is set; the upper one yields whole
+    tracker grids. Each pair is computed when its lower level is asked
+    for, and the arguments are checked at the first one.
     """
     if any(len(dom.box) != shape.dim for dom in spec.domains):
         raise ConfigError(f"error-domain boxes need {shape.dim} ranges for {shape.dim}D data")
@@ -560,20 +537,13 @@ def _level_pass(arrays, shape: GridShape, spec: ErrorSpec, value_kind: str, *,
 
     vals, trks = [arr.reshape(shape.extents) for arr in arrays], [0.0] * len(arrays)
     yield None, vals, trks, [0.0] * len(arrays)
-    top = min(shape.initial_level, 2)
-    bottom = _check_bottom(vals, spec, value_kind, top, whole_trackers) if top else []
-    for h in range(1, shape.initial_level + 1):
-        if h <= top:
-            leaf, vals, trks, peaks = bottom.pop(0)
-        else:
-            parents = tuple((e + 1) // 2 for e in vals[0].shape)
-            bounds = _LevelBounds(spec, parents, 1 << h)
-            leaf, vals, trks = _check_level(vals, trks, bounds, spec.kind, value_kind)
-            peaks = [0.0] * len(trks)
-            _close(leaf, trks, peaks)
-        if not leaf.any():
-            return
-        yield leaf, vals, trks, peaks
+    l0 = shape.initial_level
+    for h0 in range(1, l0 + 1, 2):
+        for leaf, vals, trks, peaks in _check_bottom(vals, trks, spec, value_kind, h0,
+                                                     min(h0 + 1, l0), whole_trackers):
+            if not leaf.any():
+                return
+            yield leaf, vals, trks, peaks
 
 
 def coarsen_forest(variables, shape: GridShape, spec: ErrorSpec, value_kind: str) -> CoarsenResult:
@@ -589,8 +559,9 @@ def coarsen_forest(variables, shape: GridShape, spec: ErrorSpec, value_kind: str
     n = len(key)
     values = _fill_leaves((np.full(n, np.nan) for _ in vals[0]), key, cells,
                           [list(g) for g in zip(*vals)])
+    zero = np.broadcast_to(0.0, shape.extents)  # the initial level's trackers
     trackers = _fill_leaves((np.zeros(n) for _ in trks[0]), key, cells,
-                            [list(g) for g in zip(*trks)])
+                            [[zero, *g[1:]] for g in zip(*trks)])
     return CoarsenResult(_mesh(shape, key), values, trackers, len(leaves) - 1)
 
 

@@ -365,7 +365,7 @@ def _walk(shape: GridShape, leaves=None, bits: bytes | None = None):
     return bytes(out), key, found
 
 
-def _level_slots(key: np.ndarray, h: int, cells: np.ndarray, extents=None):
+def _level_slots(key: np.ndarray, h: int, cells: np.ndarray, extents):
     """The slots of key ``2h`` (data leaves ``h`` levels up) and their cells, by chunk of keys.
 
     Yields ``(at, mask, c)`` per chunk of ``_CHUNK`` keys that holds any:
@@ -375,10 +375,10 @@ def _level_slots(key: np.ndarray, h: int, cells: np.ndarray, extents=None):
     initial level's ``cells`` are whole families, one level-1 cell each:
     ``c`` is made for the chunk from :func:`_children` of the families it
     covers, with the pads dropped, and the data children of a family that
-    the chunk boundary cuts are carried into the next chunk. That takes the
-    grid's ``extents``; without them ``c`` is ``None`` on the initial level.
+    the chunk boundary cuts are carried into the next chunk, from the grid's
+    ``extents``.
     """
-    fam = 1 << len(extents or ())
+    fam = 1 << len(extents)
     s, left = 0, cells[:0]  # cells (above: leaves, initial: families) taken, data children left
     for a in range(0, len(key), _CHUNK):
         if s == len(cells) and not len(left):
@@ -389,7 +389,7 @@ def _level_slots(key: np.ndarray, h: int, cells: np.ndarray, extents=None):
             continue
         if h:
             c, s = cells[s:s + n], s + n
-        elif extents:
+        else:
             # a family holds at most fam data children and at least one, so
             # a second take, sized for one each, always makes up the pads
             for per in (fam, 1):
@@ -401,8 +401,6 @@ def _level_slots(key: np.ndarray, h: int, cells: np.ndarray, extents=None):
                     left = np.concatenate((left, flat)) if len(left) else flat
                     s += k
             c, left = left[:n], left[n:]
-        else:
-            c = None
         yield slice(a, a + _CHUNK), mask, c
 
 
@@ -413,26 +411,25 @@ def _fill_leaves(outs, key: np.ndarray, cells, grids) -> list[np.ndarray]:
     ``outs`` yields one output per variable and is read one variable at a
     time, so a generator allocates each output only when its variable
     starts. ``grids`` holds one list of level grids per variable, the
-    initial level first; a grid may be a scalar, and the initial level's
-    grids have the grid's extents. Each variable's levels above the initial
-    one are written top level first, as in :func:`_fill_grids`, each a
-    chunk of keys at a time (:func:`_level_slots`), and popped off its list
-    once written. The initial level is written last, for every variable at
-    once, so each chunk's cells are made once. No level's values or
-    initial-level cells are gathered at once. Slots of other keys keep what
-    an output holds. Returns the outputs.
+    initial level first, whose grids have the grid's extents. Each
+    variable's levels above the initial one are written top level first,
+    as in :func:`_fill_grids`, each a chunk of keys at a time
+    (:func:`_level_slots`), and popped off its list once written. The
+    initial level is written last, for every variable at once, so each
+    chunk's cells are made once. No level's values or initial-level cells
+    are gathered at once. Slots of other keys keep what an output holds.
+    Returns the outputs.
     """
-    done = []
+    done, extents = [], grids[0][0].shape
     for out, levels in zip(outs, grids):
         for h in range(len(levels) - 1, 0, -1):
-            grid = levels.pop()
-            for at, mask, c in _level_slots(key, h, cells[h]):
-                out[at][mask] = grid if np.isscalar(grid) else grid.reshape(-1)[c]
+            grid = levels.pop().reshape(-1)
+            for at, mask, c in _level_slots(key, h, cells[h], extents):
+                out[at][mask] = grid[c]
         done.append(out)
-    extents = None if np.isscalar(grids[0][0]) else grids[0][0].shape
     for at, mask, c in _level_slots(key, 0, cells[0], extents):
         for out, (grid,) in zip(done, grids):
-            out[at][mask] = grid if extents is None else grid.reshape(-1)[c]
+            out[at][mask] = grid.reshape(-1)[c]
     return done
 
 
@@ -491,7 +488,7 @@ def _fill_grids(outs, key: np.ndarray, cells, values) -> list[np.ndarray]:
             if grid is not None:
                 _upsample(grid, nxt)
             grid = nxt
-            for at, mask, c in _level_slots(key, h, levels.pop()):
+            for at, mask, c in _level_slots(key, h, levels.pop(), out.shape):
                 grid.reshape(-1)[c] = vals[at][mask]
         if grid is not None:
             _expand_head(grid, out)

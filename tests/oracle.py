@@ -15,6 +15,8 @@ engine after a given number of accepting levels, as the reference's
 :func:`coarsen_marked`, also builds the random meshes of the mesh tests.
 :func:`reference_expand`, the original per-cell expansion, is the
 differential reference for the top-down expansion of decompression.
+:func:`check_level` is no reference: it runs the codec's level kernel
+over one whole level, the entry point of the kernel's tests.
 """
 
 from __future__ import annotations
@@ -25,7 +27,7 @@ import math
 import numpy as np
 
 from amrc import morton
-from amrc.codec import CoarsenResult, _level_pass
+from amrc.codec import CoarsenResult, _arenas, _check_rows, _level_pass, _slab_rows
 from amrc.criteria import (
     ABSOLUTE,
     Criterion,
@@ -307,9 +309,32 @@ def capped_coarsen(variables, shape, spec, value_kind, cap) -> CoarsenResult:
     n = len(key)
     values = _fill_leaves((np.full(n, np.nan) for _ in vals[0]), key, cells,
                           [list(g) for g in zip(*vals)])
+    zero = np.broadcast_to(0.0, shape.extents)  # the initial level's trackers
     trackers = _fill_leaves((np.zeros(n) for _ in trks[0]), key, cells,
-                            [list(g) for g in zip(*trks)])
+                            [[zero, *g[1:]] for g in zip(*trks)])
     return CoarsenResult(_mesh(shape, key), values, trackers, len(leaves) - 1)
+
+
+def check_level(vals, trks, bounds, kind: str, value_kind: str):
+    """The level kernel over one whole level, for each variable, as its tests call it.
+
+    ``vals`` and ``trks`` hold one level grid per variable (``trks`` entries
+    may be the scalar ``0.0``) and ``bounds`` each parent's bound on the
+    parent grid. Allocates the accept flags, each variable's candidate
+    (float32 for f32 data, else float64) and tracker grids and the slab
+    buffers, then checks the level in slabs of ``codec._SLAB`` families
+    (``codec._check_rows``). Returns the three; those of a family that is
+    not accepted are arbitrary.
+    """
+    parents = bounds.shape
+    ok = np.ones(parents, dtype=bool)
+    cands = [np.empty(parents, np.float32 if value_kind == "f32" else np.float64) for _ in vals]
+    ntrs = [np.empty(parents) for _ in vals]
+    n = min(_slab_rows(parents), parents[0]) * math.prod(parents[1:])
+    arenas = _arenas(len(parents), value_kind == "f32",
+                     (n, np.result_type(*vals), np.isscalar(trks[0])))
+    _check_rows(vals, trks, bounds, 0, kind, value_kind, ok, cands, ntrs, arenas)
+    return ok, cands, ntrs
 
 
 def naive_encode(coords, level: int, dim: int) -> int:

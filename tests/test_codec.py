@@ -594,22 +594,23 @@ def _slab_cases():
     volume = smooth((9, 13, 17))
     shared = [np.rint(v * 1000.0).astype(np.int16) for v in layered((3, 45, 50))]
     band = smooth((40, 61))
-    band[12:20] = 100.0 * noise((8, 61))
+    band[12:32] = 100.0 * noise((20, 61))
     return [([plane], GridShape(plane.shape), CompressionConfig(nested)),
             ([volume - volume.mean()], GridShape(volume.shape), rel_config(0.5)),
-            ([band], GridShape(band.shape), abs_config(0.2)),
+            ([band], GridShape(band.shape), abs_config(1.0)),
             (shared, GridShape((45, 50)), abs_config(200.0, mode=ONE_FOR_ALL))]
 
 
 @pytest.mark.parametrize("slab", [1, 7, 500, codec._SLAB])
 def test_slabs_leave_the_artifacts_unchanged(monkeypatch, slab):
     """The bit-field, the payload and the stats do not depend on how many
-    families a slab of the level kernel takes, nor on how many level-2 rows a
-    slab of the fused heights 1 and 2 takes. At the default size one fused
-    slab covers each of these levels whole; at 1 and 7 each fused slab is one
-    level-2 row, so on the 37 x 53 field, whose level-1 grid has 19 rows, the
-    last one ends on a single level-1 row, and on the field with a band of
-    noise rows the fused slabs inside the band accept nothing at height 1."""
+    families a slab of the level kernel takes, nor on how many upper-level
+    rows a slab of a fused pair of heights takes. At the default size one
+    fused slab covers each of these levels whole; at 1 and 7 each fused slab
+    is one row of its upper level, so on the 37 x 53 field, whose level-1
+    grid has 19 rows, the last one ends on a single level-1 row, and on the
+    field with a band of noise rows the fused slabs inside the band accept
+    nothing at height 1, nor at height 3, while the others accept some."""
     calls = []
     per_member = codec._worst
     monkeypatch.setattr(codec, "_worst", lambda *args: calls.append(1) or per_member(*args))
@@ -620,9 +621,10 @@ def test_slabs_leave_the_artifacts_unchanged(monkeypatch, slab):
     assert calls and all(v[0].stats.iterations >= 2 for v in want)
     assert (cases[0][1].extents[0] + 1) // 2 % 2 == 1
     arrays, shape, config = cases[2]
-    leaf = list(codec._level_pass(arrays, shape, config.spec, "f64"))[1][0]
-    pairs = leaf[:len(leaf) // 2 * 2].reshape(-1, 2 * leaf.shape[1]).any(axis=1)
-    assert pairs.any() and not pairs.all()  # level-2 rows whose height 1 accepts nothing
+    levels = [leaf for leaf, *_ in codec._level_pass(arrays, shape, config.spec, "f64")]
+    for leaf in levels[1], levels[3]:  # heights 1 and 3, each the lower of a fused pair
+        pairs = leaf[:len(leaf) // 2 * 2].reshape(-1, 2 * leaf.shape[1]).any(axis=1)
+        assert pairs.any() and not pairs.all()  # upper-level rows that accept nothing below
     monkeypatch.setattr(codec, "_SLAB", slab)
     for case, before in zip(cases, want):
         for got, w in zip(compress_many(*case), before):

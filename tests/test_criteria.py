@@ -12,10 +12,11 @@ from amrc.criteria import (
     resolve_bounds_batch,
 )
 from amrc import codec
-from amrc.codec import _check_level, _row_sum
+from amrc.codec import _row_sum
 from amrc.fields import smooth
 from oracle import (
     check_absolute,
+    check_level,
     check_relative,
     families,
     reference_check,
@@ -411,7 +412,7 @@ class TestLevelKernelMatchesBatch:
                         assert not (want[0] & (worst > 0.0)).any()
                     for slab in slabs:
                         monkeypatch.setattr(codec, "_SLAB", slab)
-                        ok, cands, ntrs = _check_level([level], [trks], b.reshape(
+                        ok, cands, ntrs = check_level([level], [trks], b.reshape(
                             [(n + 1) // 2 for n in vals.shape]), kind, value_kind)
                         assert cands[0].dtype == cand_dtype and ntrs[0].dtype == np.float64
                         # float32 to float64 is exact, so the widened bytes must match
@@ -455,8 +456,8 @@ class TestLevelKernelMatchesBatch:
                 _, cand, _ = reference_check(fvals, ftrks, dmask, np.zeros(len(fvals)),
                                              "rel", "f64")
             worst = reference_worst(fvals, ftrks, dmask, cand)
-            ok, _, _ = _check_level([grid], [trks], worst.reshape((side,) * dim),
-                                    "rel", "f64")
+            ok, _, _ = check_level([grid], [trks], worst.reshape((side,) * dim),
+                                   "rel", "f64")
             assert ok.all() and seen == []
 
 
@@ -482,7 +483,7 @@ class TestIncompleteFamiliesFail:
             bounds = np.full(tuple((n + 1) // 2 for n in vals.shape), 0.5)
             for slab in (codec._SLAB, 1):
                 monkeypatch.setattr(codec, "_SLAB", slab)
-                ok, cands, ntrs = _check_level([vals], [t], bounds, kind, value_kind)
+                ok, cands, ntrs = check_level([vals], [t], bounds, kind, value_kind)
                 assert ok.all() and cands[0].dtype == grid.dtype
                 # one member of about half the families, at a random child, is not a leaf
                 hit = rng.random(bounds.shape) < 0.5
@@ -491,7 +492,7 @@ class TestIncompleteFamiliesFail:
                     cell = tuple(min(2 * i + int(rng.integers(2)), n - 1)
                                  for i, n in zip(p, vals.shape))
                     inf[cell] = np.inf
-                got, gcands, gntrs = _check_level([vals], [inf], bounds, kind, value_kind)
+                got, gcands, gntrs = check_level([vals], [inf], bounds, kind, value_kind)
                 assert (got == ~hit).all(), f"crop {crop}, slabs of {slab} families"
                 # the other families are checked as before, bit for bit
                 assert gcands[0][~hit].tobytes() == cands[0][~hit].tobytes()
@@ -508,7 +509,7 @@ class TestIncompleteFamiliesFail:
             ErrorDomain(((46, 50), (58, 62)), Criterion("abs", 0.0))))
         levels = list(codec._level_pass(arrays, GridShape(extents), spec, value_kind,
                                         whole_trackers=True))
-        assert len(levels) > 2 and levels[0][0] is None
+        assert len(levels) > 3 and levels[0][0] is None
         partial_levels = 0
         for leaf, _, trks, _ in levels[1:]:
             assert len(trks) == len(arrays)
@@ -516,3 +517,16 @@ class TestIncompleteFamiliesFail:
                 assert np.isinf(t[~leaf]).all() and np.isfinite(t[leaf]).all()
             partial_levels += bool((~leaf).any())
         assert partial_levels > 1
+        # without whole trackers the lower height of each fused pair, 1 and
+        # 3 here, yields none; the upper one yields the same whole grids
+        bare = list(codec._level_pass(arrays, GridShape(extents), spec, value_kind))
+        assert len(bare) == len(levels)
+        for h, (got, want) in enumerate(zip(bare[1:], levels[1:]), 1):
+            leaf = want[0]
+            assert got[0].tobytes() == leaf.tobytes() and got[3] == want[3]
+            for g, w in zip(got[1], want[1]):
+                assert g[leaf].tobytes() == w[leaf].tobytes()
+            if h % 2:
+                assert got[2] is None, f"level {h}"
+            else:
+                assert [g.tobytes() for g in got[2]] == [w.tobytes() for w in want[2]]
