@@ -49,15 +49,20 @@ inaccuracy trackers stand in for it, and they guarantee the end-to-end
 point-wise bound of the decompressed output.
 
 The initial level is read in the caller's storage dtype, with no float64
-copy, and each level is checked in cache-sized slabs (:func:`_check_rows`),
-whose domain bounds are made a slab at a time. Heights run in pairs,
-``(1, 2), (3, 4), ...``, over one slab of the upper level's rows at a time
-(:func:`_check_bottom`): the lower height's float64 trackers live in one
-slab buffer, never as a whole grid, and both heights share one set of slab
-buffers. Candidate values are rounded into the storage type (f32, or
-nearest-even for integer kinds) *before* the compliance check, so the
-tracker bounds the deviation of the value that is actually stored, and f32
-candidates are kept in float32 grids.
+copy, and each level is checked in cache-sized slabs of at most ``_SLAB``
+(2^14) families (:func:`_check_rows`), whose domain bounds are made a slab
+at a time; a slab that meets no domain box reads the default bound as a
+broadcast. The first height also checks the input: every data cell is a
+member of one initial-level family, so a NaN or an infinity shows in the
+family extremes, and :class:`DataError` is raised there. Heights run in
+pairs, ``(1, 2), (3, 4), ...``, over one slab of about ``_SLAB / 2``
+families of the upper level at a time (:func:`_check_bottom`): the lower
+height's float64 trackers live in one slab buffer, never as a whole grid,
+and both heights share one set of slab buffers. Candidate values are
+rounded into the storage type (f32, or nearest-even for integer kinds)
+*before* the compliance check, so the tracker bounds the deviation of the
+value that is actually stored, and f32 candidates are kept in float32
+grids.
 """
 
 from __future__ import annotations
@@ -83,7 +88,7 @@ _KIND_BY_DTYPE = {("f", 4): "f32", ("f", 8): "f64", ("i", 2): "i16", ("i", 4): "
 
 # families per slab of a level in _check_rows: small enough that a slab's
 # member copies and scratch stay in L2
-_SLAB = 1 << 15
+_SLAB = 1 << 14
 
 
 def value_kind_of(dtype) -> str:
@@ -185,7 +190,8 @@ class _LevelBounds:
     ``bounds[a:b]`` holds those of parent rows ``a:b`` of the parent grid
     ``shape``. Parent ``p`` meets a domain box iff ``p*size < hi`` and
     ``p*size + size > lo`` on every axis, a box slice of the parent grid.
-    Without domains a slab is a read-only broadcast of the default bound.
+    A slab that meets no domain box is a read-only broadcast of the default
+    bound.
     """
 
     spec: ErrorSpec
@@ -195,13 +201,17 @@ class _LevelBounds:
     def __getitem__(self, rows: slice) -> np.ndarray:
         a, b, _ = rows.indices(self.shape[0])
         slab, spec = (b - a,) + self.shape[1:], self.spec
-        if not spec.domains:
-            return np.broadcast_to(np.float64(spec.default.bound), slab)
-        bounds = np.full(slab, spec.default.bound)
+        boxes = []
         for dom in spec.domains:
             box = tuple(slice(max(lo // self.size - o, 0), max(-(-hi // self.size) - o, 0))
                         for (lo, hi), o in zip(dom.box, (a,) + (0,) * (len(slab) - 1)))
-            bounds[box] = np.minimum(bounds[box], dom.criterion.bound)
+            if all(s.start < min(s.stop, e) for s, e in zip(box, slab)):
+                boxes.append((box, dom.criterion.bound))
+        if not boxes:
+            return np.broadcast_to(np.float64(spec.default.bound), slab)
+        bounds = np.full(slab, spec.default.bound)
+        for box, bound in boxes:
+            bounds[box] = np.minimum(bounds[box], bound)
         return bounds
 
 
@@ -304,54 +314,61 @@ def _check_families(vals, trks, bounds, kind: str, value_kind: str, cand, ntr, s
     and monotone, so the sums and the extremes, taken in the storage dtype,
     are those of a float64 copy. Only f64 data can overflow a sum: every
     other value lies in its storage range, candidates included. The relative
-    check is :func:`_relative_accept`.
+    check is :func:`_relative_accept`. On the initial level a NaN member
+    reaches both extremes and an infinite one either, so a non-finite float
+    raises :class:`DataError` there.
     """
     lo, hi, tmp, tbuf = scratch
     real = [k for k, v in enumerate(vals) if v is not None]
     members = [vals[k] for k in real]
     terms = [0.0 if v is None else v for v in vals]
-    with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
-        means = _row_sum(terms, cand, ntr, tmp)
-        means /= len(real)
-        big = ~np.isfinite(means) if value_kind == "f64" else False
-        if np.any(big):
+    initial = np.isscalar(trks)
+    # left folds, as numpy's max runs over a row: a constant family of zeros
+    # of both signs takes the same zero from vmax as in family_means
+    vmin = reduce(lambda m, v: np.minimum(m, v, out=lo), members)
+    vmax = reduce(lambda m, v: np.maximum(m, v, out=hi), members)
+    if initial and vmin.dtype.kind == "f" and not (
+            math.isfinite(vmin.min()) and math.isfinite(vmax.max())):
+        # every input cell is a member here: a NaN reaches both folds, an infinity one
+        raise DataError("input contains non-finite values")
+    means = _row_sum(terms, cand, ntr, tmp)
+    means /= len(real)
+    if value_kind == "f64":
+        big = ~np.isfinite(means)
+        if big.any():
             # as in family_means: average the overflowing rows pre-scaled by 2^-dim
             scale = 1.0 / len(vals)
             rows = np.stack([np.broadcast_to(t, means.shape)[big] for t in terms], axis=1)
             means[big] = (rows * scale).sum(axis=1) / len(real) / scale
-        # left folds, as numpy's max runs over a row: a constant family of
-        # zeros of both signs takes the same zero from vmax as in family_means
-        vmin = reduce(lambda m, v: np.minimum(m, v, out=lo), members)
-        vmax = reduce(lambda m, v: np.maximum(m, v, out=hi), members)
-        np.copyto(cand, vmax, where=vmin == vmax)
-        if value_kind == "f32":  # to the nearest f32 and back, through the loop's casts
-            np.positive(cand, out=cand, dtype=np.float32)
-        elif value_kind != "f64":
-            np.rint(cand, out=cand)
-        if np.isscalar(trks):
-            # rounding is monotone, so the extreme deviations sit at vmin and vmax
-            trks, tmax = [0.0] * len(members), 0.0
-            np.abs(np.subtract(cand, vmin, out=ntr), out=ntr)
-            np.maximum(ntr, np.abs(np.subtract(cand, vmax, out=tmp), out=tmp), out=ntr)
-        else:
-            trks = [trks[k] for k in real]
-            tmax = reduce(lambda m, t: np.maximum(m, t, out=tbuf), trks)
-            for i, (v, t) in enumerate(zip(members, trks)):
-                dev = tmp if i else ntr
-                np.add(np.abs(np.subtract(cand, v, out=dev), out=dev), t, out=dev)
-                if i:
-                    np.maximum(ntr, dev, out=ntr)
-        accept = None if kind == ABSOLUTE else _relative_accept(
-            members, trks, cand, vmin, vmax, tmax, ntr, bounds, tmp)
-        if not np.isscalar(tmax):
-            # Directed rounding: once prior inaccuracy enters the sum, pad the
-            # stored tracker by a few ulps so it upper-bounds the deviation in
-            # float arithmetic too, not only in exact arithmetic. First-level
-            # trackers stay bit-exact (no prior term, single rounded op).
-            pad = np.multiply(np.spacing(ntr, out=tmp), 4.0, out=tmp)
-            np.copyto(ntr, np.add(ntr, pad, out=tmp), where=tmax > 0.0)
-        # the absolute bound holds on the stored tracker itself
-        return ntr <= bounds if accept is None else accept
+    np.copyto(cand, vmax, where=vmin == vmax)
+    if value_kind == "f32":  # to the nearest f32 and back, through the loop's casts
+        np.positive(cand, out=cand, dtype=np.float32)
+    elif value_kind != "f64":
+        np.rint(cand, out=cand)
+    if initial:
+        # rounding is monotone, so the extreme deviations sit at vmin and vmax
+        trks, tmax = [0.0] * len(members), 0.0
+        np.abs(np.subtract(cand, vmin, out=ntr), out=ntr)
+        np.maximum(ntr, np.abs(np.subtract(cand, vmax, out=tmp), out=tmp), out=ntr)
+    else:
+        trks = [trks[k] for k in real]
+        tmax = reduce(lambda m, t: np.maximum(m, t, out=tbuf), trks)
+        for i, (v, t) in enumerate(zip(members, trks)):
+            dev = tmp if i else ntr
+            np.add(np.abs(np.subtract(cand, v, out=dev), out=dev), t, out=dev)
+            if i:
+                np.maximum(ntr, dev, out=ntr)
+    accept = None if kind == ABSOLUTE else _relative_accept(
+        members, trks, cand, vmin, vmax, tmax, ntr, bounds, tmp)
+    if not initial:
+        # Directed rounding: once prior inaccuracy enters the sum, pad the
+        # stored tracker by a few ulps so it upper-bounds the deviation in
+        # float arithmetic too, not only in exact arithmetic. First-level
+        # trackers stay bit-exact (no prior term, single rounded op).
+        pad = np.multiply(np.spacing(ntr, out=tmp), 4.0, out=tmp)
+        np.copyto(ntr, np.add(ntr, pad, out=tmp), where=tmax > 0.0)
+    # the absolute bound holds on the stored tracker itself
+    return ntr <= bounds if accept is None else accept
 
 
 def _slab_rows(parents) -> int:
@@ -399,45 +416,52 @@ def _check_rows(vals, trks, bounds, first: int, kind: str, value_kind: str,
     """
     fam, dtype, rows = 1 << ok.ndim, np.result_type(*vals), _slab_rows(ok.shape)
     initial = np.isscalar(trks[0])
-    for a in range(0, len(ok), rows):
-        at, n = slice(a, a + rows), ok[a:a + rows].size
-        slab, level = bounds[first + a:first + a + rows], _rows(vals, 2 * a, 2 * (a + rows))
+    n = min(rows, len(ok)) * math.prod(ok.shape[1:])  # the cells of the largest slab
 
-        def buf(k, dt):  # the first n cells of arena k, in dt
-            return arenas[k][:n * np.dtype(dt).itemsize].view(dt)
+    def buf(k, dt):  # the first n cells of arena k, in dt
+        return arenas[k][:n * np.dtype(dt).itemsize].view(dt)
 
-        copies = [buf(k, dtype) for k in range(fam)]
-        scratch = (buf(fam, dtype), buf(fam + 1, dtype), buf(fam + 2, np.float64),
-                   None if initial else buf(fam + 3, np.float64),
-                   buf(fam + 4, np.float64) if value_kind == "f32" else None)
-        for pslices, children in _blocks(level[0].shape):
-            shape = tuple(s.stop - s.start for s in pslices)
-            acc = ok[at][pslices]  # a view: clearing it clears ok
-            m = math.prod(shape)
-            *block, wide = [None if s is None else s[:m].reshape(shape) for s in scratch]
-            for v, t, cand, ntr in zip(level, _rows(trks, 2 * a, 2 * (a + rows)), cands, ntrs):
-                members = [None if sl is None else c[:m].reshape(shape)
-                           for c, sl in zip(copies, children)]
-                for dst, sl in zip(members, children):
-                    if sl is not None:
-                        dst[...] = v[sl]
-                trackers = t if initial else [None if sl is None else t[sl] for sl in children]
-                out = cand[at][pslices]
-                acc &= _check_families(members, trackers, slab[pslices], kind, value_kind,
-                                       out if wide is None else wide, ntr[at][pslices], block)
-                if wide is not None:  # f32-rounded already, so the narrowing is exact
-                    out[...] = wide
+    copies = [buf(k, dtype) for k in range(fam)]
+    scratch = (buf(fam, dtype), buf(fam + 1, dtype), buf(fam + 2, np.float64),
+               None if initial else buf(fam + 3, np.float64),
+               buf(fam + 4, np.float64) if value_kind == "f32" else None)
+    with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
+        for a in range(0, len(ok), rows):
+            b = a + rows
+            slab, oks = bounds[first + a:first + b], ok[a:b]
+            level, ts = _rows(vals, 2 * a, 2 * b), _rows(trks, 2 * a, 2 * b)
+            for pslices, children in _blocks(level[0].shape):
+                shape = tuple(s.stop - s.start for s in pslices)
+                acc = oks[pslices]  # a view: clearing it clears ok
+                m = math.prod(shape)
+                *block, wide = [None if s is None else s[:m].reshape(shape) for s in scratch]
+                for v, t, cand, ntr in zip(level, ts, cands, ntrs):
+                    members = [None if sl is None else c[:m].reshape(shape)
+                               for c, sl in zip(copies, children)]
+                    for dst, sl in zip(members, children):
+                        if sl is not None:
+                            dst[...] = v[sl]
+                    trackers = t if initial else [None if sl is None else t[sl] for sl in children]
+                    out = cand[a:b][pslices]
+                    acc &= _check_families(members, trackers, slab[pslices], kind, value_kind,
+                                           out if wide is None else wide, ntr[a:b][pslices], block)
+                    if wide is not None:  # f32-rounded already, so the narrowing is exact
+                        out[...] = wide
 
 
 def _close(leaf, trks, peaks) -> None:
     """Fold each variable's largest leaf tracker into ``peaks``, and give the other cells ``+inf``.
 
     A stored tracker is >= its members', so the largest is a final leaf's;
-    the ``+inf`` fails an incomplete family of the next level.
+    the ``+inf`` fails an incomplete family of the next level. The other
+    cells hold ``-inf`` while the largest is taken, which two masked copies
+    and a plain maximum do faster than a masked maximum.
     """
+    rejected = ~leaf
     for i, t in enumerate(trks):
-        peaks[i] = max(peaks[i], np.max(t, where=leaf, initial=0.0))
-        np.copyto(t, np.inf, where=~leaf)
+        np.copyto(t, -np.inf, where=rejected)
+        peaks[i] = max(peaks[i], t.max())
+        np.copyto(t, np.inf, where=rejected)
 
 
 def _check_bottom(vals, trks, spec: ErrorSpec, value_kind: str, h0: int, top: int, whole: bool):
@@ -447,14 +471,18 @@ def _check_bottom(vals, trks, spec: ErrorSpec, value_kind: str, h0: int, top: in
     trackers the scalar ``0.0`` on the initial level. Level-``top`` rows
     ``a:b`` cover rows ``a*2^(top-h):b*2^(top-h)`` of level ``h``, so each
     height checks its share of a slab (:func:`_check_rows`) before the next
-    reads it. A slab holds about ``_SLAB / 2`` families of height ``top``:
-    smaller slabs pay the kernel's fixed cost per call more often, larger
-    ones hold more trackers. Leaf flags, candidates and level ``top``'s
-    trackers go into whole grids; level ``h0``'s trackers, below ``top``,
-    live in one slab buffer that the next slab reuses, unless ``whole`` is
-    set. Both heights share one set of slab buffers, and a level's grids
-    are made at its first slab, so a level that one slab covers is checked
-    before the next level's grids exist. Per slab, each level's trackers
+    reads it. A slab holds about ``_SLAB / 2`` families of height ``top``,
+    8192 at the default, and ``2^dim`` times as many of height ``h0``, which
+    :func:`_check_rows` checks in slabs of ``_SLAB``: smaller slabs pay the
+    kernel's fixed cost per call more often, larger ones hold more trackers
+    and larger slab buffers. On the initial level (``h0 == 1``) the first
+    height raises :class:`DataError` at a non-finite input value. Leaf
+    flags, candidates and level ``top``'s trackers go into whole grids;
+    level ``h0``'s trackers, below ``top``, live in one slab buffer that
+    the next slab reuses, unless ``whole`` is set. Both heights share one
+    set of slab buffers, and a level's grids are made at its first slab, so
+    a level that one slab covers is checked before the next level's grids
+    exist. Per slab, each level's trackers
     get ``+inf`` where a cell is not a leaf and its largest leaf tracker is
     folded. A slab in which height ``h0`` accepts nothing has only ``+inf``
     trackers above it: its families of height ``top`` are rejected
@@ -518,7 +546,10 @@ def _level_pass(arrays, shape: GridShape, spec: ErrorSpec, value_kind: str, *,
     initial level is odd. The lower height of a pair yields ``None``
     trackers unless ``whole_trackers`` is set; the upper one yields whole
     tracker grids. Each pair is computed when its lower level is asked
-    for, and the arguments are checked at the first one.
+    for, and the arguments are checked at the first one, apart from the
+    finiteness of float input: the first height of the kernel raises
+    :class:`DataError` at a NaN or an infinity, and a one-cell grid, which
+    has no family, is checked here.
     """
     if any(len(dom.box) != shape.dim for dom in spec.domains):
         raise ConfigError(f"error-domain boxes need {shape.dim} ranges for {shape.dim}D data")
@@ -530,10 +561,11 @@ def _level_pass(arrays, shape: GridShape, spec: ErrorSpec, value_kind: str, *,
         # lying in the storage range of its kind
         if value_kind_of(arr.dtype) != value_kind:
             raise ConfigError(f"{arr.dtype} values do not match value kind {value_kind!r}")
-        if arr.dtype.kind == "f" and not np.isfinite(arr).all():
-            raise DataError("input contains non-finite values")
         if arr.size != shape.npoints:
             raise ShapeError(f"expected {shape.npoints} values, got {arr.size}")
+        # one cell has no family for the kernel to check
+        if shape.npoints == 1 and arr.dtype.kind == "f" and not np.isfinite(arr).all():
+            raise DataError("input contains non-finite values")
 
     vals, trks = [arr.reshape(shape.extents) for arr in arrays], [0.0] * len(arrays)
     yield None, vals, trks, [0.0] * len(arrays)
@@ -582,6 +614,7 @@ def _compress(arrays, shape: GridShape, config: CompressionConfig,
     del leaf, vals, trks  # the last level's, which the loop leaves bound
     bits, key, cells = _walk(shape, leaves)
     stats = [CompressStats(len(leaves) - 1, len(key), float(p)) for p in peaks]
+    del leaves
     data = key[(key & 1) == 0]  # the keys of the data leaves, in curve order
     del key
     grids = [list(g) for g in zip(*grids)]  # per variable

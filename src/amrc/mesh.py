@@ -235,11 +235,11 @@ def _refine(key: np.ndarray, refine: np.ndarray, fam: int, rows, extents) -> np.
     Works on ``_CHUNK / fam`` keys at a time, writing into one new ``uint8``
     array, so the repeat counts (``np.repeat`` casts them to ``intp``) and a
     chunk's new keys exist for one chunk only. ``rows``, if given, holds the
-    level-1 cells of the refined keys in order, and the keys of their
-    initial-level pad children are raised to the dummy key. Only a family
-    on the last parent of an odd axis holds pads, and the ``j``-th refined
-    family of a chunk starts at its key's position plus ``(fam - 1) * j``
-    among the chunk's new keys.
+    cells of the refined keys in order, in the parent grid of ``extents``,
+    and the keys of their pad children are raised to the dummy key. Only a
+    family on the last parent of an odd axis holds pads, and the ``j``-th
+    refined family of a chunk starts at its key's position plus
+    ``(fam - 1) * j`` among the chunk's new keys.
     """
     new = np.empty(len(key) + (fam - 1) * int(np.count_nonzero(refine)), dtype=np.uint8)
     o = j0 = 0
@@ -293,15 +293,17 @@ def _walk(shape: GridShape, leaves=None, bits: bytes | None = None):
     entry holds the refined level-1 cells in curve order, one per family;
     the fills compute the children a chunk at a time (:func:`_level_slots`).
     A single-cell grid has no level 1, and its entry holds the one cell as
-    the family of row 0 of a one-cell parent grid. Initial-level families
-    hold pad children only where an extent is odd, and only then does the
-    walk compute their pad flags, a chunk at a time (:func:`_refine`), to
-    mark them as dummies in the keys.
+    the family of row 0 of a one-cell parent grid. Families hold pad
+    children only where their children's grid has an odd extent, and only
+    then does the walk compute their pad flags, a chunk at a time
+    (:func:`_refine`), to mark them as dummies in the keys; the walk meets
+    the other children only.
 
     At each depth the elements met at that height are a bool mask over the
-    keys, which indexes the flags and the keys and then turns into the
-    refine flags in place; the walk holds no ``intp`` position per element,
-    and makes the next depth's keys a chunk at a time (:func:`_refine`).
+    keys, which indexes the flags and then turns into the refine flags in
+    place; the keys change in place under it, the walk holds no ``intp``
+    position per element, and a depth's leaf flags and cells go before the
+    next depth's keys are made, a chunk at a time (:func:`_refine`).
     Beside the ``uint8`` keys, the mask and the unpacked flags, one byte per
     element each, the largest arrays it holds are the cell indices. They
     are ``int32`` when the finest grid, each odd extent rounded up to even,
@@ -313,7 +315,7 @@ def _walk(shape: GridShape, leaves=None, bits: bytes | None = None):
     padded = math.prod(e + e % 2 for e in shape.extents)
     index = np.int32 if padded < 1 << 31 else np.intp
     key = np.full(1, 2 * l0, dtype=np.uint8)  # an element not yet classified at h holds 2h
-    cells, pad = np.zeros(1, dtype=index), np.zeros(1, dtype=bool)
+    cells = np.zeros(1, dtype=index)
     out, found = bytearray(), [cells[:0]] * (l0 + 1)
     if l0 == 0:
         found[0] = cells
@@ -327,35 +329,34 @@ def _walk(shape: GridShape, leaves=None, bits: bytes | None = None):
             if len(level):
                 flags = np.unpackbits(np.frombuffer(level, dtype=np.uint8),
                                       count=len(key), bitorder="little")
-                leaf = pad | (flags[sel] == 0)
+                leaf = flags[sel] == 0
                 del flags  # not held while the next keys are made
             else:
                 leaf = np.ones(len(cells), dtype=bool)
         elif h >= len(leaves):
-            leaf = pad
+            leaf = np.zeros(len(cells), dtype=bool)
         elif leaves[h] is None:
             leaf = np.ones(len(cells), dtype=bool)
         else:
-            leaf = pad | leaves[h].reshape(-1)[cells]
-        data = leaf & ~pad
-        found[h] = cells if data.all() else cells[data]
-        if data.all():  # nothing to mark or refine
+            leaf = leaves[h].reshape(-1)[cells]
+        if leaf.all():  # nothing to refine
+            found[h] = cells
             break
-        if pad.any():
-            key[sel] += pad
-        if leaf.all():
-            break
-        sel[sel] = ~leaf  # now the refine flags
+        found[h] = cells[leaf]
+        refine = np.invert(leaf, out=leaf)
+        sel[sel] = refine  # now the refine flags
         out += np.packbits(sel, bitorder="little").tobytes()
-        key[sel] -= 2
-        rows, cells = cells[~leaf], None  # this level's cells go before the next level's come
-        odd = h == 1 and any(e % 2 for e in shape.extents)  # pads among the children
-        key = _refine(key, sel, fam, rows if odd else None, shape.extents)
+        np.subtract(key, 2, out=key, where=sel)
+        rows = cells[refine]
+        del leaf, refine, cells  # this level's go before the next level's come
+        grid = tuple(-(-e >> (h - 1)) for e in shape.extents)  # the children's
+        key = _refine(key, sel, fam, rows if any(e % 2 for e in grid) else None, grid)
         if h > 1:
-            grid = tuple(-(-e >> (h - 1)) for e in shape.extents)
-            cells, pad = (a.reshape(-1) for a in _children(grid, rows))
-            continue
-        found[0] = rows
+            cells, pad = _children(grid, rows)
+            cells = cells[~pad] if pad.any() else cells.reshape(-1)
+            del rows, pad  # not held at the next depth
+        else:
+            found[0] = rows
     if bits is not None and out != bits:
         at = next((i for i, (a, b) in enumerate(zip(out, bits)) if a != b),
                   min(len(out), len(bits)))
@@ -426,6 +427,7 @@ def _fill_leaves(outs, key: np.ndarray, cells, grids) -> list[np.ndarray]:
             grid = levels.pop().reshape(-1)
             for at, mask, c in _level_slots(key, h, cells[h], extents):
                 out[at][mask] = grid[c]
+            del grid  # not held while the initial level is written
         done.append(out)
     for at, mask, c in _level_slots(key, 0, cells[0], extents):
         for out, (grid,) in zip(done, grids):

@@ -257,6 +257,21 @@ class TestErrorPaths:
         assert_one_error_line(result.returncode, result.stderr, f"{meta}: sidecar is not UTF-8")
         assert not out.exists()
 
+    def test_non_finite_input(self, tmp_path):
+        # through the module entry point; the level kernel finds the NaN, in
+        # the last row of an odd extent
+        data = smooth((9, 12)).astype(np.float32)
+        data[8, 5] = np.nan
+        raw, meta = write_inputs(tmp_path, data, data.shape, "f32")
+        out = tmp_path / "a.amrc"
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+            [str(Path(amrc.__file__).parents[1]), os.environ.get("PYTHONPATH", "")]))
+        result = subprocess.run(
+            [sys.executable, "-m", "amrc", "compress", "--input", str(raw), "--meta", str(meta),
+             "--abs", "1", "--output", str(out)], capture_output=True, text=True, env=env)
+        assert_one_error_line(result.returncode, result.stderr, "non-finite values")
+        assert not out.exists()
+
     @pytest.mark.parametrize("extra, fragment", [
         (["--domain", "0:4,0:4"], "is missing '=bound'"),
         (["--domain", "0:4,0:4=abc"], "bad domain '0:4,0:4=abc'"),

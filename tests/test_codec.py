@@ -1,4 +1,5 @@
 import dataclasses
+import math
 import sys
 import tracemalloc
 
@@ -88,6 +89,31 @@ class TestCompressBasics:
         bad[3] = np.nan
         with pytest.raises(DataError):
             compress(bad, GridShape((4, 4)), abs_config(1.0))
+
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf], ids=["nan", "+inf", "-inf"])
+    def test_non_finite_rejected_wherever_it_sits(self, dtype, bad):
+        """The level kernel finds a non-finite value in the extremes of its
+        first height, where every input cell is a member of one family: at
+        either end of the grid, beside the pad children of odd extents, in
+        grids of one row, one column or one cell, in 3D, and in the second
+        variable of a shared mesh. The bound accepts every finite family."""
+        places = [((37, 53), [(0, 0), (36, 52), (36, 10), (10, 52), (35, 51)]),
+                  ((1, 1), [(0, 0)]),
+                  ((1, 9), [(0, 0), (0, 4), (0, 8)]),
+                  ((9, 1), [(0, 0), (8, 0)]),
+                  ((5, 7, 9), [(0, 0, 0), (4, 6, 8), (4, 0, 3), (2, 6, 0), (1, 3, 8)])]
+        config = abs_config(1e9, mode=ONE_FOR_ALL)
+        for extents, cells in places:
+            good = smooth(extents).astype(dtype)
+            shape = GridShape(extents)
+            assert len(compress_many([good, good], shape, config)[0].payload) == 1
+            for cell in cells:
+                field = good.copy()
+                field[cell] = bad
+                for variables in ([field], [good, field]):
+                    with pytest.raises(DataError, match="non-finite"):
+                        compress_many(variables, shape, config)
 
     def test_unsupported_dtype_rejected(self):
         with pytest.raises(ConfigError):
@@ -509,29 +535,32 @@ def _traced_peak(fn) -> int:
 def test_compress_peak_is_bounded_by_the_input():
     """Compressing and writing a field holds under a small multiple of its bytes.
 
-    3D f64 under rel, below 1.95 times: one fused slab of heights 1 and 2
-    covers this field, and level 2's grids are made only after height 1 has
-    run, so the level-1 kernel still sets the peak at 1.85 times. The walk
-    keeps its cell indices in int32, which gave 1.84 times. With intp
-    indices it was 1.99 times; while every level's trackers, grids and
-    gathers lived until the payload was written, and the writer copied the
-    payload three times, it was 2.59.
+    3D f64 under rel, below 1.45 times: the payload and the blob that
+    ``write_artifact`` builds beside it set the peak at 1.39 times, now that
+    a slab of the level kernel takes half as many families. Before that the
+    kernel set it: at 1.85 times while one fused slab of heights 1 and 2
+    covered this field. The walk keeps its cell indices in int32, which gave
+    1.84 times. With intp indices it was 1.99 times; while every level's
+    trackers, grids and gathers lived until the payload was written, and
+    the writer copied the payload three times, it was 2.59.
 
-    2D f32 under abs with a nested domain, below 1.3 times: heights 1 and 2
-    run together a slab at a time, so level 1's float64 trackers never exist
-    as a whole grid, and the walk holds bool masks and a chunk of repeat
-    counts where it held an intp position per element, which gives 1.18
-    times. While the two heights ran one after the other and the walk held
-    those positions, it was 1.56 (bound 1.7); with float64 candidates, slab
-    copies of the trackers and a bound grid of the whole level it was 2.26,
-    and with parent-grid scratch 2.63.
+    2D f32 under abs with a nested domain, below 0.95 times: the kernel, the
+    walk and the payload fill peak within 0.05 times of each other, and the
+    fill sets 0.86 times, now that the leaf flag grids go before it. The
+    walk changes its keys in place and frees each depth's flags and cells
+    before the next depth's keys are made. With twice the slab it was 1.18
+    (bound 1.3), set by the kernel. While the two heights ran one after the
+    other and the walk held an intp position per element, it was 1.56
+    (bound 1.7); with float64 candidates, slab copies of the trackers and a
+    bound grid of the whole level it was 2.26, and with parent-grid scratch
+    2.63.
 
-    The ERA5-shaped field, below 1.3 times, gives 1.16 (1.56 before, bound
-    1.65). The noise field, below 2.1 times, gives 2.02 since the walk stops
-    at level 1 and the payload fill makes the initial level's cells a chunk
-    at a time; while the walk held a cell index per initial-level leaf it
-    was 3.22."""
-    for (field, config), bound in zip(_peak_cases(), [1.95, 1.3, 1.3, 2.1], strict=True):
+    The ERA5-shaped field, below 0.9 times, gives 0.84, set by the kernel
+    (1.16 with twice the slab, bound 1.3; 1.56 before, bound 1.65). The
+    noise field, below 2.1 times, gives 2.02 since the walk stops at level 1
+    and the payload fill makes the initial level's cells a chunk at a time;
+    while the walk held a cell index per initial-level leaf it was 3.22."""
+    for (field, config), bound in zip(_peak_cases(), [1.45, 0.95, 0.9, 2.1], strict=True):
         peak = _traced_peak(
             lambda: write_artifact(compress_many([field], GridShape(field.shape), config)))
         assert peak < bound * field.nbytes, (
@@ -586,7 +615,9 @@ def test_fill_chunks_leave_the_round_trip_unchanged(monkeypatch, chunk):
 
 def _slab_cases():
     """Inputs for slab sizes: odd extents, domain boxes across slab edges, the
-    per-member relative check, a band of noise rows, and a shared mesh last."""
+    per-member relative check, a band of noise rows, a level-1 grid of 91 x
+    181 families, which the default slab cuts in two and ``1 << 15`` does
+    not, and a shared mesh last."""
     plane = smooth((37, 53)).astype(np.float32)
     nested = ErrorSpec(Criterion("abs", 0.05),
                        (ErrorDomain(((3, 37), (10, 41)), Criterion("abs", 0.01)),
@@ -595,22 +626,26 @@ def _slab_cases():
     shared = [np.rint(v * 1000.0).astype(np.int16) for v in layered((3, 45, 50))]
     band = smooth((40, 61))
     band[12:32] = 100.0 * noise((20, 61))
+    wide = smooth((181, 361)).astype(np.float32)
     return [([plane], GridShape(plane.shape), CompressionConfig(nested)),
             ([volume - volume.mean()], GridShape(volume.shape), rel_config(0.5)),
             ([band], GridShape(band.shape), abs_config(1.0)),
+            ([wide], GridShape(wide.shape), abs_config(0.01)),
             (shared, GridShape((45, 50)), abs_config(200.0, mode=ONE_FOR_ALL))]
 
 
-@pytest.mark.parametrize("slab", [1, 7, 500, codec._SLAB])
+@pytest.mark.parametrize("slab", [1, 7, 500, codec._SLAB, 1 << 15])
 def test_slabs_leave_the_artifacts_unchanged(monkeypatch, slab):
     """The bit-field, the payload and the stats do not depend on how many
     families a slab of the level kernel takes, nor on how many upper-level
-    rows a slab of a fused pair of heights takes. At the default size one
-    fused slab covers each of these levels whole; at 1 and 7 each fused slab
-    is one row of its upper level, so on the 37 x 53 field, whose level-1
-    grid has 19 rows, the last one ends on a single level-1 row, and on the
-    field with a band of noise rows the fused slabs inside the band accept
-    nothing at height 1, nor at height 3, while the others accept some."""
+    rows a slab of a fused pair of heights takes. ``1 << 15``, twice the
+    default, was the default before the slabs were halved. At the default
+    size one fused slab covers each of these levels whole, and height 1 of
+    the 181 x 361 field takes two slabs; at 1 and 7 each fused slab is one
+    row of its upper level, so on the 37 x 53 field, whose level-1 grid has
+    19 rows, the last one ends on a single level-1 row, and on the field
+    with a band of noise rows the fused slabs inside the band accept nothing
+    at height 1, nor at height 3, while the others accept some."""
     calls = []
     per_member = codec._worst
     monkeypatch.setattr(codec, "_worst", lambda *args: calls.append(1) or per_member(*args))
@@ -620,6 +655,7 @@ def test_slabs_leave_the_artifacts_unchanged(monkeypatch, slab):
     # input coarsens past its finest level
     assert calls and all(v[0].stats.iterations >= 2 for v in want)
     assert (cases[0][1].extents[0] + 1) // 2 % 2 == 1
+    assert codec._SLAB < math.prod((e + 1) // 2 for e in cases[3][1].extents) <= 1 << 15
     arrays, shape, config = cases[2]
     levels = [leaf for leaf, *_ in codec._level_pass(arrays, shape, config.spec, "f64")]
     for leaf in levels[1], levels[3]:  # heights 1 and 3, each the lower of a fused pair
@@ -632,7 +668,7 @@ def test_slabs_leave_the_artifacts_unchanged(monkeypatch, slab):
             assert got.stats == w.stats
 
 
-@pytest.mark.parametrize("slab", [1, codec._SLAB])
+@pytest.mark.parametrize("slab", [1, codec._SLAB, 1 << 15])
 def test_stats_are_those_of_the_leaves(monkeypatch, slab):
     """``CompressStats`` counts the accepting levels and the leaves, and takes
     the largest tracker of a final leaf, which the level pass folds a slab at
@@ -676,7 +712,7 @@ def _whole_level_bounds(spec, parents, size):
     return bounds
 
 
-@pytest.mark.parametrize("slab", [1, 7, codec._SLAB])
+@pytest.mark.parametrize("slab", [1, 7, codec._SLAB, 1 << 15])
 def test_slab_bounds_stack_to_the_level_bounds(rng, monkeypatch, slab):
     """With error domains the level kernel reads each slab's bounds on its own.
     Stacked, a level's slabs give its whole bound grid, and the artifacts do
@@ -723,7 +759,7 @@ def test_no_round_trip_calls_the_morton_coder(monkeypatch, tmp_path, capsys):
     monkeypatch.setattr(morton, "interleave", refuse)
     monkeypatch.setattr(morton, "deinterleave", refuse)
     # a 2D f32 field with nested domains, a zero-mean 3D f64 field under rel,
-    # a field with a band of noise rows and one-for-all slices
+    # a field with a band of noise rows, one over two slabs and one-for-all slices
     for arrays, shape, config in _slab_cases():
         blob = write_artifact(compress_many(arrays, shape, config))
         outs = decompress_many(read_artifact(blob)[0])
