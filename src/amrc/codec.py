@@ -37,11 +37,13 @@ refinement bit-field and the leaf order, so compression writes the
 bit-field and the payload straight from the grids and never sorts leaves
 or builds a :class:`ForestMesh`. Decompression runs
 the same walk on the stored bit-field, once for each run of variables that
-share it (:func:`decompress_many`), which gives each level's data-leaf
-cells (the initial level's as whole families, one level-1 cell each), and
-writes the payload into the level grids top-down. Level 1 lies over the
-head of the output, so decoding holds the output, one index per
-initial-level family and the grids of levels 2 and up. Neither side of the
+share it (:func:`decompress_many`), which gives the cells of each level's
+data leaves, levels 1 and 0 as whole families (one refined level-2 cell
+each and one bit per level-1 cell, and the refined level-1 cells, collected
+while level 1 is written), and writes the payload into the level grids
+top-down. Every level lies in the output, so decoding holds the output and
+index arrays only: a key per data leaf, one index per family of levels 1
+and 0, and the cells of the data leaves above level 1. Neither side of the
 round trip computes a Morton code.
 
 Levels above the initial one never read the initial data again; per-leaf
@@ -275,14 +277,26 @@ def _relative_accept(members, trks, cand, vmin, vmax, tmax, ntr, bounds, tmp):
     unravelled index from strided ones, such as the tracker views, which
     ``reshape(-1)`` would copy whole.
     Values enter it as float64, where the magnitude of an integer minimum
-    does not wrap; ``tmp`` is float64 scratch.
+    does not wrap. The tests run in ``tmp``, float64 scratch of the block,
+    one bound at a time: ``ntr / max(|vmin|, |vmax|)`` is the smaller of
+    ``ntr / |vmin|`` and ``ntr / |vmax|``, and ``ntr / lo`` the smaller of
+    the quotients of ``vmin - tmax`` and ``-(vmax + tmax)``, of which at
+    most one is positive, since division rounds monotonically too. So they
+    allocate bool masks only.
     """
-    vmin, vmax = np.asarray(vmin, np.float64), np.asarray(vmax, np.float64)
-    np.maximum(np.abs(vmin, out=tmp), np.abs(vmax), out=tmp)
-    reject = np.divide(ntr, tmp, out=tmp) > bounds
-    lo = np.maximum(np.subtract(vmin, tmax, out=tmp), -(vmax + tmax), out=tmp)
-    accept = (lo > 0.0) & (ntr / lo <= bounds)
-    decided = accept | reject
+    def ratio(x):  # ntr / x in tmp, x in float64
+        return np.divide(ntr, x, out=x)
+
+    reject = ratio(np.abs(vmin, out=tmp, dtype=np.float64)) > bounds
+    reject &= ratio(np.abs(vmax, out=tmp, dtype=np.float64)) > bounds
+    accept = np.subtract(vmin, tmax, out=tmp, dtype=np.float64) > 0.0
+    accept &= ratio(tmp) <= bounds
+    np.negative(np.add(vmax, tmax, out=tmp, dtype=np.float64), out=tmp)
+    other = tmp > 0.0
+    other &= ratio(tmp) <= bounds
+    accept |= other
+    del other
+    decided = np.logical_or(reject, accept, out=reject)
     if decided.all():
         return accept
     flat = np.flatnonzero(~decided)
@@ -589,7 +603,7 @@ def coarsen_forest(variables, shape: GridShape, spec: ErrorSpec, value_kind: str
                                              whole_trackers=True))
     _, key, cells = _walk(shape, leaves)
     n = len(key)
-    values = _fill_leaves((np.full(n, np.nan) for _ in vals[0]), key, cells,
+    values = _fill_leaves((np.full(n, np.nan) for _ in vals[0]), key, list(cells),
                           [list(g) for g in zip(*vals)])
     zero = np.broadcast_to(0.0, shape.extents)  # the initial level's trackers
     trackers = _fill_leaves((np.zeros(n) for _ in trks[0]), key, cells,
@@ -654,10 +668,9 @@ def decompress(var: CompressedVariable) -> np.ndarray:
     Values are reported in stored (packed) space; unpacking via the affine
     record is the caller's transform. The decode walk reads the bit-field
     into each level's data-leaf cells, and the payload is written into the
-    level grids top-down, level 1 in the head of the output. The output, in
-    the storage dtype, is allocated before any level grid, so a grid too
-    large to allocate raises :class:`CorruptArtifactError` before the
-    expansion starts.
+    level grids top-down, every level in the output. The output, in the
+    storage dtype, is allocated before the expansion starts, so a grid too
+    large to allocate raises :class:`CorruptArtifactError` first.
     """
     return decompress_many([var])[0]
 
@@ -667,10 +680,11 @@ def decompress_many(variables) -> list[np.ndarray]:
 
     Consecutive variables with the same shape and bit-field, as all the
     variables of a ``one-for-all`` artifact are, form a run: they share one
-    decode walk, which holds the initial level as one index per family, and
-    one fill (:func:`~amrc.mesh._fill_grids`), which makes the initial
-    level's cells once for the run. Every output of a run is allocated
-    before any level grid.
+    decode walk, which holds levels 1 and 0 as families, and one fill
+    (:func:`~amrc.mesh._fill_grids`), which makes the cells of levels 1 and
+    0 once for the run and lays every level in the outputs. So decoding
+    holds no grid beyond the outputs, and every output of a run is
+    allocated before the fill.
     """
     out = []
     for (shape, bits), run in groupby(variables, lambda v: (v.shape, v.mesh_bits)):

@@ -41,6 +41,7 @@ from amrc.errors import DataError, ShapeError
 from amrc.mesh import (
     ForestMesh,
     GridShape,
+    _children,
     _family_starts,
     _fill_leaves,
     _mesh,
@@ -307,7 +308,7 @@ def capped_coarsen(variables, shape, spec, value_kind, cap) -> CoarsenResult:
     leaves, vals, trks, _ = zip(*levels)
     _, key, cells = _walk(shape, leaves)
     n = len(key)
-    values = _fill_leaves((np.full(n, np.nan) for _ in vals[0]), key, cells,
+    values = _fill_leaves((np.full(n, np.nan) for _ in vals[0]), key, list(cells),
                           [list(g) for g in zip(*vals)])
     zero = np.broadcast_to(0.0, shape.extents)  # the initial level's trackers
     trackers = _fill_leaves((np.zeros(n) for _ in trks[0]), key, cells,
@@ -351,6 +352,28 @@ def naive_decode(code: int, level: int, dim: int):
         for a in range(dim):
             coords[a] |= ((code >> (dim * i + a)) & 1) << i
     return tuple(coords)
+
+
+def walk_levels(shape: GridShape, found) -> list[np.ndarray]:
+    """The entries of ``mesh._walk`` as one cell array per level, the initial level first.
+
+    Above level 1 an entry already is the cells of the level's data leaves.
+    Level 1's entry, its families and one bit per level-1 cell met, set
+    where the cell is refined, is unfolded here with ``_children`` of every
+    family at once: the cells without their bit are level 1's data leaves,
+    and those with it are the initial level's families. The bits past the
+    last cell must be clear.
+    """
+    levels = list(found)
+    if shape.initial_level:
+        families, refined = found[1]
+        flat, pad = _children(tuple(-(-e >> 1) for e in shape.extents), families)
+        cells = flat[~pad]
+        bits = np.unpackbits(refined, bitorder="little")
+        assert len(bits) == -(-len(cells) // 8) * 8 and not bits[len(cells):].any()
+        refine = bits[:len(cells)].astype(bool)
+        levels[1], levels[0] = cells[~refine], cells[refine]
+    return levels
 
 
 def expected_initial_leaves(extents):

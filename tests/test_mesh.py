@@ -1,4 +1,5 @@
 import math
+import weakref
 
 import numpy as np
 import pytest
@@ -32,6 +33,7 @@ from oracle import (
     mesh_equal,
     naive_encode,
     validate_mesh,
+    walk_levels,
 )
 
 
@@ -295,19 +297,28 @@ def _walk_cases():
     return cases
 
 
+def _entry_bytes(shape, found):
+    """The walk's entries as bytes: level 1's as it is held, and every level's cells."""
+    families, refined = found[1] if shape.initial_level else (found[0], found[0])
+    return [families.tobytes(), refined.tobytes()] + [
+        c.tobytes() for c in walk_levels(shape, found)]
+
+
 @pytest.mark.parametrize("chunk", [1, 7, 500])
 def test_walk_chunks_leave_the_walk_unchanged(monkeypatch, chunk):
-    """The walk makes each depth's keys a chunk at a time; neither the chunk
-    size nor the direction changes the bits, the keys or the cells, and a
-    corrupt bit-field fails at the same offset."""
+    """The walk makes each depth's keys a chunk at a time, and level 1's
+    cells a piece of families at a time; neither size nor the direction
+    changes the bits, the keys or the entries, and a corrupt bit-field fails
+    at the same offset."""
     cases = _walk_cases()
     want = [mesh._walk(shape, leaves) for shape, leaves in cases]
     for (shape, _), (_, key, found) in zip(cases, want):
+        initial = walk_levels(shape, found)[0]
         if shape.npoints > 1:
-            assert (key[1:] != key[:-1]).any() and len(found[0])
+            assert (key[1:] != key[:-1]).any() and len(initial)
         if any(e % 2 for e in shape.extents):  # pads among the initial-level children
-            assert _children(shape.extents, found[0])[1].any()
-    assert len(want[2][2][0]) >= 16 * 12 - 1 and len(want[3][1]) == 1
+            assert _children(shape.extents, initial)[1].any()
+    assert len(walk_levels(cases[2][0], want[2][2])[0]) >= 16 * 12 - 1 and len(want[3][1]) == 1
 
     def outcomes(shape, blobs):  # the error offset, or what the walk returns
         out = []
@@ -317,7 +328,7 @@ def test_walk_chunks_leave_the_walk_unchanged(monkeypatch, chunk):
             except CorruptArtifactError as err:
                 out.append(err.offset)
             else:
-                out.append((bits, key.tobytes(), [c.tobytes() for c in found]))
+                out.append((bits, key.tobytes(), _entry_bytes(shape, found)))
         return out
 
     corrupt = []
@@ -333,12 +344,78 @@ def test_walk_chunks_leave_the_walk_unchanged(monkeypatch, chunk):
         assert any(isinstance(o, int) for o in at[2:])
         corrupt.append((shape, blobs, at))
     monkeypatch.setattr(mesh, "_CHUNK", chunk)
+    monkeypatch.setattr(mesh, "_FAMILIES", chunk)
     for (shape, leaves), (bits, key, found) in zip(cases, want):
         for got in (mesh._walk(shape, leaves), mesh._walk(shape, bits=bits)):
             assert got[0] == bits and got[1].tobytes() == key.tobytes()
-            assert [c.tobytes() for c in got[2]] == [c.tobytes() for c in found]
+            assert _entry_bytes(shape, got[2]) == _entry_bytes(shape, found)
     for shape, blobs, at in corrupt:
         assert outcomes(shape, blobs) == at
+
+
+@pytest.mark.parametrize("fill", ["leaves", "grids"])
+def test_fills_drop_each_level_before_the_next(monkeypatch, fill):
+    """Each level's walk entry is dead before the next level's first chunk is
+    written: neither a fill's loop variables nor a slice of the entry keep
+    it, on the way in (``_fill_leaves``) or out (``_fill_grids``)."""
+    extents = (90, 141)
+    field = smooth(extents)
+    field[10:14] = 10.0 * noise((4, extents[1]))
+    shape = GridShape(extents)
+    levels = list(codec._level_pass([field], shape, ErrorSpec(Criterion("abs", 0.5)), "f64"))
+    _, key, found = mesh._walk(shape, [leaf for leaf, *_ in levels])
+    data = key[(key & 1) == 0]
+    assert all(len(c) for c in walk_levels(shape, found)[:5])  # data leaves on levels 0 to 4
+    refs = {h: weakref.ref(found[h]) for h in range(2, 5)}
+    refs[1] = weakref.ref(found[1][0])  # level 1's families
+    seen, slots = [], mesh._level_slots
+
+    def spy(key, h, cells):
+        for i, item in enumerate(slots(key, h, cells)):
+            if not i:
+                seen.append(h)
+                assert [g for g, ref in refs.items() if g > h and ref() is not None] == []
+            yield item
+
+    monkeypatch.setattr(mesh, "_level_slots", spy)
+    if fill == "leaves":
+        mesh._fill_leaves([np.empty(len(data))], data, found, [[vals[0] for _, vals, *_ in levels]])
+    else:
+        mesh._fill_grids([np.empty(extents)], data, found, [np.arange(len(data), dtype=float)])
+    assert seen == [4, 3, 2, 1, 0] and found == []
+
+
+@pytest.mark.parametrize("extents, own", [((90, 141), 0), ((1, 5), 1), ((1, 1, 5), 1), ((2, 3), 0)])
+def test_decoding_lays_its_levels_in_the_output(monkeypatch, extents, own):
+    """Decoding holds no grid beyond the output: each level lies in it after
+    the one below, and only the levels of a grid of a few cells that find
+    no room left get arrays of their own; the initial level's families are
+    collected in the output past level 1 while level 1 is written."""
+    field = np.arange(math.prod(extents), dtype=np.float64) % 5
+    var = codec.compress(field, GridShape(extents),
+                         codec.CompressionConfig(ErrorSpec(Criterion("abs", 2.0))))
+    want, out = codec.decompress(var), np.empty(extents)
+    stacked, level1, seen = mesh._stacked, mesh._level1_slots, []
+
+    def spy_stacked(grid, top):
+        grids = stacked(grid, top)
+        seen.append([np.shares_memory(g, out) for g in grids])
+        return grids
+
+    def spy_level1(key, cells, shape, spare=None):
+        slots, initial = level1(key, cells, shape, spare)
+        seen.append(len(initial) and np.shares_memory(initial, out))
+        return slots, initial
+
+    monkeypatch.setattr(mesh, "_stacked", spy_stacked)
+    monkeypatch.setattr(mesh, "_level1_slots", spy_level1)
+    _, key, found = mesh._walk(GridShape(extents), bits=var.mesh_bits)
+    mesh._fill_grids([out], key[(key & 1) == 0], found, [var.payload])
+    assert out.reshape(-1).tobytes() == want.tobytes()
+    layout, initial = seen
+    assert len(layout) == GridShape(extents).initial_level and layout.count(False) == own
+    if extents == (90, 141):
+        assert initial
 
 
 class TestExpand:
@@ -451,9 +528,10 @@ class TestIndexWidth:
             dtypes.update((rows.dtype, flat.dtype))
             return flat, pad
 
-        def spy_walk(*args, **kwargs):
-            bits, key, found = walk(*args, **kwargs)
-            dtypes.update(c.dtype for c in found)
+        def spy_walk(shape, *args, **kwargs):
+            bits, key, found = walk(shape, *args, **kwargs)
+            dtypes.update(c.dtype for c in walk_levels(shape, found))
+            dtypes.add(found[1][0].dtype)
             return bits, key, found
 
         monkeypatch.setattr(mesh, "_children", spy_children)
@@ -475,7 +553,8 @@ class TestIndexWidth:
         grid on each side of the rule, pads included; no grid is allocated."""
         # a root-only mesh: the decode walk allocates one cell
         found = mesh._walk(GridShape(extents), bits=b"")[2]
-        assert {c.dtype for c in found} == {np.dtype(dtype)}
+        assert found[1][0].dtype == np.dtype(dtype)
+        assert {c.dtype for c in walk_levels(GridShape(extents), found)} == {np.dtype(dtype)}
         dim, cells = len(extents), math.prod(extents)
         parents = [(e + 1) // 2 for e in extents]
         n, last = math.prod(parents), parents[-1]
