@@ -37,13 +37,13 @@ refinement bit-field and the leaf order, so compression writes the
 bit-field and the payload straight from the grids and never sorts leaves
 or builds a :class:`ForestMesh`. Decompression runs
 the same walk on the stored bit-field, once for each run of variables that
-share it (:func:`decompress_many`), which gives the cells of each level's
-data leaves, levels 1 and 0 as whole families (one refined level-2 cell
-each and one bit per level-1 cell, and the refined level-1 cells, collected
-while level 1 is written), and writes the payload into the level grids
-top-down. Every level lies in the output, so decoding holds the output and
-index arrays only: a key per data leaf, one index per family of levels 1
-and 0, and the cells of the data leaves above level 1. Neither side of the
+share it (:func:`decompress_many`), which gives one refine bit per cell
+of each level, and writes the payload into the level grids top-down. Every
+level is held the same way, as whole families, the refined cells of the
+level above, whose cells the fill makes a piece at a time, collecting the
+refined ones as the next level's families. Every level lies in the output,
+so decoding holds the output and index arrays only: a key per data leaf
+and one index per family of two levels at a time. Neither side of the
 round trip computes a Morton code.
 
 Levels above the initial one never read the initial data again; per-leaf
@@ -603,10 +603,10 @@ def coarsen_forest(variables, shape: GridShape, spec: ErrorSpec, value_kind: str
                                              whole_trackers=True))
     _, key, cells = _walk(shape, leaves)
     n = len(key)
-    values = _fill_leaves((np.full(n, np.nan) for _ in vals[0]), key, list(cells),
+    values = _fill_leaves([np.full(n, np.nan) for _ in vals[0]], key, list(cells),
                           [list(g) for g in zip(*vals)])
     zero = np.broadcast_to(0.0, shape.extents)  # the initial level's trackers
-    trackers = _fill_leaves((np.zeros(n) for _ in trks[0]), key, cells,
+    trackers = _fill_leaves([np.zeros(n) for _ in trks[0]], key, cells,
                             [[zero, *g[1:]] for g in zip(*trks)])
     return CoarsenResult(_mesh(shape, key), values, trackers, len(leaves) - 1)
 
@@ -616,9 +616,9 @@ def _compress(arrays, shape: GridShape, config: CompressionConfig,
     """Compress variables onto one shared mesh, straight from the level grids.
 
     A level's trackers go once read, the leaf keys once the data keys are
-    taken, and a variable's grids above the initial level once they are
-    written into its payload; the initial level is written last, for every
-    variable at once (:func:`~amrc.mesh._fill_leaves`).
+    taken, and each level's grids once they are written into the payloads,
+    top-down, one level for every variable at once
+    (:func:`~amrc.mesh._fill_leaves`).
     """
     leaves, grids, peaks = [], [], [0.0] * len(arrays)
     for leaf, vals, trks, level_peaks in _level_pass(arrays, shape, config.spec, value_kind):
@@ -632,7 +632,7 @@ def _compress(arrays, shape: GridShape, config: CompressionConfig,
     data = key[(key & 1) == 0]  # the keys of the data leaves, in curve order
     del key
     grids = [list(g) for g in zip(*grids)]  # per variable
-    payloads = _fill_leaves((np.empty(len(data), VALUE_KIND_DTYPES[value_kind]) for _ in stats),
+    payloads = _fill_leaves([np.empty(len(data), VALUE_KIND_DTYPES[value_kind]) for _ in stats],
                             data, cells, grids)
     return [CompressedVariable(shape, value_kind, bits, payload, config.spec.default,
                                config.mode, config.packing, stat)
@@ -667,8 +667,9 @@ def decompress(var: CompressedVariable) -> np.ndarray:
 
     Values are reported in stored (packed) space; unpacking via the affine
     record is the caller's transform. The decode walk reads the bit-field
-    into each level's data-leaf cells, and the payload is written into the
-    level grids top-down, every level in the output. The output, in the
+    into each level's refine bits, and the payload is written into the
+    level grids top-down, each level's cells made from its families, every
+    level in the output. The output, in the
     storage dtype, is allocated before the expansion starts, so a grid too
     large to allocate raises :class:`CorruptArtifactError` first.
     """
@@ -680,9 +681,9 @@ def decompress_many(variables) -> list[np.ndarray]:
 
     Consecutive variables with the same shape and bit-field, as all the
     variables of a ``one-for-all`` artifact are, form a run: they share one
-    decode walk, which holds levels 1 and 0 as families, and one fill
-    (:func:`~amrc.mesh._fill_grids`), which makes the cells of levels 1 and
-    0 once for the run and lays every level in the outputs. So decoding
+    decode walk and one fill (:func:`~amrc.mesh._fill_grids`), which makes
+    each level's cells once for the run and lays every level in the
+    outputs. So decoding
     holds no grid beyond the outputs, and every output of a run is
     allocated before the fill.
     """

@@ -36,23 +36,23 @@ depth are the bit-fields. On compression the leaves are the leaf-flag grids
 that the bottom-up level pass leaves, and the walk writes the bit-fields;
 on decoding it reads them. Either way it gives each leaf in curve order a
 key (its height above the initial level, and whether it is a dummy) and
-each level above level 1 the cells of its data leaves. Levels 1 and 0 are
-held as whole families, one cell of the level above each: level 1 as the
-refined level-2 cells with one bit per level-1 cell, set where it is
-refined, and the initial level as the refined level-1 cells, which the
-fills collect while they write level 1. So neither side holds a level-1 or
-initial-level cell array. Compression gathers the payload from the level
-grids (:func:`_fill_leaves`), level by level and, within a level, a chunk
-of keys at a time, making the cells of levels 1 and 0 from their families a
-piece at a time, once for all the variables of a shared mesh, so it holds
-no level-sized temporary; decompression is the mirror image
-(:func:`_fill_grids`): top-down from the root, each parent's value is
-written into its present children, and each level's leaves are written in
-place. Every level lies in the output, level 1 over its head and each
-level above after the one below it, and level 1 is upsampled into the rest
-of the output in place, so decoding holds no grid beyond the output.
-Neither side computes a Morton code. The grid shape alone decides the width
-of the cell indices (:func:`_walk`).
+each level one refine bit per cell met. Every level is held the same way,
+as whole families: its cells are the children of the refined cells of the
+level above, the root being the one family of a one-cell grid above it, so
+those bits alone give every level's cells, top-down (:func:`_level`).
+Compression gathers the payload from the level grids (:func:`_fill_leaves`)
+in one top-down loop over the levels, and within a level a chunk of keys at
+a time, making each level's cells from its families a piece at a time,
+once for all the variables of a shared mesh, and collecting the refined
+ones as the next level's families, so it holds no level-sized temporary;
+decompression is the mirror image (:func:`_fill_grids`): top-down from the
+root, each parent's value is written into its present children, and each
+level's leaves are written in place. Every level lies in the output, level
+1 over its head and each level above after the one below it, the initial
+level's families are collected in the output past level 1, and level 1 is
+upsampled into the rest of the output in place, so decoding holds no grid
+beyond the output. Neither side computes a Morton code. The grid shape
+alone decides the width of the cell indices (:func:`_index`).
 A :class:`ForestMesh` is built from the keys alone, since the leaves tile
 the root in curve order. The initial mesh and its data mapping are the walk
 with nothing accepted. The same families as a padded ``(n_parents, 2^dim)``
@@ -204,8 +204,8 @@ def _child_cells(grid: tuple[int, ...], rows: np.ndarray) -> np.ndarray:
     1``: one integer division per axis past the first gives it.
     """
     parents = [(e + 1) // 2 for e in grid]
-    base = np.zeros_like(rows)
-    for j in range(1, len(grid)):
+    base = rows // math.prod(parents[1:]) * (grid[1] // 2)
+    for j in range(2, len(grid)):
         base *= grid[j]
         base += rows // math.prod(parents[j:]) * (grid[j] // 2)
     base += rows
@@ -213,20 +213,37 @@ def _child_cells(grid: tuple[int, ...], rows: np.ndarray) -> np.ndarray:
     offset = [0]
     for e in grid:
         offset = [o * e + b for o in offset for b in (0, 1)]
+    if len(rows) < 256:  # a call per column costs more than the broadcast on a few rows
+        return base[:, None] + np.array(offset, dtype=rows.dtype)
     flat = np.empty((len(rows), len(offset)), dtype=rows.dtype)
     for k, o in enumerate(offset):  # a column at a time: numpy broadcasts a short last axis slowly
         np.add(base, o, out=flat[:, k])
     return flat
 
 
-def _edges(grid: tuple[int, ...], rows: np.ndarray):
-    """Per odd axis ``j`` of ``grid``, ``(j, flags)``: which families at ``rows`` sit on its last
-    parent, whose second child on that axis is the pad."""
-    stride = math.prod((e + 1) // 2 for e in grid)
-    for j, e in enumerate(grid):
-        stride //= (e + 1) // 2
-        if e % 2:
-            yield j, rows // stride % ((e + 1) // 2) == e // 2
+def _pad_children(grid: tuple[int, ...], rows: np.ndarray) -> np.ndarray:
+    """Where the pads are among the children of the families at ``rows``, in order.
+
+    The children are taken ``2^dim`` per family in Morton child order, so
+    the ``k``-th child of the ``i``-th family is at ``i * 2^dim + k``. A
+    child is the pad cell of an odd axis ``j`` of ``grid`` where its family
+    sits on the last parent of that axis and the child is the second on it.
+    Only those few families hold pads.
+    """
+    dim, fam = len(grid), 1 << len(grid)
+    parents = [(e + 1) // 2 for e in grid]
+    edges = [(j, rows // math.prod(parents[j + 1:]) % parents[j] == parents[j] - 1)
+             for j, e in enumerate(grid) if e % 2]
+    if not edges:
+        return np.zeros(0, dtype=np.intp)
+    i = np.flatnonzero(functools.reduce(np.logical_or, [edge for _, edge in edges]))
+    pad = np.zeros((len(i), fam), dtype=bool)
+    for j, edge in edges:
+        on = edge[i]
+        for k in range(fam):
+            if k >> (dim - 1 - j) & 1:
+                pad[:, k] |= on
+    return (i[:, None] * fam + np.arange(fam))[pad]
 
 
 def _children(grid: tuple[int, ...], rows: np.ndarray):
@@ -235,37 +252,46 @@ def _children(grid: tuple[int, ...], rows: np.ndarray):
     ``rows`` are flat row-major indices into the parent grid. Returns two
     ``(len(rows), 2^dim)`` arrays in Morton child order: each child's flat
     index into ``grid`` (:func:`_child_cells`), and a flag that is set where
-    the child is the pad cell of an odd axis, i.e. a dummy leaf. A pad
-    child's index points at some cell of the grid; what it holds is not the
-    pad's. The indices are in the dtype of ``rows`` (:func:`_walk`).
+    the child is the pad cell of an odd axis, i.e. a dummy leaf
+    (:func:`_pad_children`). A pad child's index points at some cell of the
+    grid; what it holds is not the pad's. The indices are in the dtype of
+    ``rows`` (:func:`_index`).
     """
-    dim = len(grid)
-    flat = _child_cells(grid, rows)
+    flat, at = _child_cells(grid, rows), _pad_children(grid, rows)
     pad = np.zeros(flat.shape, dtype=bool)
-    for j, edge in _edges(grid, rows):
-        for k in range(1 << dim):
-            if k >> (dim - 1 - j) & 1:
-                pad[:, k] |= edge
-    if pad.any():
+    if len(at):
+        pad.reshape(-1)[at] = True
         np.minimum(flat, math.prod(grid) - 1, out=flat)
     return flat, pad
 
 
 def _data_children(grid: tuple[int, ...], rows: np.ndarray) -> np.ndarray:
     """The cells of :func:`_children`, pads dropped, in curve order."""
-    if not any(e % 2 for e in grid):
-        return _child_cells(grid, rows).reshape(-1)
-    flat, pad = _children(grid, rows)
-    return flat[~pad] if pad.any() else flat.reshape(-1)
+    flat, at = _child_cells(grid, rows).reshape(-1), _pad_children(grid, rows)
+    if len(at):
+        keep = np.ones(len(flat), dtype=bool)
+        keep[at] = False
+        flat = flat[keep]
+    return flat
 
 
 # keys per chunk of a level's slots: bounds the mask and the values that a
 # fill holds at once
 _CHUNK = 1 << 16
-# families per piece of level 1 or of the initial level: bounds the cells that
-# the walk and the fills make of them at once; each piece costs a few numpy
-# calls, so smaller pieces cost decode time
+# families per piece of a level: bounds the cells that the walk and the fills
+# make of them at once; each piece costs a few numpy calls, so smaller pieces
+# cost decode time
 _FAMILIES = 1 << 12
+
+
+def _index(extents) -> type:
+    """The dtype of the cell indices of a grid of ``extents``: ``int32`` when the grid,
+    each odd extent rounded up to even, has fewer than ``2^31`` cells, else ``intp``.
+
+    Every level grid, padded so, is no larger, so no index of
+    :func:`_children` overflows, pads included.
+    """
+    return np.int32 if math.prod(e + e % 2 for e in extents) < 1 << 31 else np.intp
 
 
 def _family_cells(extents, families):
@@ -278,50 +304,43 @@ def _family_cells(extents, families):
         yield _data_children(extents, families[a:a + _FAMILIES])
 
 
-def _level1(extents, families, refined, initial):
-    """The cells of the level-1 data leaves of :func:`_walk`'s level-1 entry, a piece at a time.
+def _level(extents, families, refined, below=None):
+    """The cells of a level's data leaves, a piece of families at a time.
 
-    ``families`` and ``refined`` are the entry (:func:`_walk`), ``extents``
-    the level-1 grid's. Each piece of :func:`_family_cells` is split by its
-    bits: the refined cells go, in order, into ``initial``, which must hold
-    one per set bit, and the leaves are yielded.
+    ``families`` are rows of the parent grid of ``extents``, the level
+    grid's, and ``refined`` holds one packed bit per cell of theirs, set
+    where the cell is refined (``None`` on the initial level, where every
+    cell is a leaf). Each piece of :func:`_family_cells` is split by its
+    bits: the leaves are yielded, and the refined cells, the next level's
+    families, go in order into ``below`` if it is given (:func:`_below`).
     """
     o = r = 0
     for c in _family_cells(extents, families):
-        refine = np.unpackbits(refined[o >> 3:-(-(o + len(c)) >> 3)],
-                               bitorder="little")[o & 7:(o & 7) + len(c)].view(bool)
-        k = int(np.count_nonzero(refine))
-        initial[r:r + k] = c[refine]  # np.compress would take an intp index per refined cell
-        r, o = r + k, o + len(c)
-        leaves = c[np.logical_not(refine, out=refine)]
-        del c, refine  # not held while the leaves are written
-        yield leaves
-        del leaves  # not held while the next piece is made
+        if refined is not None:
+            refine = np.unpackbits(refined[o >> 3:-(-(o + len(c)) >> 3)],
+                                   bitorder="little")[o & 7:(o & 7) + len(c)].view(bool)
+            o += len(c)
+            if below is not None:
+                k = int(np.count_nonzero(refine))
+                below[r:r + k] = c[refine]  # np.compress would take an intp index per refined cell
+                r += k
+            c = c[np.logical_not(refine, out=refine)]
+            del refine  # not held while the leaves are written
+        yield c
+        del c  # not held while the next piece is made
 
 
-def _where(pieces, flags):
-    """Each of ``pieces`` where ``flags``, which runs on across the pieces, is set."""
-    o = 0
-    for c in pieces:
-        yield c[flags[o:o + len(c)]]
-        o += len(c)
+def _below(refined, dtype, spare=None):
+    """An array for the refined cells of a level, one per set bit of ``refined``.
 
-
-def _pads(extents, pieces):
-    """The families in ``pieces`` that hold pad children, and which children they are.
-
-    ``pieces`` yields the families, rows of the parent grid of ``extents``,
-    in order. Only a family on the last parent of an odd axis holds pads.
-    Returns their positions among all the families, and their pad flags of
-    :func:`_children`.
+    It lies in the bytes ``spare`` if they have room, else it is an array
+    of its own.
     """
-    at, pads, o = [], [], 0
-    for rows in pieces:
-        j = np.flatnonzero(functools.reduce(np.logical_or, (e for _, e in _edges(extents, rows))))
-        at.append(j + o)
-        pads.append(_children(extents, rows[j])[1])
-        o += len(rows)
-    return np.concatenate(at), np.concatenate(pads)
+    n, item = int(np.count_nonzero(np.unpackbits(refined))), np.dtype(dtype).itemsize
+    if spare is not None and len(spare) >= (n + 1) * item:
+        o = -spare.ctypes.data % item  # aligned
+        return spare[o:o + n * item].view(dtype)
+    return np.empty(n, dtype)
 
 
 def _refine(key: np.ndarray, refine: np.ndarray, fam: int, pads) -> np.ndarray:
@@ -330,10 +349,10 @@ def _refine(key: np.ndarray, refine: np.ndarray, fam: int, pads) -> np.ndarray:
     Works on ``_CHUNK / fam`` keys at a time, writing into one new ``uint8``
     array, so the repeat counts (``np.repeat`` casts them to ``intp``) and a
     chunk's new keys exist for one chunk only. ``pads``, if given, is
-    :func:`_pads` of the refined keys' families, and the keys of their pad
-    children are raised to the dummy key: the ``j``-th refined family of a
-    chunk starts at its key's position plus ``(fam - 1) * j`` among the
-    chunk's new keys.
+    :func:`_pad_children` of the refined keys' families, and the keys of
+    their pad children are raised to the dummy key: child ``k`` of the
+    ``j``-th refined family of a chunk lies at its key's position plus
+    ``(fam - 1) * j + k`` among the chunk's new keys.
     """
     new = np.empty(len(key) + (fam - 1) * int(np.count_nonzero(refine)), dtype=np.uint8)
     o = j0 = 0
@@ -343,10 +362,9 @@ def _refine(key: np.ndarray, refine: np.ndarray, fam: int, pads) -> np.ndarray:
         part = np.repeat(key[a:a + step], np.where(mask, fam, 1))
         if pads is not None:
             pos = np.flatnonzero(mask)
-            lo, hi = np.searchsorted(pads[0], (j0, j0 + len(pos)))
-            j = pads[0][lo:hi] - j0
-            i, k = np.nonzero(pads[1][lo:hi])
-            part[pos[j[i]] + (fam - 1) * j[i] + k] += 1
+            lo, hi = np.searchsorted(pads, (j0 * fam, (j0 + len(pos)) * fam))
+            j, k = np.divmod(pads[lo:hi] - j0 * fam, fam)
+            part[pos[j] + (fam - 1) * j + k] += 1
             j0 += len(pos)
         new[o:o + len(part)] = part
         o += len(part)
@@ -357,8 +375,8 @@ def _walk(shape: GridShape, leaves=None, bits: bytes | None = None):
     """Walk the mesh top-down from the root, from level grids or from a bit-field.
 
     The walk refines every element that is not a leaf, taking its children
-    from :func:`_children` in Morton child order, so the element list stays
-    in curve order without sorting. Its refine flags per depth, one per
+    in Morton child order (:func:`_children`), so the element list stays in
+    curve order without sorting. Its refine flags per depth, one per
     element of the mesh truncated there, are the bit-field. Only where the
     leaves come from depends on the direction:
 
@@ -374,51 +392,44 @@ def _walk(shape: GridShape, leaves=None, bits: bytes | None = None):
 
     Returns the bit-field, a key per leaf of the mesh in curve order (``2h``
     for a data leaf ``h`` levels above the initial level, ``2h + 1`` for a
-    dummy), and one entry per level, the initial level first. Above level
-    1 the entry holds the flat cell indices of the level's data leaves in
-    curve order. Levels 1 and 0 are held as families instead, one cell of
-    the level above each, whose children the fills make a piece at a time
-    (:func:`_level1`, :func:`_family_cells`): level 1's entry is the pair
-    of the refined level-2 cells in curve order, its families, and one
-    packed bit per level-1 cell met, set where that cell is refined. The
-    refined level-1 cells are the initial level's families, and the fills
-    collect them while they write level 1, so the initial level's entry is
-    ``None``. The initial level is final: every child of a refined level-1
-    cell is a leaf, a data leaf or a pad. A single-cell grid has no level 1,
-    and its initial level's entry holds the one cell as the family of row 0
-    of a one-cell parent grid. Families hold pad children only where their
-    children's grid has an odd extent, and only then does the walk find
-    them (:func:`_pads`), to mark them as dummies in the keys; the walk
-    meets the other children only.
+    dummy), and one entry per level, the initial level first: one packed
+    bit per cell of the level met, set where that cell is refined. The
+    initial level's entry is ``None``, as it is final, and a level the walk
+    does not reach has no bits. Every level is held the same way: its cells
+    are the children of its families, the refined cells of the level above,
+    and the root is the one family of row 0 of a one-cell grid above it, so
+    the entries alone give every level's cells, top-down (:func:`_level`).
 
     At each depth the elements met at that height are a bool mask over the
     keys, which indexes the flags and then turns into the refine flags in
     place; the keys change in place under it, the walk holds no ``intp``
-    position per element, and a depth's leaf flags and cells go before the
-    next depth's keys are made, a chunk at a time (:func:`_refine`). At
-    level 1 the walk reads the cells met, to look up their leaf flags or to
-    find their pads, a piece of families at a time, and holds no level-1
-    cell array. Beside the ``uint8`` keys, the mask and the unpacked flags,
-    one byte per element each, the largest arrays it holds are the cell
-    indices. They are ``int32`` when the finest grid, each odd extent
-    rounded up to even, has fewer than ``2^31`` cells, and ``intp``
-    otherwise; the grid shape alone decides. Every level grid, padded so, is
-    no larger, so no index of :func:`_children` overflows, pads included.
+    position per element, and a depth's leaf flags go before the next
+    depth's keys are made, a chunk at a time (:func:`_refine`). The walk
+    makes a level's cells, a piece of families at a time, only where it
+    needs them: to look up their leaf flags, or to collect the refined ones
+    as the next level's families, which it needs where their children's
+    grid has an odd extent, to find the pads among those children and mark
+    them as dummies in the keys (:func:`_pad_children`), or where it makes
+    the next level's cells. So on decoding it makes no cells below the
+    lowest level whose children's grid is odd, and it collects the initial
+    level's families only where the initial grid itself is odd. Beside the
+    ``uint8`` keys, the mask and the unpacked flags, one byte per element
+    each, the largest arrays it holds are the families, whose indices are
+    in the dtype of :func:`_index`: the grid shape alone decides.
     """
     l0, fam = shape.initial_level, 1 << shape.dim
-    padded = math.prod(e + e % 2 for e in shape.extents)
-    index = np.int32 if padded < 1 << 31 else np.intp
+    grids = [tuple(-(-e >> h) for e in shape.extents) for h in range(l0 + 1)]
+    odd = [any(e % 2 for e in grid) for grid in grids]
+    look = [bits is None and 0 < h < len(leaves) and leaves[h] is not None
+            for h in range(l0 + 1)]
+    # the lowest level whose refined cells the walk needs: to find the pads
+    # among their children, or as the families of the level below it
+    low = min([h for h in range(1, l0 + 1) if odd[h - 1] or look[h - 1]], default=l0 + 1)
     key = np.full(1, 2 * l0, dtype=np.uint8)  # an element not yet classified at h holds 2h
-    cells = np.zeros(1, dtype=index)  # the cells met at height h; at h = 1, their families
-    out, found = bytearray(), [cells[:0]] * (l0 + 1)
-    if l0:
-        found[:2] = None, (cells[:0], np.zeros(0, dtype=np.uint8))
-    else:
-        found[0] = cells
+    families = np.zeros(1, dtype=_index(shape.extents))  # the root's
+    out, found = bytearray(), [None] + [np.zeros(0, dtype=np.uint8)] * l0
     for h in range(l0, 0, -1):
-        sel = key == 2 * h  # the elements met at height h, in the order of cells
-        grid = tuple(-(-e >> h) for e in shape.extents)
-        n = len(cells) if h > 1 else int(np.count_nonzero(sel))
+        sel = key == 2 * h  # the elements met at height h, in the order of their cells
         if bits is not None:
             level = bits[len(out):len(out) + (len(key) + 7) // 8]
             # len(level) is load-bearing: an empty slice reads as all leaves,
@@ -430,38 +441,30 @@ def _walk(shape: GridShape, leaves=None, bits: bytes | None = None):
                 leaf = flags[sel] == 0
                 del flags  # not held while the next keys are made
             else:
-                leaf = np.ones(n, dtype=bool)
-        elif h >= len(leaves):
-            leaf = np.zeros(n, dtype=bool)
-        elif leaves[h] is None:
-            leaf = np.ones(n, dtype=bool)
-        elif h > 1:
-            leaf = leaves[h].reshape(-1)[cells]
+                leaf = np.ones(int(np.count_nonzero(sel)), dtype=bool)
+        elif look[h]:
+            leaf = np.concatenate([leaves[h].reshape(-1)[c]
+                                   for c in _family_cells(grids[h], families)])
         else:
-            leaf = np.concatenate([leaves[1].reshape(-1)[c] for c in _family_cells(grid, cells)])
-        if h > 1:
-            found[h] = cells if leaf.all() else cells[leaf]
+            leaf = np.full(int(np.count_nonzero(sel)), h < len(leaves))
         refine = np.invert(leaf, out=leaf)
-        if h == 1:
-            found[1] = (cells, np.packbits(refine, bitorder="little"))
+        found[h] = np.packbits(refine, bitorder="little")
         if not refine.any():
             break
         sel[sel] = refine  # now the refine flags
         out += np.packbits(sel, bitorder="little").tobytes()
         np.subtract(key, 2, out=key, where=sel)
-        kids = tuple(-(-e >> (h - 1)) for e in shape.extents)  # the children's grid
-        if h > 1:
-            rows = cells[refine]
-            pieces = [rows]
-        else:
-            pieces = _where(_family_cells(grid, cells), refine)
-        pads = _pads(kids, pieces) if any(e % 2 for e in kids) else None
-        del leaf, refine, cells, pieces  # this level's go before the next level's come
+        del leaf, refine  # this level's go before the next level's come
+        pads = None
+        if h >= low:  # this level's refined cells are the next level's families
+            below = _below(found[h], families.dtype)
+            for _ in _level(grids[h], families, found[h], below):
+                pass
+            families = below
+            if odd[h - 1]:
+                pads = _pad_children(grids[h - 1], families)
         key = _refine(key, sel, fam, pads)
         del pads
-        if h > 1:
-            cells = _data_children(kids, rows) if h > 2 else rows  # at h = 2, level 1's families
-            del rows  # not held at the next depth
     if bits is not None and out != bits:
         at = next((i for i, (a, b) in enumerate(zip(out, bits)) if a != b),
                   min(len(out), len(bits)))
@@ -482,7 +485,7 @@ def _level_slots(key: np.ndarray, h: int, cells):
     before is used up, so while a consumer drops each ``c`` before it asks
     for the next, one piece and one chunk's mask are held at a time. The
     stream runs to its end, so a stream that writes as it goes
-    (:func:`_level1`) writes everything.
+    (:func:`_level`) writes everything.
     """
     pieces = (c for c in cells if len(c))
     left = None  # the cells of the last piece not yet given out
@@ -533,60 +536,28 @@ def _fill_leaves(outs, key: np.ndarray, cells, grids) -> list[np.ndarray]:
     """Write per-level grid values into one slot per key of :func:`_walk`, for variables
     that share one mesh.
 
-    ``outs`` yields one output per variable and is read one variable at a
-    time, so a generator allocates each output only when its variable
-    starts. ``grids`` holds one list of level grids per variable, the
-    initial level first, whose grids have the grid's extents, and ``cells``
-    the walk's entries. Each variable's levels from 2 up are written top
-    level first, as in :func:`_fill_grids`, each a chunk of keys at a time
-    (:func:`_level_slots`), and popped off its list once written; the last
-    variable pops each level's entry off ``cells``. Levels 1 and 0 are
-    written last, for every variable at once, from their families a piece
-    at a time: level 1's cells are made once, and its refined cells are
-    collected as the initial level's families as it is written
-    (:func:`_level1`). No level's values or level-1 and initial-level cells
-    are gathered at once. Slots of other keys keep what an output holds.
-    Returns the outputs.
+    ``outs`` holds one output per variable, and ``grids`` one list of level
+    grids per variable, the initial level first, whose grids have the grid's
+    extents; ``cells`` holds the walk's entries. One top-down loop from the
+    root writes each level for every variable, a chunk of keys at a time
+    (:func:`_level_slots`), from the level's families a piece at a time
+    (:func:`_level`), which collects the refined cells as the next level's
+    families; so each level's cells are made once, and no level's values
+    or cells are gathered at once. Each level's entry is popped off
+    ``cells``, and its grids off their lists, once it is written. Slots of
+    other keys keep what an output holds. Returns the outputs.
     """
-    done, extents = [], grids[0][0].shape
-    for i, (out, levels) in enumerate(zip(outs, grids)):
-        found = cells if i == len(grids) - 1 else list(cells)
-        for h in range(len(found) - 1, 1, -1):
-            if h < len(levels):
-                _take(_level_slots(key, h, [found.pop()]), [out], [levels.pop()])
-            else:  # above the levels reached: no data leaves
-                found.pop()
-        done.append(out)
-    slots, initial = _level1_slots(key, cells, extents)
-    _take(slots, done, [levels.pop() if len(levels) > 1 else None for levels in grids])
-    del slots
-    _take(_level_slots(key, 0, _family_cells(extents, initial)), done,
-          [levels[0] for levels in grids])
-    return done
-
-
-def _level1_slots(key: np.ndarray, cells, extents, spare=None):
-    """The :func:`_level_slots` of level 1, and the initial level's families they collect.
-
-    Pops the entries of levels 1 and 0 off the walk's ``cells`` over a grid
-    of ``extents``. The families are made as the slots are read
-    (:func:`_level1`), into an array sized from the count of refined
-    level-1 cells: in the bytes ``spare`` if they have room, else an array
-    of its own. A one-cell grid has no level 1, and its families are the
-    initial level's entry.
-    """
-    if len(cells) == 1:
-        return (), cells.pop()
-    families, refined = cells.pop()
-    cells.pop()
-    n, item = int(np.count_nonzero(np.unpackbits(refined))), families.itemsize
-    if spare is not None and len(spare) >= (n + 1) * item:
-        o = -spare.ctypes.data % item  # aligned
-        initial = spare[o:o + n * item].view(families.dtype)
-    else:
-        initial = np.empty(n, families.dtype)
-    head = tuple(-(-e >> 1) for e in extents)
-    return _level_slots(key, 1, _level1(head, families, refined, initial)), initial
+    extents = grids[0][0].shape
+    families = np.zeros(1, dtype=_index(extents))  # the root's
+    for h in range(len(cells) - 1, -1, -1):
+        refined = cells.pop()
+        below = None if refined is None else _below(refined, families.dtype)
+        level = [levels.pop() if h < len(levels) else None for levels in grids]
+        _take(_level_slots(key, h, _level(tuple(-(-e >> h) for e in extents), families,
+                                          refined, below)), outs, level)
+        families = below
+        del refined, level, below  # not held while the next level is written
+    return outs
 
 
 def _upsample(parent: np.ndarray, child: np.ndarray) -> None:
@@ -642,46 +613,39 @@ def _fill_grids(outs, key: np.ndarray, cells, values) -> list[np.ndarray]:
 
     ``outs`` and ``values`` run over variables that share one mesh: each
     ``out`` is a C-contiguous grid of the initial level, and its values
-    hold one per key. Top-down from the ``(1,)*dim`` grid of the root, each
-    parent's value is written into its present children of
-    :func:`_blocks`, and the values of the level's keys are written at its
-    cells, a chunk of keys at a time (:func:`_level_slots`). Every level
-    lies in ``out`` (:func:`_stacked`): level 1 over its head and the
-    levels above one after another past it, so decoding holds no grid
-    beyond the output. Levels 2 and up are written one variable at a time;
-    levels 1 and 0 for every variable at once, from their families a piece
-    at a time, as in :func:`_fill_leaves`. Level 1 is upsampled into
-    ``out`` in place (:func:`_expand_head`) before the initial level is
-    written. The last variable pops each level's entry off ``cells`` as it
-    writes the level, so it goes once it is. Values of odd keys are never
-    read.
+    hold one per key. One top-down loop from the ``(1,)*dim`` grid of the
+    root writes each level for every variable: each parent's value is
+    written into its present children of :func:`_blocks`, and the values of
+    the level's keys at its cells, a chunk of keys at a time
+    (:func:`_level_slots`), from the level's families a piece at a time
+    (:func:`_level`), which collects the refined cells as the next level's
+    families. Every level lies in ``out`` (:func:`_stacked`): level 1 over
+    its head and the levels above one after another past it, so decoding
+    holds no grid beyond the output. Once level 2 is upsampled, the first
+    output past level 1 is free, and level 1 collects the initial level's
+    families there; level 1 is upsampled into ``out`` in place
+    (:func:`_expand_head`). Each level's entry is popped off ``cells`` as
+    the level is written, so it goes once it is. Values of odd keys are
+    never read.
     """
     top = len(cells) - 1
-    for i, (out, vals) in enumerate(zip(outs, values)):
-        found = cells if i == len(outs) - 1 else list(cells)
-        grids = _stacked(out, top)  # grids[h - 1] is level h's
-        for h in range(top, 1, -1):
-            if h < top:
-                _upsample(grids[h], grids[h - 1])
-            _put(_level_slots(key, h, [found.pop()]), [grids[h - 1].reshape(-1)], [vals])
-        if top > 1:
-            _upsample(grids[1], grids[0])
-        del grids
-    n1 = math.prod(tuple(-(-e >> 1) for e in outs[0].shape))
-    heads = [out.reshape(-1)[:n1] for out in outs]
-    # past level 1, the first output is free until level 1 is upsampled into it
-    spare = outs[0].reshape(-1)[n1:].view(np.uint8)
-    slots, initial = _level1_slots(key, cells, outs[0].shape, spare)
-    _put(slots, heads, values)
-    del slots, spare
-    if np.may_share_memory(initial, outs[0]):
-        initial = initial.copy()  # before level 1 is upsampled over it
-    if top:
-        for out, head in zip(outs, heads):
-            _expand_head(head.reshape(tuple(-(-e >> 1) for e in out.shape)), out)
-    del heads
-    _put(_level_slots(key, 0, _family_cells(outs[0].shape, initial)),
-         [out.reshape(-1) for out in outs], values)
+    grids = [[out, *_stacked(out, top)] for out in outs]  # grids[i][h] is level h's
+    families = np.zeros(1, dtype=_index(outs[0].shape))  # the root's
+    for h in range(top, -1, -1):
+        refined = cells.pop()
+        if np.may_share_memory(families, outs[0]):
+            families = families.copy()  # before level 1 is upsampled over them
+        if h < top:
+            for levels in grids:
+                (_expand_head if h == 0 else _upsample)(levels.pop(), levels[h])
+        # past level 1, the first output is free once level 2 is upsampled
+        spare = outs[0].reshape(-1)[grids[0][1].size:].view(np.uint8) if h == 1 else None
+        below = None if refined is None else _below(refined, families.dtype, spare)
+        _put(_level_slots(key, h, _level(tuple(-(-e >> h) for e in outs[0].shape), families,
+                                         refined, below)),
+             [levels[h].reshape(-1) for levels in grids], values)
+        families = below
+        del refined, spare, below  # not held while the next level is written
     return outs
 
 

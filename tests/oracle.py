@@ -44,6 +44,7 @@ from amrc.mesh import (
     _children,
     _family_starts,
     _fill_leaves,
+    _index,
     _mesh,
     _walk,
     build_initial_mesh,
@@ -308,10 +309,10 @@ def capped_coarsen(variables, shape, spec, value_kind, cap) -> CoarsenResult:
     leaves, vals, trks, _ = zip(*levels)
     _, key, cells = _walk(shape, leaves)
     n = len(key)
-    values = _fill_leaves((np.full(n, np.nan) for _ in vals[0]), key, list(cells),
+    values = _fill_leaves([np.full(n, np.nan) for _ in vals[0]], key, list(cells),
                           [list(g) for g in zip(*vals)])
     zero = np.broadcast_to(0.0, shape.extents)  # the initial level's trackers
-    trackers = _fill_leaves((np.zeros(n) for _ in trks[0]), key, cells,
+    trackers = _fill_leaves([np.zeros(n) for _ in trks[0]], key, cells,
                             [[zero, *g[1:]] for g in zip(*trks)])
     return CoarsenResult(_mesh(shape, key), values, trackers, len(leaves) - 1)
 
@@ -354,25 +355,45 @@ def naive_decode(code: int, level: int, dim: int):
     return tuple(coords)
 
 
-def walk_levels(shape: GridShape, found) -> list[np.ndarray]:
-    """The entries of ``mesh._walk`` as one cell array per level, the initial level first.
+def walk_families(shape: GridShape, found) -> list[np.ndarray]:
+    """The families of each level of ``mesh._walk``'s entries, the initial level first.
 
-    Above level 1 an entry already is the cells of the level's data leaves.
-    Level 1's entry, its families and one bit per level-1 cell met, set
-    where the cell is refined, is unfolded here with ``_children`` of every
-    family at once: the cells without their bit are level 1's data leaves,
-    and those with it are the initial level's families. The bits past the
-    last cell must be clear.
+    Every entry above the initial level is one bit per cell of the level
+    met, set where the cell is refined. From the root, the one family of row
+    0 of a one-cell grid above it, each level is unfolded top-down with
+    ``_children`` of every family at once: its cells are the children that
+    are not pads, and those with their bit set are the next level's
+    families. The bits past the last cell of a level must be clear. The
+    initial level's entry is ``None``, as it is final.
     """
-    levels = list(found)
-    if shape.initial_level:
-        families, refined = found[1]
-        flat, pad = _children(tuple(-(-e >> 1) for e in shape.extents), families)
+    out, families = [None] * len(found), np.zeros(1, dtype=_index(shape.extents))
+    for h in range(len(found) - 1, -1, -1):
+        out[h] = families
+        if found[h] is None:
+            break
+        flat, pad = _children(tuple(-(-e >> h) for e in shape.extents), families)
         cells = flat[~pad]
-        bits = np.unpackbits(refined, bitorder="little")
+        bits = np.unpackbits(found[h], bitorder="little")
         assert len(bits) == -(-len(cells) // 8) * 8 and not bits[len(cells):].any()
-        refine = bits[:len(cells)].astype(bool)
-        levels[1], levels[0] = cells[~refine], cells[refine]
+        families = cells[bits[:len(cells)].astype(bool)]
+    assert found[0] is None
+    return out
+
+
+def walk_levels(shape: GridShape, found) -> list[np.ndarray]:
+    """The cells of each level's data leaves of ``mesh._walk``'s entries, the initial level first.
+
+    The cells of a level above the initial one (:func:`walk_families`)
+    without their bit are its data leaves. The initial level is given as
+    its families, those that level 1 refines.
+    """
+    families = walk_families(shape, found)
+    levels = families[:1]
+    for h in range(1, len(found)):
+        flat, pad = _children(tuple(-(-e >> h) for e in shape.extents), families[h])
+        cells = flat[~pad]
+        levels.append(cells[~np.unpackbits(found[h], count=len(cells), bitorder="little")
+                            .astype(bool)])
     return levels
 
 

@@ -35,7 +35,7 @@ from amrc import codec, mesh, morton
 from amrc.cli import main
 from amrc.fields import layered, noise, smooth
 from conftest import huge_root_artifact
-from oracle import exact_leaf_deviations, reference_expand, walk_levels
+from oracle import exact_leaf_deviations, reference_expand, walk_families, walk_levels
 
 
 def abs_config(bound, **kw):
@@ -510,7 +510,9 @@ def _peak_cases():
     """A 3D f64 field under rel; 2D f32 fields under abs with a nested domain, one of
     1000 x 1000 and one ERA5-shaped, whose odd first axis leaves pads on the
     initial level and an odd row in the level-1 grid; and incompressible 2D f32
-    noise, whose mesh is the initial one (ratio about 1)."""
+    noise, whose mesh is the initial one (ratio about 1); and 32 slices of 256 x 256
+    f32 that share one mesh (``one-for-all``), as the bench's ``slices-shared``
+    workload splits them."""
     volume = smooth((64, 64, 64)) + 4.0
     plane = smooth((1000, 1000)).astype(np.float32)
     nested = ErrorSpec(Criterion("abs", 0.02),
@@ -519,8 +521,10 @@ def _peak_cases():
     era5_nested = ErrorSpec(Criterion("abs", 0.05),
                             (ErrorDomain(((181, 541), (361, 1081)), Criterion("abs", 0.005)),))
     rough = noise((1000, 1000)).astype(np.float32)
-    return [(volume, rel_config(0.05)), (plane, CompressionConfig(nested)),
-            (era5, CompressionConfig(era5_nested)), (rough, abs_config(1e-6))]
+    slices = split_axis(layered((32, 256, 256)).astype(np.float32), 0)
+    return [([volume], rel_config(0.05)), ([plane], CompressionConfig(nested)),
+            ([era5], CompressionConfig(era5_nested)), ([rough], abs_config(1e-6)),
+            (slices, abs_config(0.05, mode=ONE_FOR_ALL))]
 
 
 def _traced_peak(fn) -> int:
@@ -562,29 +566,36 @@ def test_compress_peak_is_bounded_by_the_input():
     (1.16 with twice the slab, bound 1.3; 1.56 before, bound 1.65). The
     noise field, below 2.1 times, gives 2.02 since the walk stops at level 1
     and the payload fill makes the initial level's cells a chunk at a time;
-    while the walk held a cell index per initial-level leaf it was 3.22."""
-    for (field, config), bound in zip(_peak_cases(), [1.45, 0.9, 0.9, 2.1], strict=True):
+    while the walk held a cell index per initial-level leaf it was 3.22.
+
+    The 32 slices of 256 x 256 f32 on one shared mesh, below 1.1 times, give
+    1.04, set by the kernel; the payload fill, which writes every variable
+    at each level, reaches 0.73."""
+    for (arrays, config), bound in zip(_peak_cases(), [1.45, 0.9, 0.9, 2.1, 1.1], strict=True):
+        nbytes = sum(a.nbytes for a in arrays)
         peak = _traced_peak(
-            lambda: write_artifact(compress_many([field], GridShape(field.shape), config)))
-        assert peak < bound * field.nbytes, (
-            f"{field.shape} peak {peak / field.nbytes:.2f} x the input bytes")
+            lambda: write_artifact(compress_many(arrays, GridShape(arrays[0].shape), config)))
+        assert peak < bound * nbytes, (
+            f"{len(arrays)} x {arrays[0].shape} peak {peak / nbytes:.2f} x the input bytes")
 
 
 def test_decompress_peak_is_bounded_by_the_output():
     """Reading and decompressing an artifact holds under a small multiple of the output bytes.
 
-    The decode walk keeps its cell indices in int32 and holds levels 1 and
-    0 as families: one index per refined level-2 cell and one bit per
-    level-1 cell. The fill lays every level in the output, makes the cells
-    of levels 1 and 0 a piece of families at a time, collects the initial
-    level's families in the output past level 1 while it writes level 1,
-    and drops each level's entry once written. The peaks, all in the
+    The decode walk keeps its cell indices in int32 and gives each level
+    as one refine bit per cell. The fill lays every level in the output,
+    makes each level's cells a piece of families at a time, collecting the
+    refined ones as the next level's families, the initial level's in the
+    output past level 1, and drops each level's entry once written. The
+    peaks, all in the
     initial level's write, are 1.54 times the output for the 3D f64 field
     (bound 1.6), 1.22 for the 1000 x 1000 f32 one (bound 1.27), 1.23 for
     the ERA5-shaped one (bound 1.28) and 1.64 for the noise field (bound
     1.7), whose data keys and initial-level families are each a quarter of
-    the output. While the walk held level 1's cells, level 2 had a grid of
-    its own and the fill made the initial level's cells by key chunk, they
+    the output, and 1.21 for the 32 slices on one shared mesh (bound 1.27),
+    which the fill writes a level at a time for every slice. While the walk
+    held level 1's cells, level 2 had a grid of its own and the fill made
+    the initial level's cells by key chunk, they
     were 1.56, 1.33, 1.32 and 1.77 times (bounds 1.65, 1.4, 1.4 and 1.85),
     the noise field's in the walk's level-1 step. That step held an intp
     position and an intp repeat count per level-1 element, 1.97 times
@@ -592,11 +603,13 @@ def test_decompress_peak_is_bounded_by_the_output():
     at a time. While the walk held an index per initial-level leaf and level
     1 had a grid of its own, they were 1.74, 1.66, 1.61 and 3.36 times;
     before that, with intp indices, the first two were 2.14 and 1.99."""
-    for (field, config), bound in zip(_peak_cases(), [1.6, 1.27, 1.28, 1.7], strict=True):
-        blob = write_artifact(compress_many([field], GridShape(field.shape), config))
+    for (arrays, config), bound in zip(_peak_cases(), [1.6, 1.27, 1.28, 1.7, 1.27],
+                                       strict=True):
+        nbytes = sum(a.nbytes for a in arrays)
+        blob = write_artifact(compress_many(arrays, GridShape(arrays[0].shape), config))
         peak = _traced_peak(lambda: decompress_many(read_artifact(blob)[0]))
-        assert peak < bound * field.nbytes, (
-            f"{field.shape} peak {peak / field.nbytes:.2f} x the output bytes")
+        assert peak < bound * nbytes, (
+            f"{len(arrays)} x {arrays[0].shape} peak {peak / nbytes:.2f} x the output bytes")
 
 
 @pytest.mark.parametrize("chunk", [1, 7, 500])
@@ -665,7 +678,7 @@ def test_family_round_trips_match_the_reference():
         found = mesh._walk(shape, bits=variables[0].mesh_bits)[2]
         levels = walk_levels(shape, found)
         if shape.extents == (721, 1440):  # pads among the level-1 and initial-level children
-            assert mesh._children((361, 720), found[1][0])[1].any()
+            assert mesh._children((361, 720), walk_families(shape, found)[1])[1].any()
             assert mesh._children(shape.extents, levels[0])[1].any()
         if shape.extents == (23, 20, 27):
             assert mesh._children(shape.extents, levels[0])[1].any()

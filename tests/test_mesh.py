@@ -1,3 +1,4 @@
+import itertools
 import math
 import weakref
 
@@ -33,6 +34,7 @@ from oracle import (
     mesh_equal,
     naive_encode,
     validate_mesh,
+    walk_families,
     walk_levels,
 )
 
@@ -281,10 +283,33 @@ class TestRefinementBits:
             deserialize_refinement(bytes([0x03]), GridShape((4, 4)))
 
 
+def _pad_cases():
+    """Level-pass leaf grids whose families above level 1 hold pad children:
+    a 90 x 141 field with a band of noise rows, whose level grids have an
+    odd extent at every height from 0 to 6 but 3 and which has data leaves
+    on levels 0 to 4, and a 23 x 20 x 27 field, whose extents are all odd."""
+    band = smooth((90, 141))
+    band[10:14] = 10.0 * noise((4, 141))
+    cases = []
+    for field, spec in ((band, ErrorSpec(Criterion("abs", 0.5))),
+                        (smooth((23, 20, 27)) + 4.0, ErrorSpec(Criterion("rel", 0.3)))):
+        shape = GridShape(field.shape)
+        cases.append((shape, list(codec._level_pass([field], shape, spec, "f64"))))
+    return cases
+
+
+def _pads_above_level_one(shape, found):
+    """Whether a family of a level from 2 up, below the root's, holds a pad child."""
+    families = walk_families(shape, found)
+    return any(_children(tuple(-(-e >> h) for e in shape.extents), families[h])[1].any()
+               for h in range(2, shape.initial_level))
+
+
 def _walk_cases():
     """Level-pass leaf grids for the walk: odd-extent 2D and 3D meshes whose
     initial-level families hold pad children, an incompressible-noise mesh,
-    whose walk refines every level-1 cell but one, and the single-cell grid."""
+    whose walk refines every level-1 cell but one, the single-cell grid, and
+    the meshes of :func:`_pad_cases`."""
     cases = []
     for extents, spec, field in (
             ((37, 53), ErrorSpec(Criterion("abs", 0.05)), smooth((37, 53))),
@@ -294,22 +319,21 @@ def _walk_cases():
         shape = GridShape(extents)
         leaves = [leaf for leaf, *_ in codec._level_pass([field], shape, spec, "f64")]
         cases.append((shape, leaves))
-    return cases
+    return cases + [(shape, [leaf for leaf, *_ in levels]) for shape, levels in _pad_cases()]
 
 
 def _entry_bytes(shape, found):
-    """The walk's entries as bytes: level 1's as it is held, and every level's cells."""
-    families, refined = found[1] if shape.initial_level else (found[0], found[0])
-    return [families.tobytes(), refined.tobytes()] + [
+    """The walk's entries as bytes, and every level's cells."""
+    return [a.tobytes() for a in found if a is not None] + [
         c.tobytes() for c in walk_levels(shape, found)]
 
 
 @pytest.mark.parametrize("chunk", [1, 7, 500])
 def test_walk_chunks_leave_the_walk_unchanged(monkeypatch, chunk):
-    """The walk makes each depth's keys a chunk at a time, and level 1's
-    cells a piece of families at a time; neither size nor the direction
-    changes the bits, the keys or the entries, and a corrupt bit-field fails
-    at the same offset."""
+    """The walk makes each depth's keys a chunk at a time, and each level's
+    cells a piece of families at a time, also where families above level 1
+    hold pads; neither size nor the direction changes the bits, the keys or
+    the entries, and a corrupt bit-field fails at the same offset."""
     cases = _walk_cases()
     want = [mesh._walk(shape, leaves) for shape, leaves in cases]
     for (shape, _), (_, key, found) in zip(cases, want):
@@ -319,6 +343,8 @@ def test_walk_chunks_leave_the_walk_unchanged(monkeypatch, chunk):
         if any(e % 2 for e in shape.extents):  # pads among the initial-level children
             assert _children(shape.extents, initial)[1].any()
     assert len(walk_levels(cases[2][0], want[2][2])[0]) >= 16 * 12 - 1 and len(want[3][1]) == 1
+    assert all(_pads_above_level_one(shape, found)
+               for (shape, _), (_, _, found) in zip(cases[4:], want[4:]))
 
     def outcomes(shape, blobs):  # the error offset, or what the walk returns
         out = []
@@ -357,32 +383,37 @@ def test_walk_chunks_leave_the_walk_unchanged(monkeypatch, chunk):
 def test_fills_drop_each_level_before_the_next(monkeypatch, fill):
     """Each level's walk entry is dead before the next level's first chunk is
     written: neither a fill's loop variables nor a slice of the entry keep
-    it, on the way in (``_fill_leaves``) or out (``_fill_grids``)."""
-    extents = (90, 141)
-    field = smooth(extents)
-    field[10:14] = 10.0 * noise((4, extents[1]))
-    shape = GridShape(extents)
-    levels = list(codec._level_pass([field], shape, ErrorSpec(Criterion("abs", 0.5)), "f64"))
-    _, key, found = mesh._walk(shape, [leaf for leaf, *_ in levels])
-    data = key[(key & 1) == 0]
-    assert all(len(c) for c in walk_levels(shape, found)[:5])  # data leaves on levels 0 to 4
-    refs = {h: weakref.ref(found[h]) for h in range(2, 5)}
-    refs[1] = weakref.ref(found[1][0])  # level 1's families
-    seen, slots = [], mesh._level_slots
+    it, on the way in (``_fill_leaves``) or out (``_fill_grids``), also
+    where families above level 1 hold pads and a piece or a chunk is small."""
+    for chunk, (shape, levels) in itertools.product([1, 7], _pad_cases()):
+        monkeypatch.setattr(mesh, "_CHUNK", chunk)
+        monkeypatch.setattr(mesh, "_FAMILIES", chunk)
+        _, key, found = mesh._walk(shape, [leaf for leaf, *_ in levels])
+        data = key[(key & 1) == 0]
+        assert _pads_above_level_one(shape, found)
+        cells = walk_levels(shape, found)
+        want = [h for h in range(len(found) - 1, -1, -1) if len(cells[h])]
+        if shape.extents == (90, 141):
+            assert want == [4, 3, 2, 1, 0]  # data leaves on levels 0 to 4
+        refs = {h: weakref.ref(found[h]) for h in range(1, len(found))}
+        seen, slots = [], mesh._level_slots
 
-    def spy(key, h, cells):
-        for i, item in enumerate(slots(key, h, cells)):
-            if not i:
-                seen.append(h)
-                assert [g for g, ref in refs.items() if g > h and ref() is not None] == []
-            yield item
+        def spy(key, h, cells):
+            for i, item in enumerate(slots(key, h, cells)):
+                if not i:
+                    seen.append(h)
+                    assert [g for g, ref in refs.items() if g > h and ref() is not None] == []
+                yield item
 
-    monkeypatch.setattr(mesh, "_level_slots", spy)
-    if fill == "leaves":
-        mesh._fill_leaves([np.empty(len(data))], data, found, [[vals[0] for _, vals, *_ in levels]])
-    else:
-        mesh._fill_grids([np.empty(extents)], data, found, [np.arange(len(data), dtype=float)])
-    assert seen == [4, 3, 2, 1, 0] and found == []
+        monkeypatch.setattr(mesh, "_level_slots", spy)
+        if fill == "leaves":
+            mesh._fill_leaves([np.empty(len(data))], data, found,
+                              [[vals[0] for _, vals, *_ in levels]])
+        else:
+            mesh._fill_grids([np.empty(shape.extents)], data, found,
+                             [np.arange(len(data), dtype=float)])
+        monkeypatch.setattr(mesh, "_level_slots", slots)
+        assert seen == want and found == []
 
 
 @pytest.mark.parametrize("extents, own", [((90, 141), 0), ((1, 5), 1), ((1, 1, 5), 1), ((2, 3), 0)])
@@ -395,20 +426,21 @@ def test_decoding_lays_its_levels_in_the_output(monkeypatch, extents, own):
     var = codec.compress(field, GridShape(extents),
                          codec.CompressionConfig(ErrorSpec(Criterion("abs", 2.0))))
     want, out = codec.decompress(var), np.empty(extents)
-    stacked, level1, seen = mesh._stacked, mesh._level1_slots, []
+    stacked, below, seen = mesh._stacked, mesh._below, []
 
     def spy_stacked(grid, top):
         grids = stacked(grid, top)
         seen.append([np.shares_memory(g, out) for g in grids])
         return grids
 
-    def spy_level1(key, cells, shape, spare=None):
-        slots, initial = level1(key, cells, shape, spare)
-        seen.append(len(initial) and np.shares_memory(initial, out))
-        return slots, initial
+    def spy_below(refined, dtype, spare=None):
+        initial = below(refined, dtype, spare)
+        if spare is not None:  # level 1's
+            seen.append(len(initial) and np.shares_memory(initial, out))
+        return initial
 
     monkeypatch.setattr(mesh, "_stacked", spy_stacked)
-    monkeypatch.setattr(mesh, "_level1_slots", spy_level1)
+    monkeypatch.setattr(mesh, "_below", spy_below)
     _, key, found = mesh._walk(GridShape(extents), bits=var.mesh_bits)
     mesh._fill_grids([out], key[(key & 1) == 0], found, [var.payload])
     assert out.reshape(-1).tobytes() == want.tobytes()
@@ -520,21 +552,21 @@ class TestIndexWidth:
     @pytest.mark.parametrize("extents", [(37, 53), (3, 45), (9, 13, 17), (5, 6, 7)])
     def test_round_trip_keeps_int32(self, monkeypatch, extents):
         dtypes, calls = set(), []
-        children, walk = mesh._children, mesh._walk
+        children, walk = mesh._child_cells, mesh._walk
 
         def spy_children(grid, rows):
-            flat, pad = children(grid, rows)
+            flat = children(grid, rows)
             calls.append(grid)
             dtypes.update((rows.dtype, flat.dtype))
-            return flat, pad
+            return flat
 
         def spy_walk(shape, *args, **kwargs):
             bits, key, found = walk(shape, *args, **kwargs)
             dtypes.update(c.dtype for c in walk_levels(shape, found))
-            dtypes.add(found[1][0].dtype)
+            dtypes.update(f.dtype for f in walk_families(shape, found))
             return bits, key, found
 
-        monkeypatch.setattr(mesh, "_children", spy_children)
+        monkeypatch.setattr(mesh, "_child_cells", spy_children)
         monkeypatch.setattr(codec, "_walk", spy_walk)
         field = smooth(extents) + 4.0
         var = compress(field.reshape(-1), GridShape(extents),
@@ -553,7 +585,7 @@ class TestIndexWidth:
         grid on each side of the rule, pads included; no grid is allocated."""
         # a root-only mesh: the decode walk allocates one cell
         found = mesh._walk(GridShape(extents), bits=b"")[2]
-        assert found[1][0].dtype == np.dtype(dtype)
+        assert walk_families(GridShape(extents), found)[1].dtype == np.dtype(dtype)
         assert {c.dtype for c in walk_levels(GridShape(extents), found)} == {np.dtype(dtype)}
         dim, cells = len(extents), math.prod(extents)
         parents = [(e + 1) // 2 for e in extents]
